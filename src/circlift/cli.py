@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .complexes import Chain, Cochain, FilteredComplex, GF, ZZ, build_from_simplices
+from .complexes import Chain, Cochain, FilteredComplex, GF, ZZ
 from .errors import CircliftError, TorsionObstruction, Unliftable, ZeroPairing
 from .experiments import sparsity_sweep, write_sparsity_csv
 from .fields import OddPrime
@@ -44,7 +44,6 @@ class PipelineConfig:
     class_strategy: str = "max-persistence"
     scale_policy: str | float = "midpoint"
     snf_cap: int = DEFAULT_SNF_CAP
-    seed: int = 0
     out: Path = Path(".")
     reduce: bool = True
 
@@ -69,17 +68,15 @@ def _read_points_csv(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _load_complex(path: Path) -> FilteredComplex:
+def _read_json(path) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
-    return build_from_simplices(
-        [(tuple(e["vertices"]), float(e["filtration"])) for e in data["simplices"]])
+        return json.load(fh)
 
 
 def _load_input(path: Path):
     """Points CSV or explicit-complex JSON, by extension."""
     if path.suffix.lower() == ".json":
-        return None, _load_complex(path)
+        return None, FilteredComplex.from_json_dict(_read_json(path))
     return _read_points_csv(path), None
 
 
@@ -115,22 +112,18 @@ def cmd_run(config: PipelineConfig) -> int:
 
 
 def cmd_lift(args) -> int:
-    cx = _load_complex(Path(args.complex))
-    with open(args.input) as fh:
-        data = json.load(fh)
+    cx = FilteredComplex.from_json_dict(_read_json(args.complex))
     cls = Chain if args.kind == "cycle" else Cochain
-    vec = cls.from_json_dict(cx, data, ring=GF(args.prime))
+    vec = cls.from_json_dict(cx, _read_json(args.input), ring=GF(args.prime))
     report = lift_closed(vec, args.kind, snf_cap=args.snf_cap)
     _write_json(Path(args.out) / "lift_report.json", report.to_json_dict())
     return 0
 
 
 def cmd_reduce_winding(args) -> int:
-    cx = _load_complex(Path(args.complex))
-    with open(args.cocycle) as fh:
-        alpha = Cochain.from_json_dict(cx, json.load(fh), ring=ZZ)
-    with open(args.cycle) as fh:
-        beta = Chain.from_json_dict(cx, json.load(fh), ring=ZZ)
+    cx = FilteredComplex.from_json_dict(_read_json(args.complex))
+    alpha = Cochain.from_json_dict(cx, _read_json(args.cocycle), ring=ZZ)
+    beta = Chain.from_json_dict(cx, _read_json(args.cycle), ring=ZZ)
     report = reduce_winding(alpha, beta, snf_cap=args.snf_cap)
     _write_json(Path(args.out) / "winding_report.json", report.to_json_dict())
     return 0
@@ -153,9 +146,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_coords(args) -> int:
-    cx = _load_complex(Path(args.complex))
-    with open(args.cocycle) as fh:
-        alpha = Cochain.from_json_dict(cx, json.load(fh), ring=ZZ)
+    cx = FilteredComplex.from_json_dict(_read_json(args.complex))
+    alpha = Cochain.from_json_dict(cx, _read_json(args.cocycle), ring=ZZ)
     smoothed = harmonic_smooth(alpha)
     coords = circular_map(smoothed, base_vertex=args.base_vertex)
     out = Path(args.out)
@@ -182,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help='"max-persistence" or "index:k"')
     run.add_argument("--scale", dest="scale_policy", default="midpoint")
     run.add_argument("--snf-cap", type=int, default=DEFAULT_SNF_CAP)
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--no-reduce", action="store_true",
                      help="skip the winding reduction step")
     run.add_argument("--out", type=Path, default=Path("."))
@@ -238,7 +229,7 @@ def main(argv=None) -> int:
                 input=args.input, prime=args.prime, max_dim=args.max_dim,
                 threshold=args.threshold, class_strategy=args.class_strategy,
                 scale_policy=args.scale_policy, snf_cap=args.snf_cap,
-                seed=args.seed, out=args.out, reduce=not args.no_reduce)
+                out=args.out, reduce=not args.no_reduce)
             return cmd_run(config)
         if args.command == "lift":
             return cmd_lift(args)

@@ -9,6 +9,7 @@ transpose of the boundary matrix one degree up.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -340,6 +341,42 @@ def build_rips(points, threshold: float, max_dim: int) -> FilteredComplex:
     return FilteredComplex(table)
 
 
+def spanning_forest(cx: FilteredComplex, root: int | None = None
+                    ) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """Breadth-first spanning forest of the 1-skeleton, on vertex indices.
+
+    Every component is rooted at its lowest vertex index, except the one
+    holding ``root``, which is rooted there. Neighbors are visited in edge
+    order. Returns the roots and the tree edges in visit order as
+    (parent, child, edge index, sign), where sign is +1 when the child is
+    the edge's second vertex; then f(child) - f(parent) = sign * (delta f)(edge)
+    for every 0-cochain f.
+    """
+    n = cx.n_vertices
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for j, (a, b) in enumerate(cx.simplices(1)):
+        ia, ib = cx.index((a,)), cx.index((b,))
+        adj[ia].append((ib, j, 1))
+        adj[ib].append((ia, j, -1))
+    seen = [False] * n
+    roots: list[int] = []
+    tree: list[tuple[int, int, int, int]] = []
+    for start in ([] if root is None else [root]) + list(range(n)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        roots.append(start)
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w, j, sign in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    tree.append((u, w, j, sign))
+                    queue.append(w)
+    return roots, tree
+
+
 # ---------------------------------------------------------------------------
 # sparse matrices
 # ---------------------------------------------------------------------------
@@ -353,9 +390,6 @@ class SparseMatrix:
     ring: Ring
     columns: list[dict[int, object]]
 
-    def entry(self, i: int, j: int):
-        return self.columns[j].get(i, self.ring.zero)
-
     def transpose(self) -> "SparseMatrix":
         cols: list[dict[int, object]] = [{} for _ in range(self.n_rows)]
         for j, col in enumerate(self.columns):
@@ -363,29 +397,12 @@ class SparseMatrix:
                 cols[i][j] = v
         return SparseMatrix(self.n_cols, self.n_rows, self.ring, cols)
 
-    def matvec(self, vec: Mapping[int, object]) -> dict[int, object]:
-        """Sparse product: vec maps column index -> coefficient."""
-        ring = self.ring
-        out: dict = {}
-        for j, c in vec.items():
-            for i, v in self.columns[j].items():
-                out[i] = ring.normalize(out.get(i, 0) + c * v)
-        return {i: v for i, v in out.items() if not ring.is_zero(v)}
-
     def to_dense(self) -> list[list[object]]:
         dense = [[self.ring.zero] * self.n_cols for _ in range(self.n_rows)]
         for j, col in enumerate(self.columns):
             for i, v in col.items():
                 dense[i][j] = v
         return dense
-
-    def to_numpy_mod(self, q: int) -> np.ndarray:
-        """Dense int64 reduction mod q (entries here are always small ints)."""
-        out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                out[i, j] = int(v) % q
-        return out
 
 
 # ---------------------------------------------------------------------------

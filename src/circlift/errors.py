@@ -78,7 +78,8 @@ class NotDivisible(CircliftError):
 
 
 class ValidationFailed(CircliftError):
-    """Mod-p division route failed validation and the SNF fallback is unavailable."""
+    """A certificate failed its direct check over Z: a lift is not closed or
+    does not reduce to its input, or a division identity does not hold."""
 
 
 # --- smoothing / coordinates ---

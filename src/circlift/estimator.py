@@ -13,6 +13,7 @@ import inspect
 
 import numpy as np
 
+from .lifting import DEFAULT_SNF_CAP
 from .pipeline import run_pipeline
 
 
@@ -53,7 +54,7 @@ class CircularCoordinates:
     def __init__(self, prime: int = 47, threshold="auto",
                  class_strategy: str = "max-persistence",
                  scale_policy="midpoint", reduce_winding: bool = True,
-                 snf_cap: int = 1500):
+                 snf_cap: int = DEFAULT_SNF_CAP):
         self.prime = prime
         self.threshold = threshold
         self.class_strategy = class_strategy

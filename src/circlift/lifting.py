@@ -17,7 +17,8 @@ from typing import Literal, Optional, Sequence
 
 from . import snf
 from .complexes import Chain, Cochain, ZZ, apply_boundary, apply_coboundary
-from .errors import ComplexTooLargeForSnf, NotClosed, TorsionObstruction
+from .errors import (ComplexTooLargeForSnf, NotClosed, TorsionObstruction,
+                     ValidationFailed)
 from .fields import FpElement, OddPrime, abs_mod, inv_mod, lift_mod
 
 DEFAULT_SNF_CAP = 1500
@@ -26,7 +27,6 @@ Kind = Literal["cocycle", "cycle"]
 
 CERT_IN_RANGE = "InRange"
 CERT_PER_FACE_RANGE = "PerFaceRange"
-CERT_INDEX_SETS = "IndexSets"
 CERT_VERIFIED_ONLY = "VerifiedOnly"
 CERT_SNF_REPAIRED = "SnfRepaired"
 
@@ -118,14 +118,10 @@ def naive_lift(c: Cochain | Chain) -> Cochain | Chain:
     return c.map_coefficients(lambda v: lift_mod(v, p), ZZ)
 
 
-def _is_closed_fp(c: Cochain | Chain, kind: Kind) -> bool:
+def _is_closed(c: Cochain | Chain, kind: Kind) -> bool:
     if kind == "cocycle":
         return apply_coboundary(c).is_zero()
     return c.dim == 0 or apply_boundary(c).is_zero()
-
-
-def _closed_over_z(c: Cochain | Chain, kind: Kind) -> bool:
-    return _is_closed_fp(c, kind)
 
 
 def infer_kind(c: Cochain | Chain) -> Kind:
@@ -197,7 +193,7 @@ def lift_closed(c: Cochain | Chain, kind: Kind | None = None, *,
     kind = kind or infer_kind(c)
     p = _field_prime(c)
     prime = OddPrime(p)
-    if not _is_closed_fp(c, kind):
+    if not _is_closed(c, kind):
         raise NotClosed(f"input is not a {kind} over F_{p}",
                         operation="lifting.lift_closed")
 
@@ -210,7 +206,7 @@ def lift_closed(c: Cochain | Chain, kind: Kind | None = None, *,
 
     for rv in range(1, (p - 1) // 2 + 1):
         working = naive_lift(c.scale(rv))
-        if _closed_over_z(working, kind):
+        if _is_closed(working, kind):
             return _finish_report(c, FpElement(rv, prime), working,
                                   CERT_VERIFIED_ONLY, kind)
 
@@ -219,26 +215,17 @@ def lift_closed(c: Cochain | Chain, kind: Kind | None = None, *,
                           CERT_SNF_REPAIRED, kind)
 
 
-def lift_with_index_system(c: Cochain | Chain, system: IndexSystem,
-                           kind: Kind | None = None) -> Optional[LiftReport]:
-    """Scaling lift certified by a caller-supplied relation system."""
-    kind = kind or infer_kind(c)
-    IndexSystem.check(system.relations, c.entries, system.prime)
-    r = scaling_search(c, system.bounds(list(c.entries)))
-    if r is None:
-        return None
-    working = naive_lift(c.scale(r.value))
-    return _finish_report(c, r, working, CERT_INDEX_SETS, kind)
-
-
 def _finish_report(c, r: FpElement, working, certificate: str, kind: Kind) -> LiftReport:
-    closed = _closed_over_z(working, kind)
-    assert closed, "certified lift failed the direct closedness check"
+    if not _is_closed(working, kind):
+        raise ValidationFailed("certified lift failed the direct closedness check",
+                               operation="lifting.lift_closed")
     preimage = working.scale(inv_mod(r.value, r.p))
-    assert preimage.reduce_mod(r.p) == c, "preimage does not reduce to the input"
+    if preimage.reduce_mod(r.p) != c:
+        raise ValidationFailed("preimage does not reduce to the input",
+                               operation="lifting.lift_closed")
     return LiftReport(input=c, scaling=r, working_lift=working,
                       exact_preimage=preimage, certificate=certificate,
-                      is_closed=closed)
+                      is_closed=True)
 
 
 def _snf_guard(n_unknowns: int, n_equations: int, snf_cap: int, operation: str) -> None:

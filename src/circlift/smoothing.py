@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .complexes import Cochain, FilteredComplex, RR, ZZ, apply_coboundary
+from .complexes import (Cochain, FilteredComplex, RR, ZZ, apply_coboundary,
+                        spanning_forest)
 from .errors import InconsistentCocycle, NotACocycle, SolverDiverged, VertexSetMismatch
 
 DENSE_VERTEX_LIMIT = 500
@@ -60,33 +60,6 @@ class CircularCoords:
             writer.writerow(["vertex_id", "theta"])
             for v in sorted(self.values):
                 writer.writerow([v, repr(self.values[v])])
-
-
-def _components(cx: FilteredComplex) -> list[list[int]]:
-    """Connected components as sorted lists of vertex indices."""
-    n = cx.n_vertices
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in cx.simplices(1):
-        ia, ib = cx.index((a,)), cx.index((b,))
-        adj[ia].append(ib)
-        adj[ib].append(ia)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _jacobi_cg(L: np.ndarray, rhs: np.ndarray, rtol: float = 1e-12,
@@ -138,8 +111,8 @@ def harmonic_smooth(alpha: Cochain) -> SmoothedCocycle:
     for i, v in alpha.entries.items():
         a[i] = float(v)
 
-    anchors = [comp[0] for comp in _components(cx)]
-    keep = np.array([i for i in range(n_v) if i not in set(anchors)], dtype=int)
+    anchors = set(spanning_forest(cx)[0])
+    keep = np.array([i for i in range(n_v) if i not in anchors], dtype=int)
     f = np.zeros(n_v)
     if keep.size:
         Bk = B[:, keep]
@@ -178,7 +151,7 @@ def circular_map(smoothed: SmoothedCocycle,
     """Integrate the smoothed cocycle along a breadth-first spanning tree.
 
     theta(base) = 0 per component and theta(b) = theta(a) + alpha_tilde(ab)
-    mod 1 along tree edges; consistency is then asserted on every edge
+    mod 1 along tree edges; consistency is then checked on every edge
     (off-tree edges close up because the holonomy of an integer class is an
     integer). Components other than the base vertex's start at their
     lowest-index vertex.
@@ -187,35 +160,20 @@ def circular_map(smoothed: SmoothedCocycle,
     cx = alpha.complex
     n_v = cx.n_vertices
     vids = cx.vertex_ids
+    value = [float(alpha.entries.get(j, 0.0)) for j in range(cx.n_simplices(1))]
 
-    edge_value: dict[tuple[int, int], float] = {}
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n_v)]
-    for j, s in enumerate(cx.simplices(1)):
-        ia, ib = cx.index((s[0],)), cx.index((s[1],))
-        v = float(alpha.entries.get(j, 0.0))
-        edge_value[(ia, ib)] = v
-        adj[ia].append((ib, v))       # theta(b) - theta(a) = v
-        adj[ib].append((ia, -v))
-
+    root = None if base_vertex is None else cx.index((base_vertex,))
+    roots, tree = spanning_forest(cx, root)
     theta = np.full(n_v, np.nan)
-    for comp in _components(cx):
-        root = comp[0]
-        if base_vertex is not None and cx.index((base_vertex,)) in comp:
-            root = cx.index((base_vertex,))
-        theta[root] = 0.0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w, v in adj[u]:
-                if np.isnan(theta[w]):
-                    theta[w] = (theta[u] + v) % 1.0
-                    queue.append(w)
+    theta[roots] = 0.0
+    for parent, child, j, sign in tree:
+        theta[child] = (theta[parent] + sign * value[j]) % 1.0
 
-    for (ia, ib), v in edge_value.items():
-        gap = (theta[ib] - theta[ia] - v) % 1.0
+    for j, (a, b) in enumerate(cx.simplices(1)):
+        gap = (theta[cx.index((b,))] - theta[cx.index((a,))] - value[j]) % 1.0
         if min(gap, 1.0 - gap) > EDGE_TOL:
             raise InconsistentCocycle(
-                f"edge ({vids[ia]},{vids[ib]}) off by {min(gap, 1.0 - gap):.3e}",
+                f"edge ({a},{b}) off by {min(gap, 1.0 - gap):.3e}",
                 operation="smoothing_coords.circular_map")
 
     return CircularCoords({vids[i]: float(theta[i] % 1.0) for i in range(n_v)})

@@ -12,15 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import snf
 from .complexes import (Chain, Cochain, ZZ, apply_boundary, apply_coboundary,
-                        kronecker_pairing)
+                        kronecker_pairing, spanning_forest)
 from .errors import NotACocycle, NotDivisible, ValidationFailed, ZeroPairing
 from .fields import is_prime, lift_mod
-from .fplinalg import solve_mod
-from .lifting import DEFAULT_SNF_CAP
+from .lifting import DEFAULT_SNF_CAP, _snf_guard
 
 ROUTE_MOD_P = "ModPSolve"
 ROUTE_SNF = "IntegerSnf"
@@ -68,19 +65,61 @@ def _require_integer_cocycle(alpha: Cochain, operation: str) -> None:
         raise NotACocycle("input cochain is not a cocycle over Z", operation=operation)
 
 
+def _divisible(c: Cochain, q: int) -> bool:
+    return all(v % q == 0 for v in c.entries.values())
+
+
+def _forest_potential(alpha: Cochain, q: int) -> tuple[Cochain, Cochain]:
+    """(f, delta f) for the centred lift f of the F_q potential that
+    integrates a 1-cocycle alpha mod q along a spanning forest, starting
+    from 0 at each root.
+
+    alpha - delta f vanishes mod q on every tree edge by construction, and
+    on every edge exactly when alpha mod q is an F_q coboundary.
+    """
+    cx = alpha.complex
+    phi = [0] * cx.n_vertices
+    for parent, child, j, sign in spanning_forest(cx)[1]:
+        phi[child] = (phi[parent] + sign * alpha.entries.get(j, 0)) % q
+    f = Cochain(cx, 0, ZZ, {i: lift_mod(v, q) for i, v in enumerate(phi)})
+    return f, apply_coboundary(f)
+
+
+def _integer_split(alpha: Cochain, q: int, snf_cap: int,
+                   operation: str) -> tuple[Cochain, Cochain] | None:
+    """(f, gamma) with alpha = q * gamma + delta(f), from one integer solve
+    of [delta | q I] (f, gamma) = alpha, or None when it has no solution,
+    i.e. when the class of alpha does not vanish mod q."""
+    cx, m = alpha.complex, alpha.dim
+    n_m, n_below = cx.n_simplices(m), cx.n_simplices(m - 1)
+    _snf_guard(n_below + n_m, n_m, snf_cap, operation)
+    rows = snf.sparse_to_rows(cx.coboundary_matrix(m - 1, ZZ))
+    for i in range(n_m):
+        rows[i].extend(q if k == i else 0 for k in range(n_m))
+    rhs = [0] * n_m
+    for i, v in alpha.entries.items():
+        rhs[i] = int(v)
+    sol = snf.solve_integer(rows, rhs)
+    if sol is None:
+        return None
+    return (Cochain(cx, m - 1, ZZ, {i: sol[i] for i in range(n_below)}),
+            Cochain(cx, m, ZZ, {i: sol[n_below + i] for i in range(n_m)}))
+
+
 def class_vanishes_mod(alpha: Cochain, q: int) -> bool:
     """Whether the class of an integer cocycle dies in F_q cohomology,
-    i.e. alpha mod q is a coboundary over F_q."""
+    i.e. alpha mod q is a coboundary over F_q.
+
+    Degree 1 integrates along a spanning forest in O(E); higher degrees ask
+    whether the integer division system of ``divide_step`` has a solution.
+    """
     _require_integer_cocycle(alpha, "winding.class_vanishes_mod")
-    m = alpha.dim
-    if m == 0:
-        return all(v % q == 0 for v in alpha.entries.values())
-    cx = alpha.complex
-    A = cx.coboundary_matrix(m - 1, ZZ).to_numpy_mod(q)
-    b = np.zeros(cx.n_simplices(m), dtype=np.int64)
-    for i, v in alpha.entries.items():
-        b[i] = v % q
-    return solve_mod(A, b, q) is not None
+    if alpha.dim == 0:
+        return _divisible(alpha, q)
+    if alpha.dim == 1:
+        return _divisible(alpha - _forest_potential(alpha, q)[1], q)
+    return _integer_split(alpha, q, DEFAULT_SNF_CAP,
+                          "winding.class_vanishes_mod") is not None
 
 
 def candidate_primes(pairing: int) -> list[int]:
@@ -120,77 +159,51 @@ def _auto_p_work(q: int, coeff_bound: int) -> int:
 
 
 def divide_step(alpha: Cochain, q: int, p_work: int | None = None, *,
-                route: str = "auto", snf_cap: int = DEFAULT_SNF_CAP,
-                max_retries: int = 16) -> DivideStep:
+                route: str = "auto", snf_cap: int = DEFAULT_SNF_CAP) -> DivideStep:
     """Split alpha = q * gamma + delta(f) exactly over Z.
 
-    Primary route: solve delta(f) = alpha mod q over F_q with free variables
-    at zero and lift f coefficient-wise; alpha - delta(f) is then divisible
-    by q entry-by-entry and gamma is the exact quotient. The result is
-    verified directly over Z (and additionally flagged when the
-    coefficient-range certificate for p_work holds). Fallback: one integer
-    solve of the combined system via Smith normal form.
+    Mod-q route (degree 1, the default there): f is the centred lift of the
+    spanning-forest potential of alpha mod q, so alpha - delta(f) is
+    divisible by q entry by entry and gamma is the exact quotient; the
+    result is flagged when the coefficient-range certificate for p_work
+    holds. Integer route (the default in higher degrees): one exact solve of
+    the combined system via Smith normal form. Either way the identity is
+    verified over Z.
     """
     _require_integer_cocycle(alpha, "winding.divide_step")
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if p_work is not None and (not is_prime(p_work) or p_work <= q):
         raise ValueError("p_work must be a prime larger than q")
-    cx = alpha.complex
     m = alpha.dim
     if m < 1:
         raise ValueError("degree must be >= 1")
-    n_m = cx.n_simplices(m)
-    n_below = cx.n_simplices(m - 1)
-    A = cx.coboundary_matrix(m - 1, ZZ)
 
-    b = np.zeros(n_m, dtype=np.int64)
-    for i, v in alpha.entries.items():
-        b[i] = v % q
-
-    if route in ("auto", "modp"):
-        A_mod = A.to_numpy_mod(q)
-        rng = np.random.default_rng(0)
-        for attempt in range(max_retries + 1):
-            free = None if attempt == 0 else rng.integers(0, q, size=n_below)
-            sol = solve_mod(A_mod, b, q, free_values=free)
-            if sol is None:
-                raise NotDivisible(f"class does not vanish mod {q}",
+    if route == "modp" or (route == "auto" and m == 1):
+        if m != 1:
+            raise ValueError("the mod-q route divides 1-cocycles only")
+        f, deltaf = _forest_potential(alpha, q)
+        residue = alpha - deltaf
+        if not _divisible(residue, q):
+            raise NotDivisible(f"class does not vanish mod {q}",
+                               operation="winding.divide_step")
+        gamma = residue.map_coefficients(lambda v: v // q, ZZ)
+        if gamma.scale(q) + deltaf != alpha:
+            raise ValidationFailed("division identity broken",
                                    operation="winding.divide_step")
-            f = Cochain(cx, m - 1, ZZ,
-                        {i: lift_mod(int(v), q) for i, v in enumerate(sol)})
-            deltaf = apply_coboundary(f)
-            residue = alpha - deltaf
-            if all(v % q == 0 for v in residue.entries.values()):
-                gamma = residue.map_coefficients(lambda v: v // q, ZZ)
-                assert (gamma.scale(q) + deltaf == alpha), "division identity broken"
-                p_eff = p_work or _auto_p_work(q, max(int(gamma.max_abs()) * q,
-                                                      int(deltaf.max_abs())))
-                certified = _range_conditions_hold(deltaf, int(gamma.max_abs()) * q,
-                                                   p_eff, m)
-                return DivideStep(gamma, f, ROUTE_MOD_P, certified)
-        if route == "modp":
-            raise ValidationFailed("mod-q route failed on every assignment",
-                                   operation="winding.divide_step")
+        qgamma_max = int(gamma.max_abs()) * q
+        p_eff = p_work or _auto_p_work(q, max(qgamma_max, int(deltaf.max_abs())))
+        certified = _range_conditions_hold(deltaf, qgamma_max, p_eff, m)
+        return DivideStep(gamma, f, ROUTE_MOD_P, certified)
 
-    # integer route: solve [delta | q I] (f, gamma) = alpha exactly
-    if n_below + 2 * n_m > snf_cap:
-        raise ValidationFailed(
-            f"SNF fallback refused: {n_below + 2 * n_m} > cap {snf_cap}",
-            operation="winding.divide_step")
-    rows = snf.sparse_to_rows(A)
-    for i in range(n_m):
-        rows[i].extend(q if k == i else 0 for k in range(n_m))
-    rhs = [0] * n_m
-    for i, v in alpha.entries.items():
-        rhs[i] = int(v)
-    sol = snf.solve_integer(rows, rhs)
-    if sol is None:
+    split = _integer_split(alpha, q, snf_cap, "winding.divide_step")
+    if split is None:
         raise NotDivisible(f"class does not vanish mod {q}",
                            operation="winding.divide_step")
-    f = Cochain(cx, m - 1, ZZ, {i: sol[i] for i in range(n_below)})
-    gamma = Cochain(cx, m, ZZ, {i: sol[n_below + i] for i in range(n_m)})
-    assert gamma.scale(q) + apply_coboundary(f) == alpha, "division identity broken"
+    f, gamma = split
+    if gamma.scale(q) + apply_coboundary(f) != alpha:
+        raise ValidationFailed("division identity broken",
+                               operation="winding.divide_step")
     return DivideStep(gamma, f, ROUTE_SNF, False)
 
 
@@ -223,8 +236,9 @@ def reduce_winding(alpha: Cochain, beta: Chain, p_work: int | None = None, *,
             r //= q
         while class_vanishes_mod(current, q):
             if times >= max_times:
-                raise AssertionError(
-                    f"division by {q} exceeded the pairing bound {max_times}")
+                raise ValidationFailed(
+                    f"division by {q} exceeded the pairing bound {max_times}",
+                    operation="winding.reduce_winding")
             step = divide_step(current, q, p_work, route=route, snf_cap=snf_cap)
             witness = witness + step.potential.scale(omega)
             omega *= q
@@ -240,10 +254,12 @@ def reduce_winding(alpha: Cochain, beta: Chain, p_work: int | None = None, *,
     final_trace = tuple((q, t, rt) for q, (t, rt) in sorted(collapsed.items()))
 
     for q in primes:
-        assert not class_vanishes_mod(current, q), \
-            f"reduced class still vanishes mod {q}"
-    assert current.scale(omega) + apply_coboundary(witness) == alpha, \
-        "winding decomposition identity broken"
+        if class_vanishes_mod(current, q):
+            raise ValidationFailed(f"reduced class still vanishes mod {q}",
+                                   operation="winding.reduce_winding")
+    if current.scale(omega) + apply_coboundary(witness) != alpha:
+        raise ValidationFailed("winding decomposition identity broken",
+                               operation="winding.reduce_winding")
     return WindingReport(
         pairing=pairing,
         candidate_primes=tuple(primes),

@@ -1,4 +1,5 @@
-"""Dense Gaussian elimination mod a prime q.
+"""Dense Gaussian elimination mod a prime q: the test oracle for the
+degree-1 forest division in ``circlift.winding``.
 
 Matrices are numpy int64 arrays with entries reduced to [0, q); q stays
 small (a few hundred at most) so int64 products cannot overflow. Used for
@@ -8,6 +9,15 @@ membership-in-image tests and for solving coboundary systems over F_q.
 from __future__ import annotations
 
 import numpy as np
+
+
+def to_numpy_mod(mat, q: int) -> np.ndarray:
+    """Dense int64 copy of an integer SparseMatrix, reduced mod q."""
+    out = np.zeros((mat.n_rows, mat.n_cols), dtype=np.int64)
+    for j, col in enumerate(mat.columns):
+        for i, v in col.items():
+            out[i, j] = int(v) % q
+    return out
 
 
 def _inv_mod(a: int, q: int) -> int:

@@ -102,10 +102,10 @@ class TestLift:
         assert preimage == {(0, 1): "8", (0, 2): "4", (1, 2): "-4"}
 
     def test_torsion_obstruction_exit_code(self, tmp_path):
-        from circlift.fplinalg import in_image_mod, nullspace_mod
+        from fplinalg import in_image_mod, nullspace_mod, to_numpy_mod
         moore = moore_z3_complex()
-        d1 = moore.coboundary_matrix(1, ZZ).to_numpy_mod(3)
-        d0 = moore.coboundary_matrix(0, ZZ).to_numpy_mod(3)
+        d1 = to_numpy_mod(moore.coboundary_matrix(1, ZZ), 3)
+        d0 = to_numpy_mod(moore.coboundary_matrix(0, ZZ), 3)
         vec = next(v for v in nullspace_mod(d1, 3) if not in_image_mod(d0, v, 3))
         cochain = Cochain(moore, 1, GF(3), {i: int(x) for i, x in enumerate(vec)})
         cpath = tmp_path / "cx.json"

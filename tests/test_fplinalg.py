@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from circlift.fplinalg import (in_image_mod, nullspace_mod, rank_mod,
-                               row_echelon_mod, solve_mod)
 from conftest import dense_rank_mod
+from fplinalg import (in_image_mod, nullspace_mod, rank_mod, row_echelon_mod,
+                      solve_mod)
 
 
 class TestRank:

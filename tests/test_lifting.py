@@ -8,11 +8,10 @@ from circlift import (Chain, Cochain, GF, OddPrime, ZZ, apply_boundary,
 from circlift.errors import (ComplexTooLargeForSnf, NotClosed,
                              TorsionObstruction, Unliftable)
 from circlift.fields import abs_mod, primes_in_range
-from circlift.fplinalg import in_image_mod, nullspace_mod
-from circlift.lifting import (CERT_IN_RANGE, CERT_INDEX_SETS,
-                              CERT_PER_FACE_RANGE, CERT_SNF_REPAIRED,
-                              CERT_VERIFIED_ONLY, lift_with_index_system)
+from circlift.lifting import (CERT_IN_RANGE, CERT_PER_FACE_RANGE,
+                              CERT_SNF_REPAIRED, CERT_VERIFIED_ONLY)
 from conftest import moore_z3_complex, random_complex, random_fp_cocycle, rp2_complex
+from fplinalg import in_image_mod, nullspace_mod, to_numpy_mod
 
 
 class TestNaiveLift:
@@ -176,11 +175,6 @@ class TestLiftClosed:
             assert apply_coboundary(naive_lift(c.scale(r.value))).is_zero()
         assert accepted > 1000   # the property must actually fire
 
-    def test_index_sets_certificate(self, triangle_cocycle_f7):
-        system = cocycle_index_system(triangle_cocycle_f7)
-        rep = lift_with_index_system(triangle_cocycle_f7, system)
-        assert rep is not None and rep.certificate == CERT_INDEX_SETS
-
 
 class TestSnfRepair:
     def test_triangle_repair(self, filled_triangle):
@@ -213,8 +207,8 @@ class TestSnfRepair:
         q = 3
         # a 1-cocycle over F_3 whose class generates H^1(X; F_3): it cannot
         # lift because the integral H^1 is trivial while H^2 has 3-torsion
-        d1 = moore.coboundary_matrix(1, ZZ).to_numpy_mod(q)
-        d0 = moore.coboundary_matrix(0, ZZ).to_numpy_mod(q)
+        d1 = to_numpy_mod(moore.coboundary_matrix(1, ZZ), q)
+        d0 = to_numpy_mod(moore.coboundary_matrix(0, ZZ), q)
         witness = None
         for vec in nullspace_mod(d1, q):
             if not in_image_mod(d0, vec, q):

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,47 @@ from circlift import (Cochain, RR, ZZ, apply_coboundary,
 from circlift.errors import InconsistentCocycle, NotACocycle, VertexSetMismatch
 from circlift.smoothing import CircularCoords, SmoothedCocycle
 from conftest import (hexagon_fundamental_cycle, hexagon_generator,
-                      random_connected_complex)
+                      random_complex, random_connected_complex)
+
+
+def reference_circular_map(smoothed, base_vertex=None) -> dict[int, float]:
+    """Oracle: per-component adjacency-list BFS, each component rooted at
+    its lowest vertex index or at the base vertex, integrating mod 1."""
+    alpha = smoothed.alpha_tilde
+    cx = alpha.complex
+    n_v = cx.n_vertices
+    adj = [[] for _ in range(n_v)]
+    for j, (a, b) in enumerate(cx.simplices(1)):
+        ia, ib = cx.index((a,)), cx.index((b,))
+        v = float(alpha.entries.get(j, 0.0))
+        adj[ia].append((ib, v))
+        adj[ib].append((ia, -v))
+    theta = np.full(n_v, np.nan)
+    starts = list(range(n_v))
+    if base_vertex is not None:
+        starts.insert(0, cx.index((base_vertex,)))
+    for root in starts:
+        if not np.isnan(theta[root]):
+            continue
+        theta[root] = 0.0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w, v in adj[u]:
+                if np.isnan(theta[w]):
+                    theta[w] = (theta[u] + v) % 1.0
+                    queue.append(w)
+    return {vid: float(theta[i] % 1.0) for i, vid in enumerate(cx.vertex_ids)}
+
+
+def random_graph_cocycle(rng, cx) -> Cochain:
+    """Integer 1-cocycle: arbitrary on a graph, a coboundary otherwise."""
+    if cx.dimension == 1:
+        return Cochain(cx, 1, ZZ, {i: int(v) for i, v in
+                                   enumerate(rng.integers(-4, 5, cx.n_simplices(1)))})
+    g = Cochain(cx, 0, ZZ, {i: int(v) for i, v in
+                            enumerate(rng.integers(-4, 5, cx.n_vertices))})
+    return apply_coboundary(g)
 
 
 class TestHarmonicSmooth:
@@ -146,6 +188,39 @@ class TestCircularMap:
         fake = SmoothedCocycle(bad, Cochain(hexagon, 0, RR, {}), 0.0)
         with pytest.raises(InconsistentCocycle):
             circular_map(fake)
+
+
+class TestCircularMapOracle:
+    def test_matches_reference_with_and_without_base_vertex(self):
+        rng = np.random.default_rng(77)
+        done = 0
+        while done < 60:
+            cx = random_complex(rng, n_max=10, edge_prob=0.35,
+                                tri_prob=0.0 if done % 2 else 0.4)
+            if cx.dimension < 1:
+                continue
+            done += 1
+            smoothed = harmonic_smooth(random_graph_cocycle(rng, cx))
+            vids = cx.vertex_ids
+            for base in (None, vids[int(rng.integers(0, len(vids)))]):
+                got = circular_map(smoothed, base_vertex=base).values
+                want = reference_circular_map(smoothed, base)
+                assert set(got) == set(want)
+                gap = np.array([(got[v] - want[v]) % 1.0 for v in want])
+                assert np.minimum(gap, 1.0 - gap).max() <= 1e-12
+                if base is not None:
+                    assert got[base] == 0.0
+
+    def test_one_anchor_per_component(self):
+        # anchors stay at potential 0: the lowest vertex of each component
+        cx = build_from_simplices([((0, 1), 1.0), ((1, 2), 1.0), ((0, 2), 1.0),
+                                   ((3, 4), 1.0), ((5,), 0.0)])
+        alpha = Cochain.from_simplices(cx, 1, ZZ, {(0, 1): 1, (3, 4): 7})
+        smoothed = harmonic_smooth(alpha)
+        for v in (0, 3, 5):
+            assert cx.index((v,)) not in smoothed.potential.entries
+        assert not smoothed.alpha_tilde.is_zero()
+        assert smoothed.alpha_tilde.coefficient((3, 4)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCircularCorrelation:

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from circlift import (Cochain, OddPrime, ZZ,
-                      apply_coboundary, build_rips, candidate_primes,
+                      apply_coboundary, build_from_simplices, build_rips, candidate_primes,
                       class_vanishes_mod, cycle_representative, divide_step,
                       kronecker_pairing, lift_closed, persistent_cohomology,
                       reduce_winding, select_class)
-from circlift.errors import NotACocycle, NotDivisible, ZeroPairing
+from circlift.errors import (ComplexTooLargeForSnf, NotACocycle, NotDivisible,
+                             ZeroPairing)
 from circlift.experiments import sample_circle
-from circlift.snf import solve_integer, sparse_to_rows
+from circlift.snf import nullspace_integer, solve_integer, sparse_to_rows
 from circlift.winding import ROUTE_MOD_P, ROUTE_SNF
 from conftest import (hexagon_fundamental_cycle, hexagon_generator,
-                      random_connected_complex)
+                      moore_z3_complex, random_complex,
+                      random_connected_complex, rp2_complex)
+from fplinalg import in_image_mod, to_numpy_mod
 
 
 def random_vertex_cochain(rng, cx, lo=-5, hi=5):
@@ -107,6 +110,12 @@ class TestDivideStep:
     def test_not_divisible(self, hexagon):
         with pytest.raises(NotDivisible):
             divide_step(hexagon_generator(hexagon), 3)
+
+    def test_integer_route_names_its_budget(self, hexagon):
+        with pytest.raises(ComplexTooLargeForSnf):
+            divide_step(hexagon_generator(hexagon).scale(2), 2, route="snf", snf_cap=17)
+        assert divide_step(hexagon_generator(hexagon).scale(2), 2, route="snf",
+                           snf_cap=18).route == ROUTE_SNF
 
     def test_snf_route_agrees_in_cohomology(self, hexagon):
         rng = np.random.default_rng(10)
@@ -216,3 +225,96 @@ class TestRouteEquivalenceRandom:
                 assert step.gamma.scale(q) + apply_coboundary(step.potential) == alpha
             assert is_integer_coboundary(cx, s_mod.gamma - s_snf.gamma)
             done += 1
+
+
+def random_integer_cocycle(rng, cx, m: int) -> Cochain:
+    """Small integer combination of a Z-basis of the m-cocycles."""
+    n = cx.n_simplices(m)
+    if m == cx.dimension:
+        basis = np.eye(n, dtype=np.int64)
+    else:
+        basis = np.array(nullspace_integer(
+            sparse_to_rows(cx.coboundary_matrix(m, ZZ))), dtype=np.int64).reshape(-1, n)
+    vec = rng.integers(-3, 4, len(basis)) @ basis
+    return Cochain(cx, m, ZZ, {i: int(v) for i, v in enumerate(vec)})
+
+
+def dense_vanishes(alpha: Cochain, q: int) -> bool:
+    """Dense F_q oracle: alpha mod q lies in the image of delta."""
+    cx, m = alpha.complex, alpha.dim
+    b = np.zeros(cx.n_simplices(m), dtype=np.int64)
+    for i, v in alpha.entries.items():
+        b[i] = v % q
+    return in_image_mod(to_numpy_mod(cx.coboundary_matrix(m - 1, ZZ), q), b, q)
+
+
+def oracle_cases(seed: int, m: int, count: int):
+    """(alpha, q) over random complexes, several components and isolated
+    vertices included; in degree 2 every other case is on the hollow
+    tetrahedron or one of the torsion examples."""
+    rng = np.random.default_rng(seed)
+    fixed = []
+    if m == 2:
+        sphere = build_from_simplices([((0, 1, 2), 1.0), ((0, 1, 3), 1.0),
+                                       ((0, 2, 3), 1.0), ((1, 2, 3), 1.0)])
+        fixed = [sphere, rp2_complex(), moore_z3_complex()]
+    cases = []
+    while len(cases) < count:
+        if fixed and len(cases) % 2 == 0:
+            cx = fixed[len(cases) // 2 % len(fixed)]
+        else:
+            cx = random_complex(rng, n_max=8, edge_prob=0.45)
+        if cx.dimension < m or cx.n_simplices(m) == 0:
+            continue
+        q = int(rng.choice([2, 3, 5, 7]))
+        alpha = random_integer_cocycle(rng, cx, m)
+        if rng.random() < 0.25:
+            alpha = alpha.scale(q)
+        cases.append((alpha, q))
+    return cases
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_class_vanishes_matches_dense_elimination(self, m):
+        outcomes = []
+        for alpha, q in oracle_cases(100 + m, m, 120):
+            got = class_vanishes_mod(alpha, q)
+            assert got == dense_vanishes(alpha, q)
+            outcomes.append(got)
+        assert 5 <= sum(outcomes) <= len(outcomes) - 5
+
+    def test_forest_covers_components_and_isolated_vertices(self):
+        # vertices 4 and 5 are isolated; the generator lives on one of two loops
+        cx = build_from_simplices([((0, 1), 1.0), ((1, 2), 1.0), ((0, 2), 1.0),
+                                   ((6, 7), 1.0), ((7, 8), 1.0), ((6, 8), 1.0),
+                                   ((4,), 0.0), ((5,), 0.0)])
+        loop = Cochain.from_simplices(cx, 1, ZZ, {(7, 8): 1})
+        for q in (2, 3, 5, 7):
+            for k in range(1, 2 * q + 1):
+                assert class_vanishes_mod(loop.scale(k), q) == (k % q == 0)
+                assert dense_vanishes(loop.scale(k), q) == (k % q == 0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_division_identity_on_both_routes(self, m):
+        tried = 0
+        for alpha, q in oracle_cases(200 + m, m, 80):
+            vanishes = dense_vanishes(alpha, q)
+            routes = ("modp", "snf", "auto") if m == 1 else ("snf", "auto")
+            for route in routes:
+                if not vanishes:
+                    with pytest.raises(NotDivisible):
+                        divide_step(alpha, q, route=route)
+                    continue
+                step = divide_step(alpha, q, route=route)
+                assert step.gamma.scale(q) + apply_coboundary(step.potential) == alpha
+                assert step.route == (ROUTE_MOD_P if route == "modp" or
+                                      (route == "auto" and m == 1) else ROUTE_SNF)
+                tried += 1
+        assert tried > 20
+
+    def test_mod_q_route_is_degree_one_only(self):
+        cx = rp2_complex()
+        alpha = Cochain(cx, 2, ZZ, {0: 2})
+        with pytest.raises(ValueError):
+            divide_step(alpha, 2, route="modp")

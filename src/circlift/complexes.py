@@ -29,9 +29,11 @@ class Ring:
 
     Arithmetic happens with Python's own +,-,* on the normalized values;
     ``normalize`` maps any representative to the canonical one (e.g. mod p).
+    ``dtype`` holds values exactly in numpy: Python ints, or floats for R.
     """
 
     name: str
+    dtype: type = object
 
     def normalize(self, x):
         raise NotImplementedError
@@ -62,6 +64,7 @@ class Integers(Ring):
 
 class Reals(Ring):
     name = "R"
+    dtype = float
 
     def normalize(self, x):
         return float(x)
@@ -121,9 +124,17 @@ def as_simplex(vertices: Iterable[int]) -> Simplex:
     return s
 
 
-def faces_with_signs(s: Simplex) -> list[tuple[Simplex, int]]:
-    """The i-th face omits vertex i and carries sign (-1)^i."""
-    return [(s[:i] + s[i + 1:], -1 if i % 2 else 1) for i in range(len(s))]
+def face_signs(m: int) -> list[int]:
+    """Signs of the columns of the face table in dimension m: (-1)^i."""
+    return [-1 if i % 2 else 1 for i in range(m + 1)]
+
+
+def _search(keys: np.ndarray, queries: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Position of each query in the sorted ``keys``; clears ``found`` where
+    the query is absent."""
+    pos = np.minimum(np.searchsorted(keys, queries), max(keys.size - 1, 0))
+    found &= (keys[pos] == queries) if keys.size else False
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -134,97 +145,157 @@ class FilteredComplex:
     """A finite simplicial complex with a monotone filtration value per
     simplex. Within each dimension, simplices are sorted by (filtration,
     lexicographic vertices) and indexed densely. Immutable once built.
+
+    Per dimension m it holds a vertex array (N_m x (m+1) ids), a filtration
+    array and a face table (N_m x (m+1) indices) whose column i is the face
+    omitting vertex i, with sign (-1)^i. Lookups by vertex tuple go through
+    one sorted key per simplex: the key rank of its face omitting the last
+    vertex, times the number of vertices, plus the rank of the last vertex.
+    Those keys sort like the rows, lexicographically.
     """
 
     def __init__(self, simplices_with_filtration: Mapping[Simplex, float]):
         if not simplices_with_filtration:
             raise EmptyInput("complex has no simplices", operation="complex.build")
-        by_dim: dict[int, list[tuple[float, Simplex]]] = {}
+        by_dim: dict[int, dict[Simplex, float]] = {}
         for s, f in simplices_with_filtration.items():
             s = as_simplex(s)
-            by_dim.setdefault(len(s) - 1, []).append((float(f), s))
+            by_dim.setdefault(len(s) - 1, {})[s] = float(f)
         self.dimension = max(by_dim)
-        self._simplices: list[list[Simplex]] = []
-        self._filtration: list[list[float]] = []
-        self._index: list[dict[Simplex, int]] = []
+        self._verts, self._filt, self._faces = [], [], []
+        self._keys, self._lex = [], []      # sorted keys; key rank -> index
         for m in range(self.dimension + 1):
-            entries = sorted(by_dim.get(m, []), key=lambda e: (e[0], e[1]))
-            self._simplices.append([s for _, s in entries])
-            self._filtration.append([f for f, _ in entries])
-            self._index.append({s: i for i, (_, s) in enumerate(entries)})
-        self._validate()
+            table = by_dim.get(m, {})
+            verts = np.array(list(table) or np.empty((0, m + 1), dtype=np.int64))
+            if verts.dtype.kind not in "iu" or verts.max(initial=0) > np.iinfo(np.int64).max:
+                raise ValueError("vertex ids must be integers that fit in 64 bits")
+            verts, filt = verts.astype(np.int64), np.array(list(table.values()), dtype=float)
+            order = np.lexsort([verts[:, k] for k in range(m, -1, -1)] + [filt])
+            self._add_dimension(verts[order], filt[order])
 
-    def _validate(self) -> None:
-        for m in range(1, self.dimension + 1):
-            below = self._index[m - 1]
-            for s in self._simplices[m]:
-                fs = self.filtration(s)
-                for face, _ in faces_with_signs(s):
-                    if face not in below:
-                        raise ValueError(f"complex not closed under faces: {face} missing")
-                    if self.filtration(face) > fs + 1e-12:
-                        raise ValueError(f"filtration not monotone at {s} / {face}")
+    def _add_dimension(self, verts: np.ndarray, filt: np.ndarray) -> None:
+        """Append the next dimension. Finding every face by its key checks
+        closure and monotonicity."""
+        m = len(self._verts)
+        faces, key = np.empty((len(verts), 0), dtype=np.int64), verts[:, 0]
+        if m:
+            codes = []
+            for i in range(m + 1):
+                code, found = self._codes(np.delete(verts, i, axis=1))
+                if not found.all():
+                    face = np.delete(verts[np.argmin(found)], i).tolist()
+                    raise ValueError(f"complex not closed under faces: {tuple(face)} missing")
+                codes.append(code)
+            faces = self._lex[m - 1][np.stack(codes, axis=1)]
+            late = np.argwhere(self._filt[m - 1][faces] > filt[:, None] + 1e-12)
+            if late.size:
+                j, i = late[0]
+                raise ValueError(f"filtration not monotone at {tuple(verts[j].tolist())}"
+                                 f" / {self.simplex(m - 1, faces[j, i])}")
+            rank = np.searchsorted(self._keys[0], verts[:, m])
+            key = codes[m] * len(self._keys[0]) + rank
+        order = np.argsort(key, kind="stable")
+        for store, arr in ((self._verts, verts), (self._filt, filt), (self._faces, faces),
+                           (self._keys, key[order]), (self._lex, order)):
+            store.append(arr)
+
+    def _codes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Key rank of each row of vertex ids among the simplices of its
+        dimension, and whether the row is one of them."""
+        found = np.ones(len(rows), dtype=bool)
+        code = _search(self._keys[0], rows[:, 0], found)
+        for j in range(1, rows.shape[1]):
+            rank = _search(self._keys[0], rows[:, j], found)
+            code = _search(self._keys[j], code * len(self._keys[0]) + rank, found)
+        return code, found
 
     # -- plain accessors -----------------------------------------------------
 
     def simplices(self, m: int) -> list[Simplex]:
-        if not 0 <= m <= self.dimension:
-            return []
-        return self._simplices[m]
+        return [tuple(row) for row in self.vertex_array(m).tolist()]
+
+    def simplex(self, m: int, i: int) -> Simplex:
+        return tuple(self._verts[m][i].tolist())
+
+    def vertex_array(self, m: int) -> np.ndarray:
+        """N_m x (m+1) vertex ids of the m-simplices; empty outside 0..dim."""
+        return self._verts[m] if 0 <= m <= self.dimension else np.empty((0, m + 1), int)
+
+    def face_table(self, m: int) -> np.ndarray:
+        """N_m x (m+1) face indices of the m-simplices: column i holds the
+        face omitting vertex i, with sign (-1)^i; empty above the top."""
+        return self._faces[m] if 0 <= m <= self.dimension else np.empty((0, m + 1), int)
 
     def n_simplices(self, m: int) -> int:
-        return len(self.simplices(m))
+        return len(self.vertex_array(m))
 
     @property
     def n_vertices(self) -> int:
-        return len(self._simplices[0])
+        return len(self._verts[0])
 
     @property
     def vertex_ids(self) -> list[int]:
-        return [s[0] for s in self._simplices[0]]
+        return self._verts[0][:, 0].tolist()
+
+    def indices(self, m: int, rows) -> np.ndarray:
+        """Index of each row of vertex ids among the m-simplices, -1 where
+        the row is not a simplex of this complex."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if not 0 <= m <= self.dimension:
+            return np.full(len(rows), -1)
+        code, found = self._codes(rows.reshape(-1, m + 1))
+        idx = self._lex[m][code]
+        return np.where(found & (idx < self.n_simplices(m)), idx, -1)
 
     def index(self, s: Simplex) -> int:
-        return self._index[len(s) - 1][s]
+        i = int(self.indices(len(s) - 1, [s])[0])
+        if i < 0:
+            raise KeyError(s)
+        return i
 
     def has_simplex(self, s: Simplex) -> bool:
-        m = len(s) - 1
-        return 0 <= m <= self.dimension and s in self._index[m]
+        return bool(self.indices(len(s) - 1, [s])[0] >= 0)
 
     def filtration(self, s: Simplex) -> float:
-        return self._filtration[len(s) - 1][self._index[len(s) - 1][s]]
+        return float(self._filt[len(s) - 1][self.index(s)])
 
-    def filtration_values(self, m: int) -> list[float]:
-        return self._filtration[m] if 0 <= m <= self.dimension else []
+    def filtration_values(self, m: int) -> np.ndarray:
+        return self._filt[m] if 0 <= m <= self.dimension else np.empty(0)
 
     def max_filtration(self) -> float:
-        return max(vals[-1] for vals in self._filtration if vals)
-
-    def total_simplices(self) -> int:
-        return sum(len(s) for s in self._simplices)
+        return max(float(f[-1]) for f in self._filt if f.size)
 
     def __repr__(self) -> str:
-        counts = ",".join(str(len(s)) for s in self._simplices)
+        counts = ",".join(str(len(v)) for v in self._verts)
         return f"FilteredComplex(dim={self.dimension}, counts=[{counts}])"
 
     # -- derived structure ---------------------------------------------------
 
     def restrict(self, max_filtration: float) -> "FilteredComplex":
-        """Sublevel subcomplex of all simplices with filtration <= value."""
-        kept = {
-            s: f
-            for m in range(self.dimension + 1)
-            for s, f in zip(self._simplices[m], self._filtration[m])
-            if f <= max_filtration
-        }
-        if not kept:
+        """Sublevel subcomplex of all simplices with filtration <= value: a
+        prefix of every dimension, sharing these arrays and lookup keys."""
+        counts = [int(np.searchsorted(f, max_filtration, side="right")) for f in self._filt]
+        if not any(counts):
             raise EmptyInput(f"no simplices at scale {max_filtration}",
                              operation="complex.restrict")
-        return FilteredComplex(kept)
+        top = max(m for m, n in enumerate(counts) if n)
+        for m in range(1, top + 1):
+            # a face may sit up to 1e-12 above its coface, beyond the cut
+            outside = np.argwhere(self._faces[m][:counts[m]] >= counts[m - 1])
+            if outside.size:
+                face = self.simplex(m - 1, self._faces[m][tuple(outside[0])])
+                raise ValueError(f"complex not closed under faces: {face} missing")
+        sub = object.__new__(FilteredComplex)
+        sub.dimension, sub._keys, sub._lex = top, self._keys, self._lex
+        sub._verts, sub._filt, sub._faces = (
+            [arr[:n] for arr, n in zip(store, counts[:top + 1])]
+            for store in (self._verts, self._filt, self._faces))
+        return sub
 
     def boundary_faces(self, s: Simplex) -> list[tuple[int, int]]:
         """Indices and signs of the faces of ``s`` (one dimension down)."""
-        below = self._index[len(s) - 2]
-        return [(below[face], sign) for face, sign in faces_with_signs(s)]
+        m = len(s) - 1
+        return list(zip(self._faces[m][self.index(s)].tolist(), face_signs(m)))
 
     def boundary_matrix(self, m: int, ring: Ring = ZZ) -> "SparseMatrix":
         """Matrix of the boundary C_m -> C_{m-1}: rows are (m-1)-simplices,
@@ -232,32 +303,33 @@ class FilteredComplex:
         if not 1 <= m <= self.dimension:
             raise DimensionOutOfRange(f"no boundary in degree {m}",
                                       operation="complex.boundary_matrix")
-        cols = [
-            {row: ring.normalize(sign) for row, sign in self.boundary_faces(s)}
-            for s in self._simplices[m]
-        ]
+        signs = [ring.normalize(s) for s in face_signs(m)]
+        cols = [dict(zip(row, signs)) for row in self._faces[m].tolist()]
         return SparseMatrix(self.n_simplices(m - 1), self.n_simplices(m), ring, cols)
 
     def coboundary_matrix(self, m: int, ring: Ring = ZZ) -> "SparseMatrix":
         """Matrix of delta_m : C^m -> C^{m+1}, the transpose of the boundary
         matrix in degree m+1. Rows are (m+1)-simplices."""
-        if not 0 <= m < self.dimension:
-            # a top-degree coboundary is identically zero: expose it as an
-            # empty matrix so kernels/images still make sense
-            if m == self.dimension:
-                return SparseMatrix(0, self.n_simplices(m), ring, [{} for _ in self._simplices[m]])
+        if not 0 <= m <= self.dimension:
             raise DimensionOutOfRange(f"no coboundary in degree {m}",
                                       operation="complex.coboundary_matrix")
-        return self.boundary_matrix(m + 1, ring).transpose()
+        # a top-degree coboundary is an empty matrix, so kernels make sense
+        cols: list[dict[int, object]] = [{} for _ in range(self.n_simplices(m))]
+        if m < self.dimension:
+            signs = [ring.normalize(s) for s in face_signs(m + 1)]
+            for row, faces in enumerate(self._faces[m + 1].tolist()):
+                for col, sign in zip(faces, signs):
+                    cols[col][row] = sign
+        return SparseMatrix(self.n_simplices(m + 1), self.n_simplices(m), ring, cols)
 
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {
             "simplices": [
-                {"vertices": list(s), "filtration": f}
+                {"vertices": v, "filtration": f}
                 for m in range(self.dimension + 1)
-                for s, f in zip(self._simplices[m], self._filtration[m])
+                for v, f in zip(self._verts[m].tolist(), self._filt[m].tolist())
             ]
         }
 
@@ -283,8 +355,8 @@ def build_from_simplices(entries: Iterable[tuple[Iterable[int], float]]) -> Filt
             return
         table[s] = f
         if len(s) > 1:
-            for face, _ in faces_with_signs(s):
-                visit(face, f)
+            for i in range(len(s)):
+                visit(s[:i] + s[i + 1:], f)
 
     got_any = False
     for vertices, f in entries:
@@ -354,10 +426,10 @@ def spanning_forest(cx: FilteredComplex, root: int | None = None
     """
     n = cx.n_vertices
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for j, (a, b) in enumerate(cx.simplices(1)):
-        ia, ib = cx.index((a,)), cx.index((b,))
-        adj[ia].append((ib, j, 1))
-        adj[ib].append((ia, j, -1))
+    # column 0 of an edge's face row omits its first vertex a, so holds b
+    for j, (b, a) in enumerate(cx.face_table(1).tolist()):
+        adj[a].append((b, j, 1))
+        adj[b].append((a, j, -1))
     seen = [False] * n
     roots: list[int] = []
     tree: list[tuple[int, int, int, int]] = []
@@ -389,20 +461,6 @@ class SparseMatrix:
     n_cols: int
     ring: Ring
     columns: list[dict[int, object]]
-
-    def transpose(self) -> "SparseMatrix":
-        cols: list[dict[int, object]] = [{} for _ in range(self.n_rows)]
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                cols[i][j] = v
-        return SparseMatrix(self.n_cols, self.n_rows, self.ring, cols)
-
-    def to_dense(self) -> list[list[object]]:
-        dense = [[self.ring.zero] * self.n_cols for _ in range(self.n_rows)]
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                dense[i][j] = v
-        return dense
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +502,18 @@ class _SimplexVector:
     def with_entries(self, entries: Mapping[int, object], ring: Ring | None = None):
         return type(self)(self.complex, self.dim, ring or self.ring, entries)
 
+    @classmethod
+    def from_array(cls, complex: FilteredComplex, dim: int, ring: Ring, values: np.ndarray):
+        """Vector with the nonzero entries of a dense coefficient array."""
+        nz = np.flatnonzero(values != 0)
+        return cls(complex, dim, ring, dict(zip(nz.tolist(), values[nz].tolist())))
+
+    def to_array(self) -> np.ndarray:
+        """Dense coefficients over the simplices of the degree, exactly."""
+        out = np.zeros(self.complex.n_simplices(self.dim), dtype=self.ring.dtype)
+        out[list(self.entries)] = list(self.entries.values())
+        return out
+
     # -- ring-respecting arithmetic --
 
     def scale(self, c):
@@ -477,10 +547,6 @@ class _SimplexVector:
     def support(self) -> list[int]:
         return sorted(self.entries)
 
-    def support_simplices(self) -> list[Simplex]:
-        simp = self.complex.simplices(self.dim)
-        return [simp[i] for i in self.support]
-
     def max_abs(self):
         return max((abs(v) for v in self.entries.values()), default=0)
 
@@ -492,7 +558,7 @@ class _SimplexVector:
                 and self.dim == other.dim and self.entries == other.entries)
 
     def __repr__(self) -> str:
-        inside = ", ".join(f"{self.complex.simplices(self.dim)[i]}: {v}"
+        inside = ", ".join(f"{self.complex.simplex(self.dim, i)}: {v}"
                            for i, v in sorted(self.entries.items()))
         return f"{type(self).__name__}[{self.ring.name}]({{{inside}}})"
 
@@ -506,30 +572,25 @@ class _SimplexVector:
     def map_coefficients(self, fn, ring: Ring):
         return self.with_entries({i: fn(v) for i, v in self.entries.items()}, ring=ring)
 
-    def to_real(self):
-        return self.map_coefficients(float, RR)
-
     def push_to(self, other: FilteredComplex):
         """Re-express on another complex holding (a subset of) the support.
 
         Support simplices missing from the target are dropped: this is the
         pullback along the inclusion of a subcomplex.
         """
-        simp = self.complex.simplices(self.dim)
-        entries = {}
-        for i, v in self.entries.items():
-            if other.has_simplex(simp[i]):
-                entries[other.index(simp[i])] = v
+        rows = self.complex.vertex_array(self.dim)[list(self.entries)]
+        target = other.indices(self.dim, rows).tolist()
+        entries = {j: v for j, v in zip(target, self.entries.values()) if j >= 0}
         return type(self)(other, self.dim, self.ring, entries)
 
     # -- serialization --
 
     def to_json_dict(self) -> dict:
-        simp = self.complex.simplices(self.dim)
+        rows = self.complex.vertex_array(self.dim)
         return {
             "dim": self.dim,
             "ring": self.ring.name,
-            "entries": [[list(simp[i]), self.ring.coeff_to_str(v)]
+            "entries": [[rows[i].tolist(), self.ring.coeff_to_str(v)]
                         for i, v in sorted(self.entries.items())],
         }
 
@@ -551,21 +612,12 @@ class Chain(_SimplexVector):
 
 def apply_coboundary(c: Cochain) -> Cochain:
     """(delta c)(s) = sum_i (-1)^i c(face_i(s)) over all (m+1)-simplices."""
-    cx, ring = c.complex, c.ring
-    m = c.dim
-    if m >= cx.dimension:
-        return Cochain(cx, m + 1, ring, {}) if m == cx.dimension else _raise_degree(m)
-    out: dict[int, object] = {}
-    for j, s in enumerate(cx.simplices(m + 1)):
-        total = 0
-        for idx, sign in cx.boundary_faces(s):
-            v = c.entries.get(idx)
-            if v is not None:
-                total += sign * v
-        total = ring.normalize(total)
-        if not ring.is_zero(total):
-            out[j] = total
-    return Cochain(cx, m + 1, ring, out)
+    cx, m = c.complex, c.dim
+    if m > cx.dimension:
+        _raise_degree(m)
+    values = c.to_array()[cx.face_table(m + 1)]
+    total = sum(sign * values[:, i] for i, sign in enumerate(face_signs(m + 1)))
+    return Cochain.from_array(cx, m + 1, c.ring, total)
 
 
 def _raise_degree(m: int):
@@ -574,26 +626,15 @@ def _raise_degree(m: int):
 
 def apply_boundary(c: Chain) -> Chain:
     """Boundary of an m-chain: sum of signed faces, degree m-1."""
-    cx, ring = c.complex, c.ring
-    if c.dim < 1:
-        _raise_degree(c.dim - 1)
-    simp = cx.simplices(c.dim)
-    out: dict[int, object] = {}
-    for i, coeff in c.entries.items():
-        for idx, sign in cx.boundary_faces(simp[i]):
-            out[idx] = out.get(idx, 0) + sign * coeff
-    out = {i: ring.normalize(v) for i, v in out.items()}
-    return Chain(cx, c.dim - 1, ring, {i: v for i, v in out.items() if not ring.is_zero(v)})
-
-
-def is_cocycle(c: Cochain) -> bool:
-    return apply_coboundary(c).is_zero()
-
-
-def is_cycle(c: Chain) -> bool:
-    if c.dim == 0:
-        return True
-    return apply_boundary(c).is_zero()
+    cx, m = c.complex, c.dim
+    if m < 1:
+        _raise_degree(m - 1)
+    support = list(c.entries)
+    coeff = np.array(list(c.entries.values()), dtype=c.ring.dtype)
+    total = np.zeros(cx.n_simplices(m - 1), dtype=c.ring.dtype)
+    np.add.at(total, cx.face_table(m)[support].ravel(),
+              (coeff[:, None] * face_signs(m)).ravel())
+    return Chain.from_array(cx, m - 1, c.ring, total)
 
 
 def kronecker_pairing(alpha: Cochain, beta: Chain):

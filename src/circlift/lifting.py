@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
+import numpy as np
+
 from . import snf
-from .complexes import Chain, Cochain, ZZ, apply_boundary, apply_coboundary
+from .complexes import Chain, Cochain, ZZ, apply_boundary, apply_coboundary, face_signs
 from .errors import (ComplexTooLargeForSnf, NotClosed, TorsionObstruction,
                      ValidationFailed)
 from .fields import FpElement, OddPrime, abs_mod, inv_mod, lift_mod
@@ -128,6 +130,14 @@ def infer_kind(c: Cochain | Chain) -> Kind:
     return "cycle" if isinstance(c, Chain) else "cocycle"
 
 
+def _runs(group: np.ndarray, pos: np.ndarray, sign: np.ndarray
+          ) -> list[tuple[tuple[int, int], ...]]:
+    """One relation of (position, sign) pairs per run of equal ``group``."""
+    pairs = list(zip(pos.tolist(), sign.tolist()))
+    bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(pairs)]
+    return [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
 def cocycle_index_system(c: Cochain | Chain, kind: Kind | None = None) -> IndexSystem:
     """Vanishing relations certifying closedness of an F_p (co)chain.
 
@@ -139,23 +149,20 @@ def cocycle_index_system(c: Cochain | Chain, kind: Kind | None = None) -> IndexS
     kind = kind or infer_kind(c)
     p = _field_prime(c)
     cx = c.complex
-    relations: list[tuple[tuple[int, int], ...]] = []
     if kind == "cocycle":
-        if c.dim < cx.dimension:
-            for s in cx.simplices(c.dim + 1):
-                rel = tuple((idx, sign) for idx, sign in cx.boundary_faces(s)
-                            if idx in c.entries)
-                if rel:
-                    relations.append(rel)
+        faces = cx.face_table(c.dim + 1)
+        in_support = np.zeros(cx.n_simplices(c.dim), dtype=bool)
+        in_support[list(c.entries)] = True
+        row, col = np.nonzero(in_support[faces])
+        relations = _runs(row, faces[row, col], np.array(face_signs(c.dim + 1))[col])
     else:
         if c.dim < 1:
             raise ValueError("cycles of degree 0 have no face relations")
-        simp = cx.simplices(c.dim)
-        by_face: dict[int, list[tuple[int, int]]] = {}
-        for i in sorted(c.entries):
-            for idx, sign in cx.boundary_faces(simp[i]):
-                by_face.setdefault(idx, []).append((i, sign))
-        relations = [tuple(v) for _, v in sorted(by_face.items())]
+        support = np.array(sorted(c.entries), dtype=np.int64)
+        faces = cx.face_table(c.dim)[support].ravel()
+        order = np.argsort(faces, kind="stable")
+        row, col = np.divmod(order, c.dim + 1)
+        relations = _runs(faces[order], support[row], np.array(face_signs(c.dim))[col])
     IndexSystem.check(relations, c.entries, p)
     return IndexSystem(c.dim, p, tuple(relations))
 

@@ -5,9 +5,8 @@ simplices in filtration order (faces before cofaces). When a new simplex
 evaluates nonzero against some live cocycles of one degree lower, the
 youngest of them dies and absorbs the others; its value just before death is
 the representative for the finite interval. Cocycles still alive at the end
-give the essential intervals. Intervals agree with persistent homology,
-which is implemented independently below both as a cross-check and as the
-source of homology cycle representatives.
+give the essential intervals. Homology cycle representatives come from a
+separate boundary-matrix reduction at the representative scale.
 """
 
 from __future__ import annotations
@@ -17,7 +16,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .complexes import Chain, Cochain, FilteredComplex, GF
+import numpy as np
+
+from .complexes import Chain, Cochain, FilteredComplex, GF, face_signs
 from .errors import EmptyDiagram, NoDualCycle
 from .fields import OddPrime, inv_mod
 
@@ -50,9 +51,8 @@ class PersistencePair:
         """Restriction of the representative to the sublevel complex at
         ``scale`` (entries on later simplices are dropped)."""
         cx = self.cocycle_below_death.complex
-        simp = cx.simplices(self.dimension)
-        kept = {i: v for i, v in self.cocycle_below_death.entries.items()
-                if cx.filtration(simp[i]) <= scale}
+        n = _prefix_length(cx, self.dimension, scale)
+        kept = {i: v for i, v in self.cocycle_below_death.entries.items() if i < n}
         return Cochain(cx, self.dimension, self.cocycle_below_death.ring, kept)
 
     def to_json_dict(self) -> dict:
@@ -101,16 +101,21 @@ class Diagram:
                                  "inf" if math.isinf(p.death) else repr(p.death)])
 
 
+def _prefix_length(cx: FilteredComplex, m: int, scale: float) -> int:
+    """Number of m-simplices with filtration <= scale: they come first."""
+    return int(np.searchsorted(cx.filtration_values(m), scale, side="right"))
+
+
 def _simplex_stream(cx: FilteredComplex, top_dim: int):
-    """All simplices of dimension <= top_dim in (filtration, dim, lex) order,
-    which guarantees faces precede cofaces."""
-    stream = []
-    for m in range(min(top_dim, cx.dimension) + 1):
-        filt = cx.filtration_values(m)
-        for idx, s in enumerate(cx.simplices(m)):
-            stream.append((filt[idx], m, s, idx))
-    stream.sort(key=lambda e: (e[0], e[1], e[2]))
-    return stream
+    """(filtration, dimension, index) of all simplices of dimension <=
+    top_dim in (filtration, dim, lex) order, which puts faces before
+    cofaces; each dimension is in (filtration, lex) order already."""
+    dims = range(min(top_dim, cx.dimension) + 1)
+    filt = np.concatenate([cx.filtration_values(m) for m in dims])
+    dim = np.concatenate([np.full(cx.n_simplices(m), m) for m in dims])
+    idx = np.concatenate([np.arange(cx.n_simplices(m)) for m in dims])
+    order = np.lexsort((dim, filt))
+    return zip(filt[order].tolist(), dim[order].tolist(), idx[order].tolist())
 
 
 def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
@@ -127,12 +132,13 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
         raise ValueError(f"max_dim {max_dim} exceeds complex dimension {cx.dimension}")
     q = p.p
 
+    faces = [cx.face_table(d) for d in range(max_dim + 2)]
+    signs = [face_signs(d) for d in range(max_dim + 2)]
+    # a cocycle's id is the stream position of its birth simplex
     live: dict[int, dict[int, int]] = {}          # cocycle id -> support map
-    birth_info: dict[int, tuple[float, int, tuple, int]] = {}
-    dim_of: dict[int, int] = {}
+    born: dict[int, tuple[float, int, int]] = {}  # filtration, dimension, index
     by_simplex: dict[tuple[int, int], set[int]] = {}   # (dim, idx) -> cocycle ids
     finished: list[tuple] = []
-    next_id = 0
 
     def attach(cid: int, d: int, idx: int) -> None:
         by_simplex.setdefault((d, idx), set()).add(cid)
@@ -144,21 +150,20 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
             if not group:
                 del by_simplex[(d, idx)]
 
-    for order, (f, d, s, idx) in enumerate(_simplex_stream(cx, max_dim + 1)):
+    for order, (f, d, idx) in enumerate(_simplex_stream(cx, max_dim + 1)):
         if d > 0:
-            faces = cx.boundary_faces(s)
             values: dict[int, int] = {}
-            for fidx, sign in faces:
+            for fidx, sign in zip(faces[d][idx].tolist(), signs[d]):
                 for cid in by_simplex.get((d - 1, fidx), ()):
                     values[cid] = (values.get(cid, 0) + sign * live[cid][fidx]) % q
             values = {cid: v for cid, v in values.items() if v}
             if values:
                 # youngest nonzero evaluation dies; the rest absorb it
-                victim = max(values, key=lambda cid: birth_info[cid][1])
-                vb_filt, _, vb_simplex, _ = birth_info[victim]
+                victim = max(values)
+                vb_filt, _, vb_idx = born[victim]
                 support = live[victim]
                 if f > vb_filt:
-                    finished.append((d - 1, vb_filt, f, dict(support), vb_simplex, s))
+                    finished.append((d - 1, vb_filt, f, dict(support), vb_idx, idx))
                 inv = inv_mod(values[victim], q)
                 for cid, v in values.items():
                     if cid == victim:
@@ -176,24 +181,20 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
                             detach(cid, d - 1, fidx)
                 for fidx in support:
                     detach(victim, d - 1, fidx)
-                del live[victim], birth_info[victim], dim_of[victim]
+                del live[victim], born[victim]
                 continue
         if d <= max_dim:
-            cid = next_id
-            next_id += 1
-            live[cid] = {idx: 1}
-            birth_info[cid] = (f, order, s, idx)
-            dim_of[cid] = d
-            attach(cid, d, idx)
+            live[order], born[order] = {idx: 1}, (f, d, idx)
+            attach(order, d, idx)
 
     for cid, support in live.items():
-        f, _, s, _ = birth_info[cid]
-        finished.append((dim_of[cid], f, math.inf, dict(support), s, None))
+        f, d, idx = born[cid]
+        finished.append((d, f, math.inf, dict(support), idx, None))
 
     final_scale = cx.max_filtration()
     diagram = Diagram(prime=q, complex=cx)
     ring = GF(q)
-    for d, birth, death, support, bsimplex, dsimplex in finished:
+    for d, birth, death, support, bidx, didx in finished:
         raw = Cochain(cx, d, ring, support)
         if scale_policy != "midpoint" and birth <= float(scale_policy) < death:
             scale = float(scale_policy)
@@ -204,60 +205,14 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
         pair = PersistencePair(
             dimension=d, birth=birth, death=death, scale=scale,
             representative_cocycle=raw, cocycle_below_death=raw,
-            birth_simplex=bsimplex, death_simplex=dsimplex)
+            birth_simplex=cx.simplex(d, bidx),
+            death_simplex=None if didx is None else cx.simplex(d + 1, didx))
         pair.representative_cocycle = pair.cocycle_at(scale)
         diagram.pairs_by_dim.setdefault(d, []).append(pair)
 
     for pairs in diagram.pairs_by_dim.values():
         pairs.sort(key=lambda pr: (-pr.persistence, pr.birth, pr.birth_simplex))
     return diagram
-
-
-def persistent_homology_intervals(cx: FilteredComplex, p: OddPrime,
-                                  max_dim: int) -> list[tuple[int, float, float]]:
-    """Barcode by standard boundary-matrix column reduction (no
-    representatives). Independent of the cohomology reduction above."""
-    q = p.p
-    stream = _simplex_stream(cx, max_dim + 1)
-    position = {(d, idx): pos for pos, (_, d, _, idx) in enumerate(stream)}
-    columns: list[dict[int, int]] = []
-    for f, d, s, idx in stream:
-        if d == 0:
-            columns.append({})
-        else:
-            columns.append({position[(d - 1, fidx)]: sign % q
-                            for fidx, sign in cx.boundary_faces(s)})
-
-    low_to_col: dict[int, int] = {}
-    intervals: list[tuple[int, float, float]] = []
-    paired: set[int] = set()
-    for j, col in enumerate(columns):
-        while col:
-            low = max(col)
-            other = low_to_col.get(low)
-            if other is None:
-                break
-            factor = (col[low] * inv_mod(columns[other][low], q)) % q
-            for i, v in columns[other].items():
-                nv = (col.get(i, 0) - factor * v) % q
-                if nv:
-                    col[i] = nv
-                elif i in col:
-                    del col[i]
-        if col:
-            low = max(col)
-            low_to_col[low] = j
-            paired.add(low)
-            paired.add(j)
-            birth_f, birth_d = stream[low][0], stream[low][1]
-            death_f = stream[j][0]
-            if death_f > birth_f:
-                intervals.append((birth_d, birth_f, death_f))
-    for j, (f, d, s, idx) in enumerate(stream):
-        if j not in paired and not columns[j] and d <= max_dim:
-            intervals.append((d, f, math.inf))
-    intervals.sort(key=lambda t: (t[0], t[1], t[2]))
-    return intervals
 
 
 def cycle_representative(cx: FilteredComplex, p: OddPrime,
@@ -277,17 +232,10 @@ def cycle_representative(cx: FilteredComplex, p: OddPrime,
     if m < 1:
         raise NoDualCycle("degree-0 pairs carry no dual cycle",
                           operation="persistence.cycle_representative")
-    scale = pair.scale
-    filt = cx.filtration_values(m)
-    kept = [i for i, f in enumerate(filt) if f <= scale]
-    order = sorted(kept, key=lambda i: (filt[i], cx.simplices(m)[i]))
-    simp = cx.simplices(m)
-
-    columns: list[dict[int, int]] = []
-    combos: list[dict[int, int]] = []
-    for i in order:
-        columns.append({fidx: sign % q for fidx, sign in cx.boundary_faces(simp[i])})
-        combos.append({i: 1})
+    n = _prefix_length(cx, m, pair.scale)
+    signs = [sign % q for sign in face_signs(m)]
+    columns = [dict(zip(row, signs)) for row in cx.face_table(m)[:n].tolist()]
+    combos = [{i: 1} for i in range(n)]
     low_to_col: dict[int, int] = {}
     cycles: dict[int, dict[int, int]] = {}
     for j, col in enumerate(columns):
@@ -298,22 +246,17 @@ def cycle_representative(cx: FilteredComplex, p: OddPrime,
             if other is None:
                 break
             factor = (col[low] * inv_mod(columns[other][low], q)) % q
-            for i, v in columns[other].items():
-                nv = (col.get(i, 0) - factor * v) % q
-                if nv:
-                    col[i] = nv
-                else:
-                    col.pop(i, None)
-            for i, v in combos[other].items():
-                nv = (combo.get(i, 0) - factor * v) % q
-                if nv:
-                    combo[i] = nv
-                else:
-                    combo.pop(i, None)
+            for target, source in ((col, columns[other]), (combo, combos[other])):
+                for i, v in source.items():
+                    nv = (target.get(i, 0) - factor * v) % q
+                    if nv:
+                        target[i] = nv
+                    else:
+                        target.pop(i, None)
         if col:
             low_to_col[max(col)] = j
         else:
-            cycles[order[j]] = combo
+            cycles[j] = combo
 
     cocycle = pair.representative_cocycle.entries
 
@@ -324,9 +267,9 @@ def cycle_representative(cx: FilteredComplex, p: OddPrime,
     birth_idx = cx.index(pair.birth_simplex) if len(pair.birth_simplex) - 1 == m else None
     if birth_idx is not None and birth_idx in cycles and pairs_nonzero(cycles[birth_idx]):
         return Chain(cx, m, GF(q), cycles[birth_idx])
-    for j in order:
-        if j in cycles and pairs_nonzero(cycles[j]):
-            return Chain(cx, m, GF(q), cycles[j])
+    for cycle in cycles.values():
+        if pairs_nonzero(cycle):
+            return Chain(cx, m, GF(q), cycle)
     raise NoDualCycle("no reduced cycle pairs nonzero with the cocycle",
                       operation="persistence.cycle_representative")
 

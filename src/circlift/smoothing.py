@@ -2,8 +2,9 @@
 
 The smoothed representative is the minimum-norm real cocycle cohomologous
 to the input; it is the unique one orthogonal to the coboundaries, found by
-solving the graph-Laplacian normal equations. Integrating it along a
-spanning tree then produces the circle-valued vertex coordinates.
+solving the graph-Laplacian normal equations with conjugate gradients on
+the edge list. Integrating it along a spanning tree then produces the
+circle-valued vertex coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .complexes import (Cochain, FilteredComplex, RR, ZZ, apply_coboundary,
                         spanning_forest)
 from .errors import InconsistentCocycle, NotACocycle, SolverDiverged, VertexSetMismatch
 
-DENSE_VERTEX_LIMIT = 500
 RESIDUAL_RTOL = 1e-9
 EDGE_TOL = 1e-6
 
@@ -51,9 +51,6 @@ class CircularCoords:
 
     values: dict[int, float]
 
-    def as_array(self, vertex_ids) -> np.ndarray:
-        return np.array([self.values[v] for v in vertex_ids])
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -62,12 +59,11 @@ class CircularCoords:
                 writer.writerow([v, repr(self.values[v])])
 
 
-def _jacobi_cg(L: np.ndarray, rhs: np.ndarray, rtol: float = 1e-12,
+def _jacobi_cg(matvec, diag: np.ndarray, rhs: np.ndarray, rtol: float = 1e-12,
                max_iter: int = 20000) -> np.ndarray:
     """Conjugate gradients with Jacobi preconditioning; deterministic."""
-    diag = np.where(np.abs(np.diag(L)) > 0, np.diag(L), 1.0)
     x = np.zeros_like(rhs)
-    r = rhs - L @ x
+    r = rhs - matvec(x)
     z = r / diag
     p = z.copy()
     rz = float(r @ z)
@@ -75,7 +71,7 @@ def _jacobi_cg(L: np.ndarray, rhs: np.ndarray, rtol: float = 1e-12,
     for _ in range(max_iter):
         if np.linalg.norm(r) <= rtol * bnorm:
             break
-        Lp = L @ p
+        Lp = matvec(p)
         a = rz / float(p @ Lp)
         x = x + a * p
         r = r - a * Lp
@@ -91,7 +87,8 @@ def harmonic_smooth(alpha: Cochain) -> SmoothedCocycle:
 
     Solves the normal equations L f = -delta0^T alpha with one anchored
     vertex per connected component (the Laplacian kernel), then returns
-    alpha_tilde = alpha + delta0 f.
+    alpha_tilde = alpha + delta0 f. delta0 and its transpose act through
+    the edge rows of the face table, so no matrix is formed.
     """
     if alpha.dim != 1:
         raise ValueError("smoothing applies to 1-cochains")
@@ -101,42 +98,28 @@ def harmonic_smooth(alpha: Cochain) -> SmoothedCocycle:
         raise NotACocycle("smoothing requires a cocycle",
                           operation="smoothing_coords.harmonic_smooth")
     cx = alpha.complex
-    n_v, n_e = cx.n_vertices, cx.n_simplices(1)
+    n_v = cx.n_vertices
+    head, tail = cx.face_table(1).T     # (delta0 f)(ab) = f(b) - f(a)
 
-    B = np.zeros((n_e, n_v))
-    for j, s in enumerate(cx.simplices(1)):
-        for idx, sign in cx.boundary_faces(s):
-            B[j, idx] = sign
-    a = np.zeros(n_e)
-    for i, v in alpha.entries.items():
-        a[i] = float(v)
+    def delta0_t(y: np.ndarray) -> np.ndarray:
+        return np.bincount(head, y, n_v) - np.bincount(tail, y, n_v)
 
-    anchors = set(spanning_forest(cx)[0])
-    keep = np.array([i for i in range(n_v) if i not in anchors], dtype=int)
-    f = np.zeros(n_v)
-    if keep.size:
-        Bk = B[:, keep]
-        L = Bk.T @ Bk
-        rhs = -(Bk.T @ a)
-        if keep.size <= DENSE_VERTEX_LIMIT:
-            f[keep] = np.linalg.solve(L, rhs)
-        else:
-            f[keep] = _jacobi_cg(L, rhs)
+    a = alpha.to_array().astype(float)
+    free = np.ones(n_v)
+    free[spanning_forest(cx)[0]] = 0.0      # anchors: masked, so they stay 0
+    degree = np.bincount(cx.face_table(1).ravel(), minlength=n_v)
+    f = _jacobi_cg(lambda x: free * delta0_t(x[head] - x[tail]),
+                   np.where(free > 0, degree, 1.0), -free * delta0_t(a))
 
-    alpha_tilde_vec = a + B @ f
-    residual = float(np.linalg.norm(B.T @ alpha_tilde_vec))
+    alpha_tilde = a + (f[head] - f[tail])
+    residual = float(np.linalg.norm(delta0_t(alpha_tilde)))
     scale = max(1.0, float(np.linalg.norm(a)))
     if residual > RESIDUAL_RTOL * scale:
         raise SolverDiverged(
             f"normal-equation residual {residual:.3e} above tolerance",
             operation="smoothing_coords.harmonic_smooth")
-
-    alpha_tilde = Cochain(cx, 1, RR,
-                          {i: float(v) for i, v in enumerate(alpha_tilde_vec)
-                           if abs(v) > 0.0})
-    potential = Cochain(cx, 0, RR,
-                        {i: float(v) for i, v in enumerate(f) if v != 0.0})
-    return SmoothedCocycle(alpha_tilde, potential, residual)
+    return SmoothedCocycle(Cochain.from_array(cx, 1, RR, alpha_tilde),
+                           Cochain.from_array(cx, 0, RR, f), residual)
 
 
 def naive_circular_map(alpha: Cochain, cx: FilteredComplex | None = None) -> CircularCoords:
@@ -156,27 +139,20 @@ def circular_map(smoothed: SmoothedCocycle,
     integer). Components other than the base vertex's start at their
     lowest-index vertex.
     """
-    alpha = smoothed.alpha_tilde
-    cx = alpha.complex
-    n_v = cx.n_vertices
-    vids = cx.vertex_ids
-    value = [float(alpha.entries.get(j, 0.0)) for j in range(cx.n_simplices(1))]
-
+    cx = smoothed.alpha_tilde.complex
+    value = smoothed.alpha_tilde.to_array()
     root = None if base_vertex is None else cx.index((base_vertex,))
-    roots, tree = spanning_forest(cx, root)
-    theta = np.full(n_v, np.nan)
-    theta[roots] = 0.0
-    for parent, child, j, sign in tree:
-        theta[child] = (theta[parent] + sign * value[j]) % 1.0
+    theta = [0.0] * cx.n_vertices
+    for parent, child, j, sign in spanning_forest(cx, root)[1]:
+        theta[child] = (theta[parent] + sign * float(value[j])) % 1.0
 
-    for j, (a, b) in enumerate(cx.simplices(1)):
-        gap = (theta[cx.index((b,))] - theta[cx.index((a,))] - value[j]) % 1.0
-        if min(gap, 1.0 - gap) > EDGE_TOL:
-            raise InconsistentCocycle(
-                f"edge ({a},{b}) off by {min(gap, 1.0 - gap):.3e}",
-                operation="smoothing_coords.circular_map")
-
-    return CircularCoords({vids[i]: float(theta[i] % 1.0) for i in range(n_v)})
+    head, tail = cx.face_table(1).T
+    off = _circular_distance(np.array(theta)[head] - np.array(theta)[tail] - value)
+    bad = np.flatnonzero(off > EDGE_TOL)
+    if bad.size:
+        raise InconsistentCocycle(f"edge {cx.simplex(1, bad[0])} off by {off[bad[0]]:.3e}",
+                                  operation="smoothing_coords.circular_map")
+    return CircularCoords({v: t % 1.0 for v, t in zip(cx.vertex_ids, theta)})
 
 
 def _circular_distance(x: np.ndarray) -> np.ndarray:

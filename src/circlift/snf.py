@@ -136,28 +136,6 @@ def solve_integer(matrix, rhs: list[int]) -> list[int] | None:
     return [sum(V[i][k] * y[k] for k in range(n)) for i in range(n)]
 
 
-def nullspace_integer(matrix) -> list[list[int]]:
-    """A basis (columns of V past the rank) of the integer kernel of A."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return _identity(n)
-    S, _, V = smith_normal_form(matrix)
-    rank = sum(1 for i in range(min(m, n)) if S[i][i])
-    return [[V[i][k] for i in range(n)] for k in range(rank, n)]
-
-
-def rank_integer(matrix) -> int:
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if m == 0 or n == 0:
-        return 0
-    S, _, _ = smith_normal_form(matrix)
-    return sum(1 for i in range(min(m, n)) if S[i][i])
-
-
 def sparse_to_rows(mat: SparseMatrix) -> Matrix:
     """Dense integer row-major copy of a sparse matrix over Z."""
     rows = [[0] * mat.n_cols for _ in range(mat.n_rows)]

@@ -69,41 +69,38 @@ def _divisible(c: Cochain, q: int) -> bool:
     return all(v % q == 0 for v in c.entries.values())
 
 
-def _forest_potential(alpha: Cochain, q: int) -> tuple[Cochain, Cochain]:
-    """(f, delta f) for the centred lift f of the F_q potential that
-    integrates a 1-cocycle alpha mod q along a spanning forest, starting
-    from 0 at each root.
-
-    alpha - delta f vanishes mod q on every tree edge by construction, and
-    on every edge exactly when alpha mod q is an F_q coboundary.
-    """
-    cx = alpha.complex
-    phi = [0] * cx.n_vertices
-    for parent, child, j, sign in spanning_forest(cx)[1]:
-        phi[child] = (phi[parent] + sign * alpha.entries.get(j, 0)) % q
-    f = Cochain(cx, 0, ZZ, {i: lift_mod(v, q) for i, v in enumerate(phi)})
-    return f, apply_coboundary(f)
-
-
-def _integer_split(alpha: Cochain, q: int, snf_cap: int,
-                   operation: str) -> tuple[Cochain, Cochain] | None:
-    """(f, gamma) with alpha = q * gamma + delta(f), from one integer solve
-    of [delta | q I] (f, gamma) = alpha, or None when it has no solution,
-    i.e. when the class of alpha does not vanish mod q."""
+def _split(alpha: Cochain, q: int, route: str, snf_cap: int,
+           operation: str) -> tuple[Cochain, Cochain, str] | None:
+    """(f, gamma, route label) with alpha = q * gamma + delta(f) exactly, or
+    None when the class of the integer cocycle alpha does not vanish mod q:
+    the split is the vanishing test. "auto" integrates along the spanning
+    forest in degree 1 ("modp") and solves [delta | q I] (f, gamma) = alpha
+    over Z above it ("snf")."""
     cx, m = alpha.complex, alpha.dim
+    if route == "modp" or (route == "auto" and m == 1):
+        if m != 1:
+            raise ValueError("the mod-q route divides 1-cocycles only")
+        # f: centred lift of alpha mod q integrated from 0 at each forest
+        # root; alpha - delta f vanishes mod q on tree edges by construction,
+        # and on every edge exactly when alpha mod q is an F_q coboundary
+        phi = [0] * cx.n_vertices
+        for parent, child, j, sign in spanning_forest(cx)[1]:
+            phi[child] = (phi[parent] + sign * alpha.entries.get(j, 0)) % q
+        f = Cochain(cx, 0, ZZ, {i: lift_mod(v, q) for i, v in enumerate(phi)})
+        residue = alpha - apply_coboundary(f)
+        if not _divisible(residue, q):
+            return None
+        return f, residue.map_coefficients(lambda v: v // q, ZZ), ROUTE_MOD_P
     n_m, n_below = cx.n_simplices(m), cx.n_simplices(m - 1)
     _snf_guard(n_below + n_m, n_m, snf_cap, operation)
     rows = snf.sparse_to_rows(cx.coboundary_matrix(m - 1, ZZ))
     for i in range(n_m):
         rows[i].extend(q if k == i else 0 for k in range(n_m))
-    rhs = [0] * n_m
-    for i, v in alpha.entries.items():
-        rhs[i] = int(v)
-    sol = snf.solve_integer(rows, rhs)
+    sol = snf.solve_integer(rows, alpha.to_array().tolist())
     if sol is None:
         return None
-    return (Cochain(cx, m - 1, ZZ, {i: sol[i] for i in range(n_below)}),
-            Cochain(cx, m, ZZ, {i: sol[n_below + i] for i in range(n_m)}))
+    return (Cochain(cx, m - 1, ZZ, dict(enumerate(sol[:n_below]))),
+            Cochain(cx, m, ZZ, dict(enumerate(sol[n_below:]))), ROUTE_SNF)
 
 
 def class_vanishes_mod(alpha: Cochain, q: int) -> bool:
@@ -116,10 +113,8 @@ def class_vanishes_mod(alpha: Cochain, q: int) -> bool:
     _require_integer_cocycle(alpha, "winding.class_vanishes_mod")
     if alpha.dim == 0:
         return _divisible(alpha, q)
-    if alpha.dim == 1:
-        return _divisible(alpha - _forest_potential(alpha, q)[1], q)
-    return _integer_split(alpha, q, DEFAULT_SNF_CAP,
-                          "winding.class_vanishes_mod") is not None
+    return _split(alpha, q, "auto", DEFAULT_SNF_CAP,
+                  "winding.class_vanishes_mod") is not None
 
 
 def candidate_primes(pairing: int) -> list[int]:
@@ -179,91 +174,69 @@ def divide_step(alpha: Cochain, q: int, p_work: int | None = None, *,
     if m < 1:
         raise ValueError("degree must be >= 1")
 
-    if route == "modp" or (route == "auto" and m == 1):
-        if m != 1:
-            raise ValueError("the mod-q route divides 1-cocycles only")
-        f, deltaf = _forest_potential(alpha, q)
-        residue = alpha - deltaf
-        if not _divisible(residue, q):
-            raise NotDivisible(f"class does not vanish mod {q}",
-                               operation="winding.divide_step")
-        gamma = residue.map_coefficients(lambda v: v // q, ZZ)
-        if gamma.scale(q) + deltaf != alpha:
-            raise ValidationFailed("division identity broken",
-                                   operation="winding.divide_step")
-        qgamma_max = int(gamma.max_abs()) * q
-        p_eff = p_work or _auto_p_work(q, max(qgamma_max, int(deltaf.max_abs())))
-        certified = _range_conditions_hold(deltaf, qgamma_max, p_eff, m)
-        return DivideStep(gamma, f, ROUTE_MOD_P, certified)
-
-    split = _integer_split(alpha, q, snf_cap, "winding.divide_step")
+    split = _split(alpha, q, route, snf_cap, "winding.divide_step")
     if split is None:
         raise NotDivisible(f"class does not vanish mod {q}",
                            operation="winding.divide_step")
-    f, gamma = split
-    if gamma.scale(q) + apply_coboundary(f) != alpha:
+    f, gamma, label = split
+    deltaf = apply_coboundary(f)
+    if gamma.scale(q) + deltaf != alpha:
         raise ValidationFailed("division identity broken",
                                operation="winding.divide_step")
-    return DivideStep(gamma, f, ROUTE_SNF, False)
+    certified = False
+    if label == ROUTE_MOD_P:
+        qgamma_max = int(gamma.max_abs()) * q
+        p_eff = p_work or _auto_p_work(q, max(qgamma_max, int(deltaf.max_abs())))
+        certified = _range_conditions_hold(deltaf, qgamma_max, p_eff, m)
+    return DivideStep(gamma, f, label, certified)
 
 
-def reduce_winding(alpha: Cochain, beta: Chain, p_work: int | None = None, *,
-                   route: str = "auto", snf_cap: int = DEFAULT_SNF_CAP) -> WindingReport:
+def reduce_winding(alpha: Cochain, beta: Chain, *,
+                   snf_cap: int = DEFAULT_SNF_CAP) -> WindingReport:
     """Reduce an integer cocycle to a winding-1 representative.
 
     Factors the Kronecker pairing with beta, divides out each candidate
     prime while the class keeps vanishing mod it, and returns the full
-    division trace. The output satisfies
-    alpha = winding_number * reduced + delta(witness) exactly.
+    division trace. alpha is checked closed once; the output satisfies
+    alpha = winding_number * reduced + delta(witness) exactly, which is
+    checked at the end and makes every intermediate quotient closed too.
     """
-    _require_integer_cocycle(alpha, "winding.reduce_winding")
+    operation = "winding.reduce_winding"
+    _require_integer_cocycle(alpha, operation)
     if beta.dim > 0 and not apply_boundary(beta).is_zero():
         raise ValueError("beta must be an integer cycle")
     pairing = kronecker_pairing(alpha, beta)
     primes = candidate_primes(pairing)
 
-    current = alpha
-    omega = 1
+    current, omega = alpha, 1
     witness = Cochain(alpha.complex, alpha.dim - 1, ZZ, {})
     trace: list[tuple[int, int, str]] = []
-    remaining = abs(pairing)
     for q in primes:
-        times = 0
-        max_times = 0
-        r = remaining
+        max_times, r = 0, abs(pairing)
         while r % q == 0:
-            max_times += 1
-            r //= q
-        while class_vanishes_mod(current, q):
-            if times >= max_times:
+            max_times, r = max_times + 1, r // q
+        times = 0
+        # the split that fails proves the class no longer vanishes mod q; a
+        # later split alpha = q' gamma + delta f by another prime keeps it so
+        while (split := _split(current, q, "auto", snf_cap, operation)) is not None:
+            if times == max_times:
                 raise ValidationFailed(
                     f"division by {q} exceeded the pairing bound {max_times}",
-                    operation="winding.reduce_winding")
-            step = divide_step(current, q, p_work, route=route, snf_cap=snf_cap)
-            witness = witness + step.potential.scale(omega)
+                    operation=operation)
+            f, current, label = split
+            witness = witness + f.scale(omega)
             omega *= q
-            current = step.gamma
             times += 1
-            trace.append((q, times, step.route))
         if times:
-            remaining //= q ** times
-    # collapse per-prime entries to (prime, total divisions, last route)
-    collapsed: dict[int, tuple[int, str]] = {}
-    for q, times, rt in trace:
-        collapsed[q] = (times, rt)
-    final_trace = tuple((q, t, rt) for q, (t, rt) in sorted(collapsed.items()))
+            trace.append((q, times, label))
 
-    for q in primes:
-        if class_vanishes_mod(current, q):
-            raise ValidationFailed(f"reduced class still vanishes mod {q}",
-                                   operation="winding.reduce_winding")
     if current.scale(omega) + apply_coboundary(witness) != alpha:
         raise ValidationFailed("winding decomposition identity broken",
-                               operation="winding.reduce_winding")
+                               operation=operation)
     return WindingReport(
         pairing=pairing,
         candidate_primes=tuple(primes),
-        division_trace=final_trace,
+        division_trace=tuple(trace),
         winding_number=omega,
         reduced_cocycle=current,
         coboundary_witness=witness,

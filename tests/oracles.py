@@ -1,0 +1,159 @@
+"""Reference implementations the tests compare the library against.
+
+They derive every face again from the vertex tuple (``faces_with_signs``)
+and find it through a dict, the way the library did before it kept one
+face table per complex, and they reduce the full boundary matrix for the
+barcode. Slow, plain Python, and independent of the face table.
+"""
+
+from __future__ import annotations
+
+import math
+
+from circlift.complexes import Chain, Cochain
+from circlift.fields import inv_mod
+from circlift.snf import smith_normal_form
+
+
+def faces_with_signs(s: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The i-th face omits vertex i and carries sign (-1)^i."""
+    return [(s[:i] + s[i + 1:], -1 if i % 2 else 1) for i in range(len(s))]
+
+
+class ReferenceComplex:
+    """Simplices sorted by (filtration, lex) per dimension, with dict
+    indices; the constructor checks closure and monotonicity face by face."""
+
+    def __init__(self, table: dict[tuple[int, ...], float]):
+        by_dim: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
+        for s, f in table.items():
+            by_dim.setdefault(len(s) - 1, []).append((float(f), tuple(s)))
+        self.dimension = max(by_dim)
+        self.simplices: list[list[tuple[int, ...]]] = []
+        self.filtration: list[list[float]] = []
+        self.index: list[dict[tuple[int, ...], int]] = []
+        for m in range(self.dimension + 1):
+            entries = sorted(by_dim.get(m, []))
+            self.simplices.append([s for _, s in entries])
+            self.filtration.append([f for f, _ in entries])
+            self.index.append({s: i for i, (_, s) in enumerate(entries)})
+        for m in range(1, self.dimension + 1):
+            for s, fs in zip(self.simplices[m], self.filtration[m]):
+                for face, _ in faces_with_signs(s):
+                    if face not in self.index[m - 1]:
+                        raise ValueError(f"complex not closed under faces: {face} missing")
+                    if self.filtration[m - 1][self.index[m - 1][face]] > fs + 1e-12:
+                        raise ValueError(f"filtration not monotone at {s} / {face}")
+
+    def faces(self, m: int) -> list[list[int]]:
+        """Face indices of every m-simplex, column i omitting vertex i."""
+        return [[self.index[m - 1][face] for face, _ in faces_with_signs(s)]
+                for s in self.simplices[m]]
+
+
+def _index(cx, m: int) -> dict[tuple[int, ...], int]:
+    return {s: i for i, s in enumerate(cx.simplices(m))}
+
+
+def reference_coboundary(c: Cochain) -> dict[int, object]:
+    """Entries of delta c by a loop over the cofaces and their faces."""
+    cx, ring, m = c.complex, c.ring, c.dim
+    below = _index(cx, m)
+    out: dict[int, object] = {}
+    for j, s in enumerate(cx.simplices(m + 1)):
+        total = 0
+        for face, sign in faces_with_signs(s):
+            v = c.entries.get(below[face])
+            if v is not None:
+                total += sign * v
+        total = ring.normalize(total)
+        if not ring.is_zero(total):
+            out[j] = total
+    return out
+
+
+def reference_boundary(c: Chain) -> dict[int, object]:
+    """Entries of the boundary of c by a loop over the support's faces."""
+    cx, ring = c.complex, c.ring
+    below = _index(cx, c.dim - 1)
+    simp = cx.simplices(c.dim)
+    out: dict[int, object] = {}
+    for i, coeff in c.entries.items():
+        for face, sign in faces_with_signs(simp[i]):
+            out[below[face]] = out.get(below[face], 0) + sign * coeff
+    out = {i: ring.normalize(v) for i, v in out.items()}
+    return {i: v for i, v in out.items() if not ring.is_zero(v)}
+
+
+def to_dense(mat) -> list[list[object]]:
+    """Dense row-major copy of a SparseMatrix."""
+    dense = [[mat.ring.zero] * mat.n_cols for _ in range(mat.n_rows)]
+    for j, col in enumerate(mat.columns):
+        for i, v in col.items():
+            dense[i][j] = v
+    return dense
+
+
+def persistent_homology_intervals(cx, p, max_dim: int) -> list[tuple[int, float, float]]:
+    """Barcode by standard boundary-matrix column reduction over F_p (no
+    representatives), independent of the cohomology reduction."""
+    q = p.p
+    stream = sorted((f, m, s) for m in range(min(max_dim + 1, cx.dimension) + 1)
+                    for s, f in zip(cx.simplices(m), cx.filtration_values(m).tolist()))
+    position = {s: pos for pos, (_, _, s) in enumerate(stream)}
+    columns: list[dict[int, int]] = [
+        {position[face]: sign % q for face, sign in faces_with_signs(s)} if m else {}
+        for _, m, s in stream]
+
+    low_to_col: dict[int, int] = {}
+    intervals: list[tuple[int, float, float]] = []
+    paired: set[int] = set()
+    for j, col in enumerate(columns):
+        while col:
+            low = max(col)
+            other = low_to_col.get(low)
+            if other is None:
+                break
+            factor = (col[low] * inv_mod(columns[other][low], q)) % q
+            for i, v in columns[other].items():
+                nv = (col.get(i, 0) - factor * v) % q
+                if nv:
+                    col[i] = nv
+                elif i in col:
+                    del col[i]
+        if col:
+            low = max(col)
+            low_to_col[low] = j
+            paired.add(low)
+            paired.add(j)
+            birth_f, birth_d = stream[low][0], stream[low][1]
+            death_f = stream[j][0]
+            if death_f > birth_f:
+                intervals.append((birth_d, birth_f, death_f))
+    for j, (f, d, _) in enumerate(stream):
+        if j not in paired and not columns[j] and d <= max_dim:
+            intervals.append((d, f, math.inf))
+    intervals.sort(key=lambda t: (t[0], t[1], t[2]))
+    return intervals
+
+
+def nullspace_integer(matrix) -> list[list[int]]:
+    """A basis (columns of V past the rank) of the integer kernel of A."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if n == 0:
+        return []
+    if m == 0:
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    S, _, V = smith_normal_form(matrix)
+    rank = sum(1 for i in range(min(m, n)) if S[i][i])
+    return [[V[i][k] for i in range(n)] for k in range(rank, n)]
+
+
+def rank_integer(matrix) -> int:
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if m == 0 or n == 0:
+        return 0
+    S, _, _ = smith_normal_form(matrix)
+    return sum(1 for i in range(min(m, n)) if S[i][i])

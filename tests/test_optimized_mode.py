@@ -46,14 +46,15 @@ hexagon = build_from_simplices([((i, (i + 1) % 6), 1.0) for i in range(6)])
 gen = Cochain.from_simplices(hexagon, 1, ZZ, {(0, 1): 2})
 loop = Chain.from_simplices(
     hexagon, 1, ZZ, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1, (0, 5): -1})
-honest_step = winding.divide_step
-def corrupted_step(*args, **kwargs):
+honest_split = winding._split
+def corrupted_split(*args, **kwargs):
     # same class, but gamma shifted by a coboundary the witness never sees
-    step = honest_step(*args, **kwargs)
-    shift = apply_coboundary(Cochain(hexagon, 0, ZZ, {0: 1}))
-    return winding.DivideStep(step.gamma + shift, step.potential, step.route,
-                              step.prop_range_certified)
-winding.divide_step = corrupted_step
+    split = honest_split(*args, **kwargs)
+    if split is None:
+        return None
+    f, gamma, route = split
+    return f, gamma + apply_coboundary(Cochain(hexagon, 0, ZZ, {0: 1})), route
+winding._split = corrupted_split
 try:
     winding.reduce_winding(gen, loop)
     report["winding"] = "returned"

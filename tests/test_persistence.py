@@ -7,9 +7,12 @@ from circlift import (OddPrime, apply_boundary, apply_coboundary,
                       build_rips, cycle_representative, kronecker_pairing,
                       persistent_cohomology, select_class)
 from circlift.errors import EmptyDiagram, NoDualCycle
-from circlift.persistence import PersistencePair, persistent_homology_intervals
+from circlift import ZZ
+from circlift.persistence import PersistencePair
 from circlift.experiments import sample_circle
-from conftest import dense_rank_mod, random_complex
+from conftest import random_complex
+from fplinalg import rank_mod, to_numpy_mod
+from oracles import persistent_homology_intervals, rank_integer
 
 
 class TestDiagrams:
@@ -33,18 +36,11 @@ class TestDiagrams:
         # over F_47 must match the number of intervals alive there
         sub = cx.restrict(top.scale)
         q = 47
-        d1 = [[0] * sub.n_simplices(1) for _ in range(sub.n_simplices(2))] \
-            if sub.dimension >= 2 else []
-        if sub.dimension >= 2:
-            for j, s in enumerate(sub.simplices(2)):
-                for idx, sign in sub.boundary_faces(s):
-                    d1[j][idx] = sign % q
-        d0 = [[0] * sub.n_vertices for _ in range(sub.n_simplices(1))]
-        for j, s in enumerate(sub.simplices(1)):
-            for idx, sign in sub.boundary_faces(s):
-                d0[j][idx] = sign % q
-        betti1 = (sub.n_simplices(1) - dense_rank_mod(d0, q)
-                  - (dense_rank_mod(d1, q) if d1 else 0))
+
+        def rank(k):
+            return rank_mod(to_numpy_mod(sub.coboundary_matrix(k, ZZ), q), q)
+
+        betti1 = sub.n_simplices(1) - rank(0) - (rank(1) if sub.dimension >= 2 else 0)
         alive = sum(1 for pr in dg.pairs(1)
                     if pr.birth <= top.scale < pr.death)
         assert betti1 == alive == 1
@@ -94,8 +90,7 @@ class TestBarcodeOracle:
             assert co == ho
 
     def test_diagram_independent_of_prime_without_torsion(self):
-        from circlift.snf import rank_integer, sparse_to_rows
-        from circlift import ZZ
+        from circlift.snf import sparse_to_rows
 
         rng = np.random.default_rng(6)
         trials = 0

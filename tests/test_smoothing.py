@@ -42,6 +42,34 @@ def reference_circular_map(smoothed, base_vertex=None) -> dict[int, float]:
     return {vid: float(theta[i] % 1.0) for i, vid in enumerate(cx.vertex_ids)}
 
 
+def dense_harmonic(alpha) -> np.ndarray:
+    """Oracle: alpha + B f for the dense E x V coboundary B, where f solves
+    the normal equations by np.linalg.solve with the lowest vertex index of
+    each component held at 0."""
+    cx = alpha.complex
+    n_v, n_e = cx.n_vertices, cx.n_simplices(1)
+    B = np.zeros((n_e, n_v))
+    component = list(range(n_v))
+
+    def find(v):
+        while component[v] != v:
+            v = component[v]
+        return v
+
+    for j, (a, b) in enumerate(cx.simplices(1)):
+        ia, ib = cx.index((a,)), cx.index((b,))
+        B[j, ia], B[j, ib] = -1.0, 1.0
+        ra, rb = find(ia), find(ib)
+        component[max(ra, rb)] = min(ra, rb)
+    keep = [v for v in range(n_v) if find(v) != v]
+    a = np.array([float(alpha.entries.get(j, 0)) for j in range(n_e)])
+    f = np.zeros(n_v)
+    if keep:
+        Bk = B[:, keep]
+        f[keep] = np.linalg.solve(Bk.T @ Bk, -(Bk.T @ a))
+    return a + B @ f
+
+
 def random_graph_cocycle(rng, cx) -> Cochain:
     """Integer 1-cocycle: arbitrary on a graph, a coboundary otherwise."""
     if cx.dimension == 1:
@@ -122,25 +150,30 @@ class TestHarmonicSmooth:
         with pytest.raises(NotACocycle):
             harmonic_smooth(alpha)
 
-    def test_iterative_solver_matches_direct(self, hexagon, monkeypatch):
-        # the conjugate-gradient branch only fires on large vertex sets;
-        # force it and compare against the dense solve
-        import circlift.smoothing as sm
-        alpha = hexagon_generator(hexagon).scale(3)
-        direct = harmonic_smooth(alpha)
-        monkeypatch.setattr(sm, "DENSE_VERTEX_LIMIT", 0)
-        iterative = sm.harmonic_smooth(alpha)
-        for j in range(hexagon.n_simplices(1)):
-            assert iterative.alpha_tilde.entries.get(j, 0.0) == pytest.approx(
-                direct.alpha_tilde.entries.get(j, 0.0), abs=1e-9)
+    def test_iterative_solver_matches_direct(self, hexagon):
+        # edge-list conjugate gradients against the dense direct solve, on
+        # the hexagon and on random complexes with several components
+        rng = np.random.default_rng(12)
+        cases = [hexagon_generator(hexagon).scale(3)]
+        while len(cases) < 30:
+            cx = random_complex(rng, n_max=12, edge_prob=0.3,
+                                tri_prob=0.0 if len(cases) % 2 else 0.4)
+            if cx.dimension >= 1:
+                cases.append(random_graph_cocycle(rng, cx))
+        for alpha in cases:
+            got = harmonic_smooth(alpha).alpha_tilde
+            want = dense_harmonic(alpha)
+            for j in range(alpha.complex.n_simplices(1)):
+                assert got.entries.get(j, 0.0) == pytest.approx(want[j], abs=1e-9)
 
-    def test_iterative_solver_on_larger_cloud(self, monkeypatch):
-        import circlift.smoothing as sm
-        from circlift import build_rips, run_pipeline
+    def test_iterative_solver_on_larger_cloud(self):
+        from circlift import run_pipeline
         from circlift.experiments import sample_circle
         pts, angles = sample_circle(80, 0.0, 3, seed=21)
-        monkeypatch.setattr(sm, "DENSE_VERTEX_LIMIT", 0)
         result = run_pipeline(points=pts, prime=47, threshold=0.6)
+        want = dense_harmonic(result.winding_report.reduced_cocycle)
+        got = result.smoothed.alpha_tilde
+        assert max(abs(got.entries.get(j, 0.0) - v) for j, v in enumerate(want)) <= 1e-9
         truth = {i: float(a) for i, a in enumerate(angles)}
         assert circular_correlation(result.coords, truth) > 0.99
 

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from circlift import (Cochain, OddPrime, ZZ,
+import circlift.winding as winding
+from circlift import (Chain, Cochain, OddPrime, ZZ,
                       apply_coboundary, build_from_simplices, build_rips, candidate_primes,
                       class_vanishes_mod, cycle_representative, divide_step,
                       kronecker_pairing, lift_closed, persistent_cohomology,
@@ -9,11 +12,12 @@ from circlift import (Cochain, OddPrime, ZZ,
 from circlift.errors import (ComplexTooLargeForSnf, NotACocycle, NotDivisible,
                              ZeroPairing)
 from circlift.experiments import sample_circle
-from circlift.snf import nullspace_integer, solve_integer, sparse_to_rows
+from circlift.snf import solve_integer, sparse_to_rows
 from circlift.winding import ROUTE_MOD_P, ROUTE_SNF
 from conftest import (hexagon_fundamental_cycle, hexagon_generator,
                       moore_z3_complex, random_complex,
                       random_connected_complex, rp2_complex)
+from oracles import nullspace_integer
 from fplinalg import in_image_mod, to_numpy_mod
 
 
@@ -205,6 +209,34 @@ class TestReduceWinding:
         alpha = apply_coboundary(random_vertex_cochain(rng, hexagon))
         with pytest.raises(ZeroPairing):
             reduce_winding(alpha, beta)
+
+    def test_own_snf_cap_reaches_the_vanishing_test(self, monkeypatch):
+        # S^2 as the boundary of a tetrahedron: a degree-2 class is divided on
+        # the integer route, whose 6 + 2 * 4 unknowns and equations exceed 10
+        monkeypatch.setattr(winding, "DEFAULT_SNF_CAP", 10)
+        sphere = build_from_simplices([(t, 1.0) for t in combinations(range(4), 3)])
+        gen = Cochain.from_simplices(sphere, 2, ZZ, {(0, 1, 2): 1})
+        beta = Chain.from_simplices(sphere, 2, ZZ, {(1, 2, 3): 1, (0, 2, 3): -1,
+                                                    (0, 1, 3): 1, (0, 1, 2): -1})
+        report = reduce_winding(gen.scale(2), beta, snf_cap=1500)
+        assert report.winding_number == 2
+        assert report.division_trace == ((2, 1, ROUTE_SNF),)
+
+    def test_closedness_is_checked_once(self, hexagon, monkeypatch):
+        rng = np.random.default_rng(9)
+        beta = hexagon_fundamental_cycle(hexagon)
+        alpha = hexagon_generator(hexagon).scale(6) + apply_coboundary(
+            random_vertex_cochain(rng, hexagon))
+        degrees = []
+
+        def counting_coboundary(c):
+            degrees.append(c.dim)
+            return apply_coboundary(c)
+
+        monkeypatch.setattr(winding, "apply_coboundary", counting_coboundary)
+        report = reduce_winding(alpha, beta)
+        assert report.winding_number == 6
+        assert degrees.count(1) == 1
 
 
 class TestRouteEquivalenceRandom:

@@ -155,21 +155,39 @@ class FilteredComplex:
     """
 
     def __init__(self, simplices_with_filtration: Mapping[Simplex, float]):
-        if not simplices_with_filtration:
-            raise EmptyInput("complex has no simplices", operation="complex.build")
-        by_dim: dict[int, dict[Simplex, float]] = {}
+        rows: dict[int, list] = {}
+        filt: dict[int, list] = {}
         for s, f in simplices_with_filtration.items():
-            s = as_simplex(s)
-            by_dim.setdefault(len(s) - 1, {})[s] = float(f)
-        self.dimension = max(by_dim)
+            rows.setdefault(len(s) - 1, []).append(s)
+            filt.setdefault(len(s) - 1, []).append(f)
+        verts_by_dim, filt_by_dim = [], []
+        for m in range(max(rows, default=-1) + 1):
+            verts = np.array(rows.get(m) or np.empty((0, m + 1), dtype=np.int64))
+            if verts.dtype.kind not in "iu" or verts.max(initial=0) > np.iinfo(np.int64).max:
+                raise ValueError("vertex ids must be integers that fit in 64 bits")
+            verts = verts.astype(np.int64)
+            # compare, not np.diff: differences of int64 ids can overflow
+            descending = np.flatnonzero((verts[:, 1:] <= verts[:, :-1]).any(axis=1))
+            if descending.size:
+                raise ValueError("vertices must be strictly ascending, "
+                                 f"got {tuple(verts[descending[0]].tolist())}")
+            verts_by_dim.append(verts)
+            filt_by_dim.append(np.array(filt.get(m, []), dtype=float))
+        self._init_arrays(verts_by_dim, filt_by_dim)
+
+    def _init_arrays(self, verts_by_dim: list[np.ndarray], filt_by_dim: list[np.ndarray]
+                     ) -> None:
+        """Fill the complex from per-dimension int64 vertex rows (ascending
+        within a row, in any row order) and their filtration values; trailing
+        empty dimensions are dropped."""
+        counts = [len(v) for v in verts_by_dim]
+        if not any(counts):
+            raise EmptyInput("complex has no simplices", operation="complex.build")
+        self.dimension = max(m for m, n in enumerate(counts) if n)
         self._verts, self._filt, self._faces = [], [], []
         self._keys, self._lex = [], []      # sorted keys; key rank -> index
         for m in range(self.dimension + 1):
-            table = by_dim.get(m, {})
-            verts = np.array(list(table) or np.empty((0, m + 1), dtype=np.int64))
-            if verts.dtype.kind not in "iu" or verts.max(initial=0) > np.iinfo(np.int64).max:
-                raise ValueError("vertex ids must be integers that fit in 64 bits")
-            verts, filt = verts.astype(np.int64), np.array(list(table.values()), dtype=float)
+            verts, filt = verts_by_dim[m], filt_by_dim[m]
             order = np.lexsort([verts[:, k] for k in range(m, -1, -1)] + [filt])
             self._add_dimension(verts[order], filt[order])
 
@@ -367,50 +385,72 @@ def build_from_simplices(entries: Iterable[tuple[Iterable[int], float]]) -> Filt
     return FilteredComplex(table)
 
 
+# row chunks hold this many float differences, or adjacency booleans
+_DISTANCE_CHUNK = 1 << 20
+_CLIQUE_CHUNK = 1 << 22
+
+
+def pairwise_distances(points) -> np.ndarray:
+    """Euclidean distance matrix of a finite point cloud, one point per row.
+
+    The exact pairwise-difference formula (a Gram-matrix shortcut would
+    round equal distances apart), done in row chunks so memory stays n^2
+    plus a bounded buffer.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    bad = np.argwhere(~np.isfinite(pts))
+    if bad.size:
+        raise ValueError(f"points must be finite, got {pts[tuple(bad[0])]} "
+                         f"(NaN or inf) in row {bad[0][0]}")
+    n, d = pts.shape
+    dist = np.empty((n, n))
+    step = max(1, _DISTANCE_CHUNK // max(n * d, 1))
+    for lo in range(0, n, step):
+        diff = pts[lo:lo + step, None, :] - pts[None, :, :]
+        diff *= diff
+        np.sqrt(diff.sum(axis=-1), out=dist[lo:lo + step])
+    return dist
+
+
 def build_rips(points, threshold: float, max_dim: int) -> FilteredComplex:
     """Vietoris-Rips complex of a point cloud under the Euclidean metric.
 
     Contains every simplex on at most max_dim+1 points whose pairwise
     distances are all <= threshold; the filtration value of a simplex is the
-    maximum pairwise distance among its vertices (its diameter).
+    maximum pairwise distance among its vertices (its diameter). Cliques
+    grow one dimension at a time on arrays: each m-simplex is extended by
+    every larger vertex adjacent to all of its vertices.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    n = pts.shape[0]
+    if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
+        raise ValueError(f"max_dim must be an integer >= 1, got {max_dim!r}")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be >= 0 and not NaN, got {threshold}")
+    dist = pairwise_distances(points)
+    n = len(dist)
     if n == 0:
         raise EmptyInput("no points", operation="complex.build_rips")
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    if max_dim < 1:
-        raise ValueError("max_dim must be >= 1")
-
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-
-    table: dict[Simplex, float] = {(i,): 0.0 for i in range(n)}
-    # neighbors with larger index only: cliques are grown in ascending order
-    nbrs: list[np.ndarray] = [
-        np.nonzero((dist[i] <= threshold) & (np.arange(n) > i))[0] for i in range(n)
-    ]
-
-    def expand(simplex: tuple[int, ...], candidates: np.ndarray, diameter: float) -> None:
-        for j in candidates:
-            d = max(diameter, float(dist[list(simplex), j].max()))
-            new = simplex + (int(j),)
-            table[new] = d
-            if len(new) <= max_dim:
-                expand(new, candidates[np.isin(candidates, nbrs[j], assume_unique=True)], d)
-
-    for i in range(n):
-        for j in nbrs[i]:
-            d = float(dist[i, j])
-            edge = (i, int(j))
-            table[edge] = d
-            if max_dim >= 2:
-                expand(edge, nbrs[i][np.isin(nbrs[i], nbrs[j], assume_unique=True)], d)
-
-    return FilteredComplex(table)
+    # above[u, k]: k > u and the pair is within the threshold
+    above = np.triu(dist <= threshold, 1)
+    verts, filt = [np.arange(n)[:, None], np.argwhere(above)], [np.zeros(n), dist[above]]
+    while len(verts) <= max_dim and len(verts[-1]):
+        rows, grown, grown_filt = verts[-1], [], []
+        step = max(1, _CLIQUE_CHUNK // n)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            mask = above[chunk[:, 0]]
+            for column in chunk[:, 1:].T:
+                mask &= above[column]
+            r, k = np.nonzero(mask)
+            grown.append(np.column_stack([chunk[r], k]))
+            grown_filt.append(np.maximum(filt[-1][lo + r],
+                                         dist[chunk[r], k[:, None]].max(axis=1)))
+        verts.append(np.concatenate(grown))
+        filt.append(np.concatenate(grown_filt))
+    cx = object.__new__(FilteredComplex)
+    cx._init_arrays(verts, filt)
+    return cx
 
 
 def spanning_forest(cx: FilteredComplex, root: int | None = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FilteredComplex, build_rips
+from .complexes import FilteredComplex, build_rips, pairwise_distances
 from .fields import OddPrime
 from .lifting import DEFAULT_SNF_CAP, LiftReport, lift_closed
 from .persistence import (Diagram, PersistencePair, cycle_representative,
@@ -45,10 +45,7 @@ class PipelineResult:
 def enclosing_radius(points) -> float:
     """min over points of the max distance to the rest: beyond this scale
     the Rips complex is a cone and carries no new classes."""
-    pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    return float(dist.max(axis=1).min())
+    return float(pairwise_distances(points).max(axis=1).min())
 
 
 def run_pipeline(points=None, complex: FilteredComplex | None = None, *,

@@ -4,13 +4,18 @@ They derive every face again from the vertex tuple (``faces_with_signs``)
 and find it through a dict, the way the library did before it kept one
 face table per complex, and they reduce the full boundary matrix for the
 barcode. Slow, plain Python, and independent of the face table.
+``reference_rips`` is the recursive clique expansion into a dict of tuples
+that ``build_rips`` replaced.
 """
 
 from __future__ import annotations
 
 import math
 
-from circlift.complexes import Chain, Cochain
+import numpy as np
+
+from circlift.complexes import Chain, Cochain, FilteredComplex, Simplex
+from circlift.errors import EmptyInput
 from circlift.fields import inv_mod
 from circlift.snf import smith_normal_form
 
@@ -49,6 +54,52 @@ class ReferenceComplex:
         """Face indices of every m-simplex, column i omitting vertex i."""
         return [[self.index[m - 1][face] for face, _ in faces_with_signs(s)]
                 for s in self.simplices[m]]
+
+
+def reference_rips(points, threshold: float, max_dim: int) -> FilteredComplex:
+    """Vietoris-Rips complex of a point cloud under the Euclidean metric.
+
+    Contains every simplex on at most max_dim+1 points whose pairwise
+    distances are all <= threshold; the filtration value of a simplex is the
+    maximum pairwise distance among its vertices (its diameter).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    n = pts.shape[0]
+    if n == 0:
+        raise EmptyInput("no points", operation="complex.build_rips")
+    if threshold < 0:
+        raise ValueError("threshold must be >= 0")
+    if max_dim < 1:
+        raise ValueError("max_dim must be >= 1")
+
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+
+    table: dict[Simplex, float] = {(i,): 0.0 for i in range(n)}
+    # neighbors with larger index only: cliques are grown in ascending order
+    nbrs: list[np.ndarray] = [
+        np.nonzero((dist[i] <= threshold) & (np.arange(n) > i))[0] for i in range(n)
+    ]
+
+    def expand(simplex: tuple[int, ...], candidates: np.ndarray, diameter: float) -> None:
+        for j in candidates:
+            d = max(diameter, float(dist[list(simplex), j].max()))
+            new = simplex + (int(j),)
+            table[new] = d
+            if len(new) <= max_dim:
+                expand(new, candidates[np.isin(candidates, nbrs[j], assume_unique=True)], d)
+
+    for i in range(n):
+        for j in nbrs[i]:
+            d = float(dist[i, j])
+            edge = (i, int(j))
+            table[edge] = d
+            if max_dim >= 2:
+                expand(edge, nbrs[i][np.isin(nbrs[i], nbrs[j], assume_unique=True)], d)
+
+    return FilteredComplex(table)
 
 
 def _index(cx, m: int) -> dict[tuple[int, ...], int]:

@@ -1,0 +1,171 @@
+"""The array Rips builder against the recursive dict-of-tuples oracle, the
+row-chunked distance matrix, and the refusal of non-finite input."""
+
+import json
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from circlift import FilteredComplex, build_rips, run_pipeline
+from circlift import complexes
+from circlift.cli import main
+from circlift.complexes import pairwise_distances
+from circlift.experiments import sample_circle
+from circlift.pipeline import enclosing_radius
+from oracles import reference_rips
+
+DIFFERENTIAL = settings(max_examples=200, deadline=None, database=None)
+
+
+def unchunked_distances(points: np.ndarray) -> np.ndarray:
+    """The full n x n x d difference tensor, as both callers used to build it."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+@st.composite
+def clouds(draw):
+    """Gaussian clouds, or points on a coarse grid (tied distances and
+    repeated points), with a threshold of 0, one of the distances or inf."""
+    n = draw(st.integers(1, 25))
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        points = rng.standard_normal((n, d))
+    else:
+        points = rng.integers(0, 3, (n, d)).astype(float)
+    distances = sorted(set(unchunked_distances(points).ravel().tolist()))
+    threshold = draw(st.sampled_from([0.0, np.inf] + distances))
+    return points, threshold, draw(st.integers(1, 4))
+
+
+def assert_same_complex(cx: FilteredComplex, ref: FilteredComplex) -> None:
+    assert cx.dimension == ref.dimension
+    for m in range(cx.dimension + 1):
+        assert np.array_equal(cx.vertex_array(m), ref.vertex_array(m))
+        assert cx.filtration_values(m).tobytes() == ref.filtration_values(m).tobytes()
+        assert np.array_equal(cx.face_table(m), ref.face_table(m))
+
+
+class TestAgainstReference:
+    @DIFFERENTIAL
+    @given(clouds())
+    def test_same_simplices_filtrations_and_faces(self, cloud):
+        points, threshold, max_dim = cloud
+        assert_same_complex(build_rips(points, threshold, max_dim),
+                            reference_rips(points, threshold, max_dim))
+
+    def test_empty_trailing_dimensions_are_dropped(self):
+        points = np.arange(5.0)
+        cx = build_rips(points, 0.0, 3)
+        assert cx.dimension == 0
+        assert_same_complex(cx, reference_rips(points, 0.0, 3))
+        cx = build_rips(points, 1.0, 4)     # a path: edges, no triangles
+        assert cx.dimension == 1
+        assert_same_complex(cx, reference_rips(points, 1.0, 4))
+
+    def test_one_row_per_chunk(self, monkeypatch):
+        points = np.random.default_rng(2).integers(0, 3, (14, 2)).astype(float)
+        want = build_rips(points, 2.0, 3)
+        monkeypatch.setattr(complexes, "_CLIQUE_CHUNK", 1)
+        assert_same_complex(build_rips(points, 2.0, 3), want)
+        assert_same_complex(want, reference_rips(points, 2.0, 3))
+
+
+class TestDistances:
+    def test_chunked_equals_unchunked_bitwise(self, monkeypatch):
+        points = np.random.default_rng(4).standard_normal((37, 5)) * 10
+        want = unchunked_distances(points).tobytes()
+        assert pairwise_distances(points).tobytes() == want
+        monkeypatch.setattr(complexes, "_DISTANCE_CHUNK", 7 * 37 * 5)
+        assert pairwise_distances(points).tobytes() == want
+
+    def test_line_cloud(self):
+        assert pairwise_distances([0.0, 3.0]).tolist() == [[0.0, 3.0], [3.0, 0.0]]
+
+    def test_memory_stays_bounded_in_high_dimension(self):
+        # the difference tensor of 300 points in R^200 alone is 144 MB
+        points, _ = sample_circle(300, 0.0, 200, seed=3)
+        want = unchunked_distances(points).tobytes()
+        for run in (lambda: pairwise_distances(points),
+                    lambda: enclosing_radius(points),
+                    lambda: build_rips(points, 0.1, 2)):
+            tracemalloc.start()
+            try:
+                result = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20
+        assert result.n_simplices(1) > 0
+        assert pairwise_distances(points).tobytes() == want
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_coordinates(self, bad):
+        points = np.zeros((4, 2))
+        points[2, 1] = bad
+        with pytest.raises(ValueError, match="finite.*NaN or inf.*row 2"):
+            build_rips(points, 1.0, 1)
+        with pytest.raises(ValueError, match="finite.*NaN or inf.*row 2"):
+            enclosing_radius(points)
+
+    def test_threshold(self):
+        points = np.arange(4.0)
+        with pytest.raises(ValueError, match="threshold .*NaN, got nan"):
+            build_rips(points, np.nan, 1)
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            build_rips(points, -1.0, 1)
+        cx = build_rips(points, np.inf, 3)
+        assert [cx.n_simplices(m) for m in range(4)] == [4, 6, 4, 1]
+
+    @pytest.mark.parametrize("max_dim", [0, -1, 1.0, 2.5, "2", None])
+    def test_max_dim_is_a_positive_integer(self, max_dim):
+        with pytest.raises(ValueError, match="max_dim"):
+            build_rips(np.arange(4.0), 1.0, max_dim)
+
+    def test_max_dim_numpy_integer(self):
+        assert build_rips(np.arange(4.0), 1.0, np.int64(2)).dimension == 1
+
+    def test_pipeline_names_the_input(self):
+        points, _ = sample_circle(20, 0.0, 2, seed=1)
+        points[7, 0] = np.nan
+        for threshold in ("auto", 0.9):
+            with pytest.raises(ValueError, match="NaN or inf.*row 7"):
+                run_pipeline(points=points, threshold=threshold)
+
+    def test_cli_exits_1_with_a_diagnostic(self, tmp_path, capsys):
+        points, _ = sample_circle(20, 0.0, 2, seed=1)
+        path = tmp_path / "points.csv"
+        rows = [",".join(repr(float(v)) for v in row) for row in points]
+        rows[3] = "nan," + rows[3].split(",")[1]
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(path), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValueError"
+        assert "NaN or inf" in err["message"] and "row 3" in err["message"]
+        assert json.loads(capsys.readouterr().err.strip()) == err
+
+
+class TestDictConstructor:
+    @pytest.mark.parametrize("bad", [(1, 0), (2, 2), (0, 3, 1)])
+    def test_descending_vertices_are_named(self, bad):
+        table = {(v,): 0.0 for v in range(4)}
+        table.update({(0, 1): 1.0, bad: 1.0})
+        with pytest.raises(ValueError, match=re.escape(
+                f"vertices must be strictly ascending, got {bad}")):
+            FilteredComplex(table)
+
+    def test_ids_far_apart_are_ascending(self):
+        # their difference does not fit in 64 bits
+        lo, hi = -2**63 + 1, 2**63 - 1
+        cx = FilteredComplex({(lo,): 0.0, (hi,): 0.0, (lo, hi): 1.0})
+        assert cx.simplices(1) == [(lo, hi)]
+        with pytest.raises(ValueError, match="strictly ascending"):
+            FilteredComplex({(lo,): 0.0, (hi,): 0.0, (hi, lo): 1.0})

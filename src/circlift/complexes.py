@@ -171,15 +171,18 @@ class FilteredComplex:
             if descending.size:
                 raise ValueError("vertices must be strictly ascending, "
                                  f"got {tuple(verts[descending[0]].tolist())}")
-            verts_by_dim.append(verts)
-            filt_by_dim.append(np.array(filt.get(m, []), dtype=float))
+            lex = np.lexsort(verts.T[::-1])
+            verts_by_dim.append(verts[lex])
+            filt_by_dim.append(np.array(filt.get(m, []), dtype=float)[lex])
         self._init_arrays(verts_by_dim, filt_by_dim)
 
     def _init_arrays(self, verts_by_dim: list[np.ndarray], filt_by_dim: list[np.ndarray]
                      ) -> None:
         """Fill the complex from per-dimension int64 vertex rows (ascending
-        within a row, in any row order) and their filtration values; trailing
-        empty dimensions are dropped."""
+        within a row) and their filtration values; trailing empty dimensions
+        are dropped. The rows of each dimension must come in lexicographic
+        order: one stable sort on the filtration then gives the (filtration,
+        lex) order."""
         counts = [len(v) for v in verts_by_dim]
         if not any(counts):
             raise EmptyInput("complex has no simplices", operation="complex.build")
@@ -188,7 +191,7 @@ class FilteredComplex:
         self._keys, self._lex = [], []      # sorted keys; key rank -> index
         for m in range(self.dimension + 1):
             verts, filt = verts_by_dim[m], filt_by_dim[m]
-            order = np.lexsort([verts[:, k] for k in range(m, -1, -1)] + [filt])
+            order = np.argsort(filt, kind="stable")
             self._add_dimension(verts[order], filt[order])
 
     def _add_dimension(self, verts: np.ndarray, filt: np.ndarray) -> None:
@@ -489,6 +492,19 @@ def spanning_forest(cx: FilteredComplex, root: int | None = None
     return roots, tree
 
 
+def forest_potential(cx: FilteredComplex, values, modulus, root: int | None = None
+                     ) -> tuple[list[tuple[int, int, int, int]], list]:
+    """The tree edges of ``spanning_forest`` and the potential phi of the
+    edge values along them: phi is 0 at every root and phi(child) =
+    phi(parent) + sign * values[edge] mod ``modulus`` (ints stay exact;
+    floats with modulus 1.0 count turns)."""
+    tree = spanning_forest(cx, root)[1]
+    phi = [0] * cx.n_vertices
+    for parent, child, j, sign in tree:
+        phi[child] = (phi[parent] + sign * values[j]) % modulus
+    return tree, phi
+
+
 # ---------------------------------------------------------------------------
 # sparse matrices
 # ---------------------------------------------------------------------------
@@ -586,9 +602,6 @@ class _SimplexVector:
     @property
     def support(self) -> list[int]:
         return sorted(self.entries)
-
-    def max_abs(self):
-        return max((abs(v) for v in self.entries.values()), default=0)
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -28,7 +28,8 @@ class EmptyInput(CircliftError):
 
 
 class DimensionOutOfRange(CircliftError):
-    """Requested chain/cochain degree does not exist in the complex."""
+    """Requested chain/cochain degree does not exist in the complex, or the
+    operation does not work in that degree."""
 
 
 class DimensionMismatch(CircliftError):

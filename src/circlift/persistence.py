@@ -5,8 +5,8 @@ simplices in filtration order (faces before cofaces). When a new simplex
 evaluates nonzero against some live cocycles of one degree lower, the
 youngest of them dies and absorbs the others; its value just before death is
 the representative for the finite interval. Cocycles still alive at the end
-give the essential intervals. Homology cycle representatives come from a
-separate boundary-matrix reduction at the representative scale.
+give the essential intervals. The dual 1-cycle of a class is a fundamental
+cycle of the spanning forest at the representative scale.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import Chain, Cochain, FilteredComplex, GF, face_signs
-from .errors import EmptyDiagram, NoDualCycle
+from .complexes import (Chain, Cochain, FilteredComplex, GF, face_signs,
+                        forest_potential)
+from .errors import DimensionOutOfRange, EmptyDiagram, NoDualCycle
 from .fields import OddPrime, inv_mod
 
 
@@ -123,10 +124,11 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     """Persistence diagram over F_p with representative cocycles in
     dimensions 0..max_dim.
 
-    ``scale_policy`` fixes where finite-interval representatives are
-    restricted: "midpoint" (default) uses (birth+death)/2; a float uses that
-    scale for every pair it is valid for. Essential intervals always use the
-    final scale of the complex.
+    ``scale_policy`` fixes where representatives are restricted. A float s
+    is used for every pair with birth <= s < death, essential pairs
+    included. Otherwise, and always under "midpoint" (the default), a finite
+    interval uses (birth+death)/2 and an essential one the final scale of
+    the complex.
     """
     if max_dim > cx.dimension:
         raise ValueError(f"max_dim {max_dim} exceeds complex dimension {cx.dimension}")
@@ -217,61 +219,39 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
 
 def cycle_representative(cx: FilteredComplex, p: OddPrime,
                          pair: PersistencePair) -> Chain:
-    """A homology cycle at the pair's representative scale that pairs
-    nonzero (mod p) with the pair's cocycle.
+    """A 1-cycle at the pair's representative scale that pairs nonzero
+    (mod p) with the pair's cocycle alpha.
 
-    Cycles are read off a boundary-matrix reduction at the scale: every
-    column that reduces to zero yields an explicit cycle through the
-    recorded column operations. The column of the pair's birth simplex is
-    the natural candidate; all cycle columns are scanned before giving up.
+    phi integrates alpha mod p along the spanning forest of the sublevel
+    complex. The first edge e = (a, b), in index order, with alpha(e) !=
+    phi(b) - phi(a) gives the cycle: e plus the tree path from b back to a,
+    coefficients +-1, which pairs to alpha(e) - (phi(b) - phi(a)). With no
+    such edge alpha is an F_p coboundary, and ``NoDualCycle`` is raised.
     """
     if pair.representative_cocycle.complex is not cx:
         raise ValueError("pair was computed on a different complex")
-    q = p.p
-    m = pair.dimension
-    if m < 1:
-        raise NoDualCycle("degree-0 pairs carry no dual cycle",
+    if pair.dimension != 1:
+        raise DimensionOutOfRange(
+            f"dual cycles are computed in degree 1 only, got degree {pair.dimension}",
+            operation="persistence.cycle_representative")
+    q, sub = p.p, cx.restrict(pair.scale)
+    alpha = pair.representative_cocycle.to_array()
+    tree, phi = forest_potential(sub, alpha, q)
+    # column 0 of an edge's face row omits its first vertex a, so holds b
+    for e, (b, a) in enumerate(sub.face_table(1).tolist()):
+        if (alpha[e] - phi[b] + phi[a]) % q:
+            break
+    else:
+        raise NoDualCycle("the cocycle is a coboundary mod p",
                           operation="persistence.cycle_representative")
-    n = _prefix_length(cx, m, pair.scale)
-    signs = [sign % q for sign in face_signs(m)]
-    columns = [dict(zip(row, signs)) for row in cx.face_table(m)[:n].tolist()]
-    combos = [{i: 1} for i in range(n)]
-    low_to_col: dict[int, int] = {}
-    cycles: dict[int, dict[int, int]] = {}
-    for j, col in enumerate(columns):
-        combo = combos[j]
-        while col:
-            low = max(col)
-            other = low_to_col.get(low)
-            if other is None:
-                break
-            factor = (col[low] * inv_mod(columns[other][low], q)) % q
-            for target, source in ((col, columns[other]), (combo, combos[other])):
-                for i, v in source.items():
-                    nv = (target.get(i, 0) - factor * v) % q
-                    if nv:
-                        target[i] = nv
-                    else:
-                        target.pop(i, None)
-        if col:
-            low_to_col[max(col)] = j
-        else:
-            cycles[j] = combo
-
-    cocycle = pair.representative_cocycle.entries
-
-    def pairs_nonzero(candidate: dict[int, int]) -> bool:
-        total = sum(v * cocycle.get(i, 0) for i, v in candidate.items()) % q
-        return total != 0
-
-    birth_idx = cx.index(pair.birth_simplex) if len(pair.birth_simplex) - 1 == m else None
-    if birth_idx is not None and birth_idx in cycles and pairs_nonzero(cycles[birth_idx]):
-        return Chain(cx, m, GF(q), cycles[birth_idx])
-    for cycle in cycles.values():
-        if pairs_nonzero(cycle):
-            return Chain(cx, m, GF(q), cycle)
-    raise NoDualCycle("no reduced cycle pairs nonzero with the cocycle",
-                      operation="persistence.cycle_representative")
+    up = {child: (parent, j, sign) for parent, child, j, sign in tree}
+    cycle = {e: 1}
+    # b up to its root, then down to a; edges above both cancel to zero
+    for v, direction in ((b, -1), (a, 1)):
+        while v in up:
+            v, j, sign = up[v]
+            cycle[j] = cycle.get(j, 0) + direction * sign
+    return Chain(cx, 1, GF(q), cycle)
 
 
 def select_class(diagram: Diagram, strategy: str = "max-persistence",

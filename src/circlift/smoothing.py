@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .complexes import (Cochain, FilteredComplex, RR, ZZ, apply_coboundary,
-                        spanning_forest)
+                        forest_potential, spanning_forest)
 from .errors import InconsistentCocycle, NotACocycle, SolverDiverged, VertexSetMismatch
 
 RESIDUAL_RTOL = 1e-9
@@ -142,17 +142,15 @@ def circular_map(smoothed: SmoothedCocycle,
     cx = smoothed.alpha_tilde.complex
     value = smoothed.alpha_tilde.to_array()
     root = None if base_vertex is None else cx.index((base_vertex,))
-    theta = [0.0] * cx.n_vertices
-    for parent, child, j, sign in spanning_forest(cx, root)[1]:
-        theta[child] = (theta[parent] + sign * float(value[j])) % 1.0
+    theta = np.array(forest_potential(cx, value.tolist(), 1.0, root)[1], dtype=float)
 
     head, tail = cx.face_table(1).T
-    off = _circular_distance(np.array(theta)[head] - np.array(theta)[tail] - value)
+    off = _circular_distance(theta[head] - theta[tail] - value)
     bad = np.flatnonzero(off > EDGE_TOL)
     if bad.size:
         raise InconsistentCocycle(f"edge {cx.simplex(1, bad[0])} off by {off[bad[0]]:.3e}",
                                   operation="smoothing_coords.circular_map")
-    return CircularCoords({v: t % 1.0 for v, t in zip(cx.vertex_ids, theta)})
+    return CircularCoords({v: t % 1.0 for v, t in zip(cx.vertex_ids, theta.tolist())})
 
 
 def _circular_distance(x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import snf
 from .complexes import (Chain, Cochain, ZZ, apply_boundary, apply_coboundary,
-                        kronecker_pairing, spanning_forest)
+                        forest_potential, kronecker_pairing)
 from .errors import NotACocycle, NotDivisible, ValidationFailed, ZeroPairing
 from .fields import is_prime, lift_mod
 from .lifting import DEFAULT_SNF_CAP, _snf_guard
@@ -30,7 +30,6 @@ class DivideStep:
     gamma: Cochain
     potential: Cochain
     route: str
-    prop_range_certified: bool
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,7 @@ def _split(alpha: Cochain, q: int, route: str, snf_cap: int,
         # f: centred lift of alpha mod q integrated from 0 at each forest
         # root; alpha - delta f vanishes mod q on tree edges by construction,
         # and on every edge exactly when alpha mod q is an F_q coboundary
-        phi = [0] * cx.n_vertices
-        for parent, child, j, sign in spanning_forest(cx)[1]:
-            phi[child] = (phi[parent] + sign * alpha.entries.get(j, 0)) % q
+        phi = forest_potential(cx, alpha.to_array(), q)[1]
         f = Cochain(cx, 0, ZZ, {i: lift_mod(v, q) for i, v in enumerate(phi)})
         residue = alpha - apply_coboundary(f)
         if not _divisible(residue, q):
@@ -136,42 +133,20 @@ def candidate_primes(pairing: int) -> list[int]:
     return out
 
 
-def _range_conditions_hold(deltaf: Cochain, qgamma_max: int,
-                           p_work: int, m: int) -> bool:
-    """Coefficient-range certificate: q*gamma and delta(f) inside the
-    certified lifting range for p_work."""
-    bound = (p_work - 1) // (m + 2)
-    if qgamma_max > bound:
-        return False
-    return all(abs(v) <= bound for v in deltaf.entries.values())
-
-
-def _auto_p_work(q: int, coeff_bound: int) -> int:
-    p = max(q, 2 * coeff_bound, 2) + 1
-    while not is_prime(p) or p == q:
-        p += 1
-    return p
-
-
-def divide_step(alpha: Cochain, q: int, p_work: int | None = None, *,
-                route: str = "auto", snf_cap: int = DEFAULT_SNF_CAP) -> DivideStep:
+def divide_step(alpha: Cochain, q: int, *, route: str = "auto",
+                snf_cap: int = DEFAULT_SNF_CAP) -> DivideStep:
     """Split alpha = q * gamma + delta(f) exactly over Z.
 
     Mod-q route (degree 1, the default there): f is the centred lift of the
     spanning-forest potential of alpha mod q, so alpha - delta(f) is
-    divisible by q entry by entry and gamma is the exact quotient; the
-    result is flagged when the coefficient-range certificate for p_work
-    holds. Integer route (the default in higher degrees): one exact solve of
-    the combined system via Smith normal form. Either way the identity is
-    verified over Z.
+    divisible by q entry by entry and gamma is the exact quotient. Integer
+    route (the default in higher degrees): one exact solve of the combined
+    system via Smith normal form. Either way the identity is verified over Z.
     """
     _require_integer_cocycle(alpha, "winding.divide_step")
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    if p_work is not None and (not is_prime(p_work) or p_work <= q):
-        raise ValueError("p_work must be a prime larger than q")
-    m = alpha.dim
-    if m < 1:
+    if alpha.dim < 1:
         raise ValueError("degree must be >= 1")
 
     split = _split(alpha, q, route, snf_cap, "winding.divide_step")
@@ -179,16 +154,10 @@ def divide_step(alpha: Cochain, q: int, p_work: int | None = None, *,
         raise NotDivisible(f"class does not vanish mod {q}",
                            operation="winding.divide_step")
     f, gamma, label = split
-    deltaf = apply_coboundary(f)
-    if gamma.scale(q) + deltaf != alpha:
+    if gamma.scale(q) + apply_coboundary(f) != alpha:
         raise ValidationFailed("division identity broken",
                                operation="winding.divide_step")
-    certified = False
-    if label == ROUTE_MOD_P:
-        qgamma_max = int(gamma.max_abs()) * q
-        p_eff = p_work or _auto_p_work(q, max(qgamma_max, int(deltaf.max_abs())))
-        certified = _range_conditions_hold(deltaf, qgamma_max, p_eff, m)
-    return DivideStep(gamma, f, label, certified)
+    return DivideStep(gamma, f, label)
 
 
 def reduce_winding(alpha: Cochain, beta: Chain, *,

@@ -5,7 +5,9 @@ and find it through a dict, the way the library did before it kept one
 face table per complex, and they reduce the full boundary matrix for the
 barcode. Slow, plain Python, and independent of the face table.
 ``reference_rips`` is the recursive clique expansion into a dict of tuples
-that ``build_rips`` replaced.
+that ``build_rips`` replaced, and ``reference_cycle_representative`` the
+boundary-matrix reduction with recorded column combinations that the
+spanning-forest dual cycle replaced.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import math
 
 import numpy as np
 
-from circlift.complexes import Chain, Cochain, FilteredComplex, Simplex
-from circlift.errors import EmptyInput
+from circlift.complexes import Chain, Cochain, FilteredComplex, GF, Simplex, face_signs
+from circlift.errors import EmptyInput, NoDualCycle
 from circlift.fields import inv_mod
+from circlift.persistence import _prefix_length
 from circlift.snf import smith_normal_form
 
 
@@ -208,3 +211,61 @@ def rank_integer(matrix) -> int:
         return 0
     S, _, _ = smith_normal_form(matrix)
     return sum(1 for i in range(min(m, n)) if S[i][i])
+
+
+def reference_cycle_representative(cx, p, pair) -> Chain:
+    """A homology cycle at the pair's representative scale that pairs
+    nonzero (mod p) with the pair's cocycle.
+
+    Cycles are read off a boundary-matrix reduction at the scale: every
+    column that reduces to zero yields an explicit cycle through the
+    recorded column operations. The column of the pair's birth simplex is
+    the natural candidate; all cycle columns are scanned before giving up.
+    """
+    if pair.representative_cocycle.complex is not cx:
+        raise ValueError("pair was computed on a different complex")
+    q = p.p
+    m = pair.dimension
+    if m < 1:
+        raise NoDualCycle("degree-0 pairs carry no dual cycle",
+                          operation="persistence.cycle_representative")
+    n = _prefix_length(cx, m, pair.scale)
+    signs = [sign % q for sign in face_signs(m)]
+    columns = [dict(zip(row, signs)) for row in cx.face_table(m)[:n].tolist()]
+    combos = [{i: 1} for i in range(n)]
+    low_to_col: dict[int, int] = {}
+    cycles: dict[int, dict[int, int]] = {}
+    for j, col in enumerate(columns):
+        combo = combos[j]
+        while col:
+            low = max(col)
+            other = low_to_col.get(low)
+            if other is None:
+                break
+            factor = (col[low] * inv_mod(columns[other][low], q)) % q
+            for target, source in ((col, columns[other]), (combo, combos[other])):
+                for i, v in source.items():
+                    nv = (target.get(i, 0) - factor * v) % q
+                    if nv:
+                        target[i] = nv
+                    else:
+                        target.pop(i, None)
+        if col:
+            low_to_col[max(col)] = j
+        else:
+            cycles[j] = combo
+
+    cocycle = pair.representative_cocycle.entries
+
+    def pairs_nonzero(candidate: dict[int, int]) -> bool:
+        total = sum(v * cocycle.get(i, 0) for i, v in candidate.items()) % q
+        return total != 0
+
+    birth_idx = cx.index(pair.birth_simplex) if len(pair.birth_simplex) - 1 == m else None
+    if birth_idx is not None and birth_idx in cycles and pairs_nonzero(cycles[birth_idx]):
+        return Chain(cx, m, GF(q), cycles[birth_idx])
+    for cycle in cycles.values():
+        if pairs_nonzero(cycle):
+            return Chain(cx, m, GF(q), cycle)
+    raise NoDualCycle("no reduced cycle pairs nonzero with the cocycle",
+                      operation="persistence.cycle_representative")

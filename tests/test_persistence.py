@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circlift import (OddPrime, apply_boundary, apply_coboundary,
-                      build_rips, cycle_representative, kronecker_pairing,
+                      build_from_simplices, build_rips, cycle_representative, kronecker_pairing,
                       persistent_cohomology, select_class)
 from circlift.errors import EmptyDiagram, NoDualCycle
 from circlift import ZZ
@@ -155,6 +155,41 @@ class TestRepresentatives:
             birth_simplex=(0, 1), death_simplex=None)
         with pytest.raises(NoDualCycle):
             cycle_representative(filled_triangle, OddPrime(7), fake)
+
+
+class TestScalePolicy:
+    """A square filled at 3 ([1, 3) and, with its diagonal, [2, 3)) next to a
+    triangle loop that is never filled ([1, inf))."""
+
+    @pytest.fixture
+    def diagram(self):
+        def at(scale):
+            cx = build_from_simplices(
+                [((0, 1), 1.0), ((1, 2), 1.0), ((2, 3), 1.0), ((0, 3), 1.0),
+                 ((0, 2), 2.0), ((0, 1, 2), 3.0), ((0, 2, 3), 3.0),
+                 ((4, 5), 1.0), ((5, 6), 1.0), ((4, 6), 1.0)])
+            dg = persistent_cohomology(cx, OddPrime(7), 1, scale_policy=scale)
+            pairs = {(pr.birth, pr.death): pr for pr in dg.pairs(1)}
+            assert sorted(pairs) == [(1.0, 3.0), (1.0, math.inf), (2.0, 3.0)]
+            return pairs
+        return at
+
+    def test_float_inside_a_finite_interval_is_used(self, diagram):
+        pair = diagram(1.5)[(1.0, 3.0)]
+        assert pair.scale == 1.5
+        assert pair.representative_cocycle == pair.cocycle_at(1.5)
+
+    def test_float_outside_an_interval_falls_back(self, diagram):
+        pairs = diagram(0.5)
+        assert pairs[(1.0, 3.0)].scale == 2.0
+        assert pairs[(2.0, 3.0)].scale == 2.5
+        assert pairs[(1.0, math.inf)].scale == 3.0
+
+    def test_essential_pair_uses_the_float(self, diagram):
+        pairs = diagram(2.5)
+        assert pairs[(1.0, math.inf)].scale == 2.5
+        assert pairs[(2.0, 3.0)].scale == 2.5
+        assert diagram(4.0)[(1.0, math.inf)].scale == 4.0
 
 
 class TestDiagramExports:

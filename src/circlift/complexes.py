@@ -189,6 +189,7 @@ class FilteredComplex:
         self.dimension = max(m for m, n in enumerate(counts) if n)
         self._verts, self._filt, self._faces = [], [], []
         self._keys, self._lex = [], []      # sorted keys; key rank -> index
+        self._prefixes, self._forests = {}, {}
         for m in range(self.dimension + 1):
             verts, filt = verts_by_dim[m], filt_by_dim[m]
             order = np.argsort(filt, kind="stable")
@@ -294,11 +295,15 @@ class FilteredComplex:
 
     def restrict(self, max_filtration: float) -> "FilteredComplex":
         """Sublevel subcomplex of all simplices with filtration <= value: a
-        prefix of every dimension, sharing these arrays and lookup keys."""
+        prefix of every dimension, sharing these arrays and lookup keys.
+        Scales that keep the same prefix give the same object, so what is
+        built on it (its spanning forest) is built once."""
         counts = [int(np.searchsorted(f, max_filtration, side="right")) for f in self._filt]
         if not any(counts):
             raise EmptyInput(f"no simplices at scale {max_filtration}",
                              operation="complex.restrict")
+        if tuple(counts) in self._prefixes:
+            return self._prefixes[tuple(counts)]
         top = max(m for m, n in enumerate(counts) if n)
         for m in range(1, top + 1):
             # a face may sit up to 1e-12 above its coface, beyond the cut
@@ -311,6 +316,8 @@ class FilteredComplex:
         sub._verts, sub._filt, sub._faces = (
             [arr[:n] for arr, n in zip(store, counts[:top + 1])]
             for store in (self._verts, self._filt, self._faces))
+        sub._prefixes, sub._forests = {}, {}
+        self._prefixes[tuple(counts)] = sub
         return sub
 
     def boundary_faces(self, s: Simplex) -> list[tuple[int, int]]:
@@ -465,8 +472,16 @@ def spanning_forest(cx: FilteredComplex, root: int | None = None
     order. Returns the roots and the tree edges in visit order as
     (parent, child, edge index, sign), where sign is +1 when the child is
     the edge's second vertex; then f(child) - f(parent) = sign * (delta f)(edge)
-    for every 0-cochain f.
+    for every 0-cochain f. A complex never changes, so it keeps its forest
+    per root; callers share the returned lists and must not modify them.
     """
+    if root not in cx._forests:
+        cx._forests[root] = _breadth_first_forest(cx, root)
+    return cx._forests[root]
+
+
+def _breadth_first_forest(cx: FilteredComplex, root: int | None
+                          ) -> tuple[list[int], list[tuple[int, int, int, int]]]:
     n = cx.n_vertices
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     # column 0 of an edge's face row omits its first vertex a, so holds b
@@ -534,13 +549,14 @@ class _SimplexVector:
         if not 0 <= dim <= complex.dimension + 1:
             raise DimensionOutOfRange(f"degree {dim} not present",
                                       operation="complex.vector")
-        n = complex.n_simplices(dim)
+        n, zero = complex.n_simplices(dim), ring.zero
         clean: dict[int, object] = {}
         for idx, coeff in entries.items():
             if not 0 <= idx < n:
                 raise ValueError(f"simplex index {idx} out of range in degree {dim}")
+            # normalize is idempotent, so this is ring.is_zero(v)
             v = ring.normalize(coeff)
-            if not ring.is_zero(v):
+            if v != zero:
                 clean[int(idx)] = v
         self.complex = complex
         self.dim = int(dim)

@@ -32,12 +32,19 @@ class SparsityRow:
         return self.non_liftable / self.samples
 
 
+# scalar-residue cells of the good-residue table built at once
+_TABLE_CELLS = 1 << 21
+
+
 def _count_non_liftable(p: int, n: int, k: int, samples: int, seed: int) -> int:
     """Sampled lines {r v} in F_p^n with no scalar placing all coordinates
     within floor((p-1)/k) in absolute value.
 
-    Only r <= (p-1)/2 is scanned (r and p-r give the same magnitudes);
-    resolved samples drop out, so the expected work per line is small.
+    Only r <= (p-1)/2 is scanned (r and p-r give the same magnitudes). A
+    table over residues x and scalars r marks |r x mod p| <= bound, bit-packed
+    along r; the rows a sample's coordinates select, ANDed, are nonzero
+    exactly when some r lifts it. Scalars go in blocks that double up to a
+    bounded table, and resolved samples drop out.
     """
     rng = np.random.default_rng([seed, p])
     bound = (p - 1) // k
@@ -48,15 +55,18 @@ def _count_non_liftable(p: int, n: int, k: int, samples: int, seed: int) -> int:
                                        dtype=np.int64)
         zero_rows = ~vecs.any(axis=1)
 
-    unresolved = np.arange(samples)
-    for r in range(1, (p - 1) // 2 + 1):
-        if unresolved.size == 0:
-            break
-        scaled = (vecs[unresolved] * r) % p
-        mags = np.minimum(scaled, p - scaled)
-        liftable = (mags <= bound).all(axis=1)
-        unresolved = unresolved[~liftable]
-    return int(unresolved.size)
+    residues = np.arange(p)[:, None]
+    lo, step, half = 1, 8, (p - 1) // 2
+    while lo <= half and len(vecs):
+        hi = min(lo + step, half + 1)
+        scaled = residues * np.arange(lo, hi) % p
+        good = np.packbits(np.minimum(scaled, p - scaled) <= bound, axis=1)
+        lifts = good[vecs[:, 0]]
+        for column in vecs[:, 1:].T:
+            lifts &= good[column]
+        vecs = vecs[~lifts.any(axis=1)]
+        lo, step = hi, max(step, min(2 * step, _TABLE_CELLS // p))
+    return len(vecs)
 
 
 def sparsity_sweep(n: int, prime_min: int, prime_max: int,

@@ -1,12 +1,30 @@
 """Persistent cohomology over F_p with representative cocycles.
 
-The reduction maintains one live cocycle per unpaired simplex and processes
-simplices in filtration order (faces before cofaces). When a new simplex
-evaluates nonzero against some live cocycles of one degree lower, the
-youngest of them dies and absorbs the others; its value just before death is
-the representative for the finite interval. Cocycles still alive at the end
-give the essential intervals. The dual 1-cycle of a class is a fundamental
-cycle of the spanning forest at the representative scale.
+The pairing and the representatives are those of the cohomology reduction
+of de Silva, Morozov and Vejdemo-Johansson ("Dualities in persistent
+(co)homology", 2011) over the simplexwise order (filtration, dimension,
+index): one live cocycle per unpaired simplex, and when a simplex evaluates
+nonzero on some live cocycles one degree lower, the youngest of them dies
+and the others absorb it. Only the simplices that change a cocycle are
+visited one by one:
+
+- Degree 0 is union-find over the edges in index order. An edge that joins
+  two components kills the younger; every live 0-cocycle is the indicator
+  of its component, so every other edge evaluates to zero.
+- In degree d >= 1 the births are the d-simplices that are not deaths of
+  degree d-1. A birth and its earliest cofacet form an apparent pair (Bauer,
+  "Ripser", 2021) when the birth is that cofacet's latest facet; its
+  cocycle is the birth alone until the cofacet kills it.
+- Every other birth carries a long cocycle. One pass over the apparent
+  simplices extends all of them at once, since a cocycle's coboundary
+  vanishes on each apparent cofacet, and absorptions combine the extended
+  vectors linearly. A long cocycle dies at the first non-apparent
+  (d+1)-simplex on which it, or an older one, is nonzero, found by
+  evaluating coboundaries in bounded chunks.
+
+Diagrams and representatives are exactly those of the per-simplex loop,
+which the tests keep as their oracle. The dual 1-cycle of a class is a
+fundamental cycle of the spanning forest at the representative scale.
 """
 
 from __future__ import annotations
@@ -51,10 +69,12 @@ class PersistencePair:
     def cocycle_at(self, scale: float) -> Cochain:
         """Restriction of the representative to the sublevel complex at
         ``scale`` (entries on later simplices are dropped)."""
-        cx = self.cocycle_below_death.complex
-        n = _prefix_length(cx, self.dimension, scale)
-        kept = {i: v for i, v in self.cocycle_below_death.entries.items() if i < n}
-        return Cochain(cx, self.dimension, self.cocycle_below_death.ring, kept)
+        full = self.cocycle_below_death
+        n = _prefix_length(full.complex, self.dimension, scale)
+        if max(full.entries, default=-1) < n:
+            return full
+        kept = {i: v for i, v in full.entries.items() if i < n}
+        return Cochain(full.complex, self.dimension, full.ring, kept)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -107,16 +127,8 @@ def _prefix_length(cx: FilteredComplex, m: int, scale: float) -> int:
     return int(np.searchsorted(cx.filtration_values(m), scale, side="right"))
 
 
-def _simplex_stream(cx: FilteredComplex, top_dim: int):
-    """(filtration, dimension, index) of all simplices of dimension <=
-    top_dim in (filtration, dim, lex) order, which puts faces before
-    cofaces; each dimension is in (filtration, lex) order already."""
-    dims = range(min(top_dim, cx.dimension) + 1)
-    filt = np.concatenate([cx.filtration_values(m) for m in dims])
-    dim = np.concatenate([np.full(cx.n_simplices(m), m) for m in dims])
-    idx = np.concatenate([np.arange(cx.n_simplices(m)) for m in dims])
-    order = np.lexsort((dim, filt))
-    return zip(filt[order].tolist(), dim[order].tolist(), idx[order].tolist())
+# cofacet values evaluated at once while searching for long deaths
+_EVAL_CHUNK = 1 << 18
 
 
 def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
@@ -133,70 +145,18 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     if max_dim > cx.dimension:
         raise ValueError(f"max_dim {max_dim} exceeds complex dimension {cx.dimension}")
     q = p.p
-
-    faces = [cx.face_table(d) for d in range(max_dim + 2)]
-    signs = [face_signs(d) for d in range(max_dim + 2)]
-    # a cocycle's id is the stream position of its birth simplex
-    live: dict[int, dict[int, int]] = {}          # cocycle id -> support map
-    born: dict[int, tuple[float, int, int]] = {}  # filtration, dimension, index
-    by_simplex: dict[tuple[int, int], set[int]] = {}   # (dim, idx) -> cocycle ids
-    finished: list[tuple] = []
-
-    def attach(cid: int, d: int, idx: int) -> None:
-        by_simplex.setdefault((d, idx), set()).add(cid)
-
-    def detach(cid: int, d: int, idx: int) -> None:
-        group = by_simplex.get((d, idx))
-        if group is not None:
-            group.discard(cid)
-            if not group:
-                del by_simplex[(d, idx)]
-
-    for order, (f, d, idx) in enumerate(_simplex_stream(cx, max_dim + 1)):
-        if d > 0:
-            values: dict[int, int] = {}
-            for fidx, sign in zip(faces[d][idx].tolist(), signs[d]):
-                for cid in by_simplex.get((d - 1, fidx), ()):
-                    values[cid] = (values.get(cid, 0) + sign * live[cid][fidx]) % q
-            values = {cid: v for cid, v in values.items() if v}
-            if values:
-                # youngest nonzero evaluation dies; the rest absorb it
-                victim = max(values)
-                vb_filt, _, vb_idx = born[victim]
-                support = live[victim]
-                if f > vb_filt:
-                    finished.append((d - 1, vb_filt, f, dict(support), vb_idx, idx))
-                inv = inv_mod(values[victim], q)
-                for cid, v in values.items():
-                    if cid == victim:
-                        continue
-                    factor = (v * inv) % q
-                    target = live[cid]
-                    for fidx, w in support.items():
-                        nv = (target.get(fidx, 0) - factor * w) % q
-                        if nv:
-                            if fidx not in target:
-                                attach(cid, d - 1, fidx)
-                            target[fidx] = nv
-                        elif fidx in target:
-                            del target[fidx]
-                            detach(cid, d - 1, fidx)
-                for fidx in support:
-                    detach(victim, d - 1, fidx)
-                del live[victim], born[victim]
-                continue
-        if d <= max_dim:
-            live[order], born[order] = {idx: 1}, (f, d, idx)
-            attach(order, d, idx)
-
-    for cid, support in live.items():
-        f, d, idx = born[cid]
-        finished.append((d, f, math.inf, dict(support), idx, None))
+    # (degree, birth index, death index or None, representative entries)
+    finished: list[tuple[int, int, int | None, dict[int, int]]] = []
+    dead = _components(cx, finished)
+    for d in range(1, max_dim + 1):
+        dead = _reduce(cx, d, ~dead, q, finished)
 
     final_scale = cx.max_filtration()
     diagram = Diagram(prime=q, complex=cx)
     ring = GF(q)
-    for d, birth, death, support, bidx, didx in finished:
+    for d, bidx, didx, support in finished:
+        birth = float(cx.filtration_values(d)[bidx])
+        death = math.inf if didx is None else float(cx.filtration_values(d + 1)[didx])
         raw = Cochain(cx, d, ring, support)
         if scale_policy != "midpoint" and birth <= float(scale_policy) < death:
             scale = float(scale_policy)
@@ -215,6 +175,163 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     for pairs in diagram.pairs_by_dim.values():
         pairs.sort(key=lambda pr: (-pr.persistence, pr.birth, pr.birth_simplex))
     return diagram
+
+
+def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
+    """Degree 0 by union-find over the edges in index order. Returns which
+    edges join two components: the deaths of degree 0.
+
+    A component is named by its oldest vertex and its live 0-cocycle is its
+    indicator, which vanishes on every edge inside a component. An edge
+    that joins two components kills the younger one, whose indicator is the
+    representative, and the older one absorbs it into the indicator of the
+    union.
+    """
+    f_v, f_e = cx.filtration_values(0).tolist(), cx.filtration_values(1).tolist()
+    root = list(range(cx.n_vertices))
+    members = [[v] for v in root]
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    merges, components = np.zeros(len(f_e), dtype=bool), len(root)
+    # column 0 of an edge's face row omits its first vertex a, so holds b
+    for j, (b, a) in enumerate(cx.face_table(1).tolist()):
+        if components == 1:
+            break
+        old, young = sorted((find(a), find(b)))
+        if old == young:
+            continue
+        merges[j], root[young], components = True, old, components - 1
+        if f_e[j] > f_v[young]:
+            finished.append((0, young, j, dict.fromkeys(members[young], 1)))
+        members[old] += members[young]
+    finished.extend((0, v, None, dict.fromkeys(members[v], 1))
+                    for v in range(len(root)) if root[v] == v)
+    return merges
+
+
+def _reduce(cx: FilteredComplex, d: int, births: np.ndarray, q: int,
+            finished: list) -> np.ndarray:
+    """Degree d >= 1: pair the births (a mask over the d-simplices) with
+    (d+1)-simplices. Returns which (d+1)-simplices are deaths.
+
+    A birth sigma whose earliest cofacet tau has sigma as its latest facet
+    is an apparent pair: {sigma: 1} is untouched until tau, where sigma is
+    the youngest live cocycle nonzero on tau.
+    """
+    up = cx.face_table(d + 1)
+    n_d, n_up = len(births), len(up)
+    f_d, f_up = cx.filtration_values(d), cx.filtration_values(d + 1)
+    earliest = np.full(n_d, n_up)
+    np.minimum.at(earliest, up.ravel(), np.repeat(np.arange(n_up), d + 2))
+    sigma = np.flatnonzero(births & (earliest < n_up))
+    tau = earliest[sigma]
+    apparent = up[tau].max(axis=1) == sigma
+    sigma, tau = sigma[apparent], tau[apparent]
+    dead = np.zeros(n_up, dtype=bool)
+    dead[tau] = True
+    shown = f_up[tau] > f_d[sigma]
+    finished.extend((d, s, t, {s: 1})
+                    for s, t in zip(sigma[shown].tolist(), tau[shown].tolist()))
+
+    # when a simplex enters the long cocycles: apparent ones at their tau,
+    # long births at once (-1), the rest never (n_up)
+    arrive = np.full(n_d, n_up)
+    arrive[sigma] = tau
+    long = np.flatnonzero(births & (arrive == n_up))
+    # a birth with no cofacet keeps {b: 1} and never dies
+    alone = earliest[long] == n_up
+    finished.extend((d, b, None, {b: 1}) for b in long[alone].tolist())
+    long = long[~alone]
+    arrive[long] = -1
+    if long.size:
+        _replay(cx, d, q, long, sigma, tau, arrive, dead, finished)
+    return dead
+
+
+def _replay(cx: FilteredComplex, d: int, q: int, long: np.ndarray, sigma: np.ndarray,
+            tau: np.ndarray, arrive: np.ndarray, dead: np.ndarray, finished: list) -> None:
+    """Run the long cocycles of degree d, one column of E each, born at the
+    ``long`` simplices (ascending): extend them over the apparent simplices,
+    then find their deaths among the other (d+1)-simplices, marking those
+    in ``dead``.
+
+    Between long deaths a live long cocycle equals its column of E
+    restricted to the simplices that have arrived, and it is nonzero on a
+    non-apparent (d+1)-simplex exactly when the coboundary of its column
+    is. Absorptions are linear, so they combine columns.
+    """
+    up, n_d = cx.face_table(d + 1), cx.n_simplices(d)
+    f_d, f_up = cx.filtration_values(d), cx.filtration_values(d + 1)
+    signs = np.array(face_signs(d + 1))
+    # row n_d stays zero; int64 holds every q^2 below 2^62 exactly
+    E = np.zeros((n_d + 1, len(long)), dtype=np.int64 if q < 1 << 31 else object)
+    E[long, np.arange(len(long))] = 1
+    _extend(E, up[tau], sigma, signs, q)
+
+    live = np.ones(len(long), dtype=bool)
+    todo = np.flatnonzero(~dead)
+    step = max(1, _EVAL_CHUNK // len(long))
+    for lo in range(0, len(todo), step):
+        if not live.any():
+            return
+        cols = np.flatnonzero(live)
+        values = E[:, cols]
+        chunk = todo[lo:lo + step]
+        # only simplices with a face in some live support can evaluate nonzero
+        chunk = chunk[(values != 0).any(axis=1)[up[chunk]].any(axis=1)]
+        faces = up[chunk]
+        at = sum(int(s) * values[faces[:, i]] for i, s in enumerate(signs)) % q
+        r = 0
+        while (hits := np.flatnonzero((at[r:] != 0).any(axis=1))).size:
+            r += int(hits[0])
+            row = at[r].copy()
+            nonzero = np.flatnonzero(row)
+            # the youngest dies; the older ones absorb it
+            victim, rho = nonzero[-1], int(chunk[r])
+            col, birth = int(cols[victim]), int(long[cols[victim]])
+            dead[rho], live[col] = True, False
+            if f_up[rho] > f_d[birth]:
+                finished.append((d, birth, rho, _entries(E, col, arrive < rho)))
+            inv = inv_mod(int(row[victim]), q)
+            for k in nonzero[:-1]:
+                factor = int(row[k]) * inv % q
+                E[:, cols[k]] = (E[:, cols[k]] - factor * E[:, col]) % q
+                at[:, k] = (at[:, k] - factor * at[:, victim]) % q
+            at[:, victim] = 0
+    for col in np.flatnonzero(live).tolist():
+        finished.append((d, int(long[col]), None, _entries(E, col, arrive < len(dead))))
+
+
+def _extend(E: np.ndarray, rows: np.ndarray, sigma: np.ndarray, signs: np.ndarray,
+            q: int) -> None:
+    """Set every column of E on each apparent sigma so that its coboundary
+    vanishes on sigma's tau (face rows ``rows``): E(sigma) = -sign_sigma *
+    the sum of sign_i E(face_i) over tau's other faces, which all come
+    earlier in index order. Rows go level by level: a simplex's level is
+    one more than the deepest level among those faces."""
+    if not sigma.size:
+        return
+    pos = rows.argmax(axis=1)
+    rows = rows.copy()
+    rows[np.arange(len(rows)), pos] = len(E) - 1      # sigma reads the zero row
+    level = [0] * len(E)
+    for s, faces in zip(sigma.tolist(), rows.tolist()):
+        level[s] = 1 + max([level[f] for f in faces])
+    depth = np.array(level)[sigma]
+    order = np.argsort(depth, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
+        total = sum(int(s) * E[rows[group, i]] for i, s in enumerate(signs))
+        E[sigma[group]] = -signs[pos[group], None] * total % q
+
+
+def _entries(E: np.ndarray, col: int, arrived: np.ndarray) -> dict[int, int]:
+    """Column ``col`` of E on the simplices in ``arrived``, as a support map."""
+    kept = np.flatnonzero((E[:-1, col] != 0) & arrived)
+    return dict(zip(kept.tolist(), E[kept, col].tolist()))
 
 
 def cycle_representative(cx: FilteredComplex, p: OddPrime,

@@ -5,9 +5,11 @@ and find it through a dict, the way the library did before it kept one
 face table per complex, and they reduce the full boundary matrix for the
 barcode. Slow, plain Python, and independent of the face table.
 ``reference_rips`` is the recursive clique expansion into a dict of tuples
-that ``build_rips`` replaced, and ``reference_cycle_representative`` the
+that ``build_rips`` replaced, ``reference_cycle_representative`` the
 boundary-matrix reduction with recorded column combinations that the
-spanning-forest dual cycle replaced.
+spanning-forest dual cycle replaced, and ``reference_persistent_cohomology``
+the per-simplex cohomology reduction that visits every simplex, which
+union-find, apparent pairs and the long-cocycle replay replaced.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from circlift.complexes import Chain, Cochain, FilteredComplex, GF, Simplex, face_signs
 from circlift.errors import EmptyInput, NoDualCycle
-from circlift.fields import inv_mod
-from circlift.persistence import _prefix_length
+from circlift.fields import OddPrime, inv_mod
+from circlift.persistence import Diagram, PersistencePair, _prefix_length
 from circlift.snf import smith_normal_form
 
 
@@ -269,3 +271,113 @@ def reference_cycle_representative(cx, p, pair) -> Chain:
             return Chain(cx, m, GF(q), cycle)
     raise NoDualCycle("no reduced cycle pairs nonzero with the cocycle",
                       operation="persistence.cycle_representative")
+
+
+def _simplex_stream(cx: FilteredComplex, top_dim: int):
+    """(filtration, dimension, index) of all simplices of dimension <=
+    top_dim in (filtration, dim, lex) order, which puts faces before
+    cofaces; each dimension is in (filtration, lex) order already."""
+    dims = range(min(top_dim, cx.dimension) + 1)
+    filt = np.concatenate([cx.filtration_values(m) for m in dims])
+    dim = np.concatenate([np.full(cx.n_simplices(m), m) for m in dims])
+    idx = np.concatenate([np.arange(cx.n_simplices(m)) for m in dims])
+    order = np.lexsort((dim, filt))
+    return zip(filt[order].tolist(), dim[order].tolist(), idx[order].tolist())
+
+
+def reference_persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
+                                    scale_policy: str | float = "midpoint") -> Diagram:
+    """Persistence diagram over F_p with representative cocycles in
+    dimensions 0..max_dim.
+
+    ``scale_policy`` fixes where representatives are restricted. A float s
+    is used for every pair with birth <= s < death, essential pairs
+    included. Otherwise, and always under "midpoint" (the default), a finite
+    interval uses (birth+death)/2 and an essential one the final scale of
+    the complex.
+    """
+    if max_dim > cx.dimension:
+        raise ValueError(f"max_dim {max_dim} exceeds complex dimension {cx.dimension}")
+    q = p.p
+
+    faces = [cx.face_table(d) for d in range(max_dim + 2)]
+    signs = [face_signs(d) for d in range(max_dim + 2)]
+    # a cocycle's id is the stream position of its birth simplex
+    live: dict[int, dict[int, int]] = {}          # cocycle id -> support map
+    born: dict[int, tuple[float, int, int]] = {}  # filtration, dimension, index
+    by_simplex: dict[tuple[int, int], set[int]] = {}   # (dim, idx) -> cocycle ids
+    finished: list[tuple] = []
+
+    def attach(cid: int, d: int, idx: int) -> None:
+        by_simplex.setdefault((d, idx), set()).add(cid)
+
+    def detach(cid: int, d: int, idx: int) -> None:
+        group = by_simplex.get((d, idx))
+        if group is not None:
+            group.discard(cid)
+            if not group:
+                del by_simplex[(d, idx)]
+
+    for order, (f, d, idx) in enumerate(_simplex_stream(cx, max_dim + 1)):
+        if d > 0:
+            values: dict[int, int] = {}
+            for fidx, sign in zip(faces[d][idx].tolist(), signs[d]):
+                for cid in by_simplex.get((d - 1, fidx), ()):
+                    values[cid] = (values.get(cid, 0) + sign * live[cid][fidx]) % q
+            values = {cid: v for cid, v in values.items() if v}
+            if values:
+                # youngest nonzero evaluation dies; the rest absorb it
+                victim = max(values)
+                vb_filt, _, vb_idx = born[victim]
+                support = live[victim]
+                if f > vb_filt:
+                    finished.append((d - 1, vb_filt, f, dict(support), vb_idx, idx))
+                inv = inv_mod(values[victim], q)
+                for cid, v in values.items():
+                    if cid == victim:
+                        continue
+                    factor = (v * inv) % q
+                    target = live[cid]
+                    for fidx, w in support.items():
+                        nv = (target.get(fidx, 0) - factor * w) % q
+                        if nv:
+                            if fidx not in target:
+                                attach(cid, d - 1, fidx)
+                            target[fidx] = nv
+                        elif fidx in target:
+                            del target[fidx]
+                            detach(cid, d - 1, fidx)
+                for fidx in support:
+                    detach(victim, d - 1, fidx)
+                del live[victim], born[victim]
+                continue
+        if d <= max_dim:
+            live[order], born[order] = {idx: 1}, (f, d, idx)
+            attach(order, d, idx)
+
+    for cid, support in live.items():
+        f, d, idx = born[cid]
+        finished.append((d, f, math.inf, dict(support), idx, None))
+
+    final_scale = cx.max_filtration()
+    diagram = Diagram(prime=q, complex=cx)
+    ring = GF(q)
+    for d, birth, death, support, bidx, didx in finished:
+        raw = Cochain(cx, d, ring, support)
+        if scale_policy != "midpoint" and birth <= float(scale_policy) < death:
+            scale = float(scale_policy)
+        elif math.isinf(death):
+            scale = final_scale
+        else:
+            scale = (birth + death) / 2.0
+        pair = PersistencePair(
+            dimension=d, birth=birth, death=death, scale=scale,
+            representative_cocycle=raw, cocycle_below_death=raw,
+            birth_simplex=cx.simplex(d, bidx),
+            death_simplex=None if didx is None else cx.simplex(d + 1, didx))
+        pair.representative_cocycle = pair.cocycle_at(scale)
+        diagram.pairs_by_dim.setdefault(d, []).append(pair)
+
+    for pairs in diagram.pairs_by_dim.values():
+        pairs.sort(key=lambda pr: (-pr.persistence, pr.birth, pr.birth_simplex))
+    return diagram

@@ -122,3 +122,16 @@ def test_winding_reduction_does_not_depend_on_the_dual_cycle(case, hexagon):
         assert a.division_trace == b.division_trace
         assert a.reduced_cocycle == b.reduced_cocycle
         assert a.coboundary_witness == b.coboundary_witness
+
+
+def test_one_forest_per_fit(monkeypatch):
+    # the dual cycle, the smoothing and the circular map all read the
+    # forest of the working complex, on a circle that forms one component
+    from circlift import complexes
+    builds = []
+    build = complexes._breadth_first_forest
+    monkeypatch.setattr(complexes, "_breadth_first_forest",
+                        lambda cx, root: builds.append(cx) or build(cx, root))
+    result = run_pipeline(points=sample_circle(30, 0.0, 2, seed=2)[0], prime=47)
+    assert builds == [result.working_complex]
+    assert result.complex.restrict(result.scale) is result.working_complex

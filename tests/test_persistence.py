@@ -1,18 +1,66 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circlift import (OddPrime, apply_boundary, apply_coboundary,
                       build_from_simplices, build_rips, cycle_representative, kronecker_pairing,
                       persistent_cohomology, select_class)
 from circlift.errors import EmptyDiagram, NoDualCycle
-from circlift import ZZ
+from circlift import ZZ, FilteredComplex
 from circlift.persistence import PersistencePair
 from circlift.experiments import sample_circle
 from conftest import random_complex
 from fplinalg import rank_mod, to_numpy_mod
-from oracles import persistent_homology_intervals, rank_integer
+from oracles import (persistent_homology_intervals, rank_integer,
+                     reference_persistent_cohomology)
+
+DIFFERENTIAL = settings(max_examples=150, deadline=None, database=None)
+PRIMES = st.sampled_from([3, 5, 7, 47])
+POLICIES = st.sampled_from(["midpoint", 0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
+
+
+def assert_same_as_reference(cx, p: int, max_dim: int, scale_policy="midpoint"):
+    """Identical diagram JSON, birth and death simplices and unrestricted
+    cocycles as the per-simplex reduction."""
+    new = persistent_cohomology(cx, OddPrime(p), max_dim, scale_policy=scale_policy)
+    ref = reference_persistent_cohomology(cx, OddPrime(p), max_dim,
+                                          scale_policy=scale_policy)
+    assert new.to_json_dict() == ref.to_json_dict()
+    for a, b in zip(new.all_pairs(), ref.all_pairs()):
+        assert (a.birth_simplex, a.death_simplex) == (b.birth_simplex, b.death_simplex)
+        assert a.cocycle_below_death == b.cocycle_below_death
+    return new
+
+
+@st.composite
+def explicit_complexes(draw):
+    """Complexes up to dimension 3 with tied integer filtration values,
+    sparse enough to be disconnected; vertices may enter after 0."""
+    n = draw(st.integers(1, 8))
+    density = draw(st.sampled_from([3, 6, 9]))
+    late = draw(st.booleans())
+    table = {(i,): float(draw(st.integers(0, 2))) if late else 0.0 for i in range(n)}
+    for k in (2, 3, 4):
+        for s in combinations(range(n), k):
+            faces = [s[:i] + s[i + 1:] for i in range(k)]
+            if all(f in table for f in faces) and draw(st.integers(0, 9)) < density:
+                table[s] = max(table[f] for f in faces) + draw(st.integers(0, 2))
+    return FilteredComplex(table)
+
+
+@st.composite
+def grid_clouds(draw):
+    """Rips complexes of points on a coarse grid, so distances tie and
+    points repeat, with simplices up to dimension max_dim + 1."""
+    n = draw(st.integers(1, 9))
+    coords = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=n, max_size=n))
+    threshold = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    max_dim = draw(st.integers(1, 2))
+    return build_rips(np.array(coords, dtype=float), threshold, max_dim + 1), max_dim
 
 
 class TestDiagrams:
@@ -73,6 +121,71 @@ class TestDiagrams:
             dg = persistent_cohomology(cx, OddPrime(3), min(1, cx.dimension))
             for pr in dg.all_pairs():
                 assert pr.birth < pr.death
+
+
+class TestAgainstReference:
+    """The union-find, apparent-pair and long-cocycle kernel against the
+    per-simplex reduction it replaced."""
+
+    @DIFFERENTIAL
+    @given(explicit_complexes(), PRIMES, POLICIES, st.integers(0, 2))
+    def test_explicit_complexes(self, cx, p, policy, max_dim):
+        assert_same_as_reference(cx, p, min(max_dim, cx.dimension), policy)
+
+    @DIFFERENTIAL
+    @given(grid_clouds(), PRIMES, POLICIES)
+    def test_rips_grid_clouds(self, cloud, p, policy):
+        cx, max_dim = cloud
+        assert_same_as_reference(cx, p, min(max_dim, cx.dimension), policy)
+
+    def test_random_complexes(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            cx = random_complex(rng, n_max=12, n_min=1)
+            assert_same_as_reference(cx, int(rng.choice([3, 5, 7, 47])),
+                                     int(rng.integers(0, cx.dimension + 1)))
+
+    def test_merge_edges_are_never_births(self):
+        # (0, 1) and (0, 2) merge and are faces of the earliest triangle,
+        # whose latest facet (1, 2) is its apparent partner; the bridge
+        # (2, 3) merges and has no cofacet at all. No merge edge can be the
+        # latest facet of a simplex: the earlier facets already bound it.
+        cx = build_from_simplices([((v,), 0.0) for v in range(4)] + [
+            ((0, 1), 1.0), ((0, 2), 1.0), ((1, 2), 2.0), ((0, 1, 2), 3.0), ((2, 3), 4.0)])
+        dg = assert_same_as_reference(cx, 7, 1)
+        assert [(pr.birth_simplex, pr.death_simplex) for pr in dg.pairs(1)] == \
+            [((1, 2), (0, 1, 2))]
+        assert sorted(pr.death_simplex for pr in dg.pairs(0) if pr.death_simplex) == \
+            [(0, 1), (0, 2), (2, 3)]
+
+    def test_apparent_pair_of_zero_persistence_is_not_reported(self):
+        flat = build_from_simplices([((0, 1, 2), 1.0)])
+        assert assert_same_as_reference(flat, 5, 1).pairs(1) == []
+        raised = build_from_simplices([((0, 1), 1.0), ((0, 2), 1.0), ((1, 2), 1.0),
+                                       ((0, 1, 2), 2.0)])
+        (pair,) = assert_same_as_reference(raised, 5, 1).pairs(1)
+        assert pair.death_simplex == (0, 1, 2)
+        assert pair.representative_cocycle.to_json_dict()["entries"] == [[[1, 2], "1"]]
+
+    def test_essential_long_class(self):
+        # an annulus between the triangles 012 and 345: the birth of the
+        # essential class has cofacets but no apparent partner, so its
+        # cocycle is extended over the apparent edges
+        tris = [(0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (0, 2, 3), (2, 3, 5)]
+        cx = build_from_simplices([(t, 2.0 + i % 3) for i, t in enumerate(tris)]
+                                  + [((0, 1), 1.0), ((1, 2), 1.0), ((0, 2), 1.0)])
+        dg = assert_same_as_reference(cx, 47, 1)
+        (essential,) = [pr for pr in dg.pairs(1) if math.isinf(pr.death)]
+        up = cx.face_table(2)
+        assert (up == cx.index(essential.birth_simplex)).any()
+        assert len(essential.representative_cocycle.entries) > 1
+
+    @pytest.mark.parametrize("seed, p", [(1, 47), (2, 47), (1, 1099511627791)])
+    def test_circle_cone(self, seed, p):
+        # the last prime's square overflows int64
+        pts, _ = sample_circle(24, 0.0, 3, seed=seed)
+        cx = build_rips(pts, 2.0, 3)
+        assert_same_as_reference(cx, p, 2)
 
 
 class TestBarcodeOracle:

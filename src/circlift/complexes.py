@@ -152,6 +152,9 @@ class FilteredComplex:
     one sorted key per simplex: the key rank of its face omitting the last
     vertex, times the number of vertices, plus the rank of the last vertex.
     Those keys sort like the rows, lexicographically.
+
+    ``distances`` is None, except on a Rips 1-skeleton from `rips_skeleton`:
+    there it is the distance matrix, and the triangles are implied by it.
     """
 
     def __init__(self, simplices_with_filtration: Mapping[Simplex, float]):
@@ -190,6 +193,7 @@ class FilteredComplex:
         self._verts, self._filt, self._faces = [], [], []
         self._keys, self._lex = [], []      # sorted keys; key rank -> index
         self._prefixes, self._forests = {}, {}
+        self.distances = None
         for m in range(self.dimension + 1):
             verts, filt = verts_by_dim[m], filt_by_dim[m]
             order = np.argsort(filt, kind="stable")
@@ -296,12 +300,16 @@ class FilteredComplex:
     def restrict(self, max_filtration: float) -> "FilteredComplex":
         """Sublevel subcomplex of all simplices with filtration <= value: a
         prefix of every dimension, sharing these arrays and lookup keys.
-        Scales that keep the same prefix give the same object, so what is
-        built on it (its spanning forest) is built once."""
+        Scales that keep the same prefix give the same object, and one that
+        keeps everything gives this complex, so what is built on it (its
+        spanning forest) is built once. A skeleton's restriction keeps its
+        distances, and its implied triangles are those among its edges."""
         counts = [int(np.searchsorted(f, max_filtration, side="right")) for f in self._filt]
         if not any(counts):
             raise EmptyInput(f"no simplices at scale {max_filtration}",
                              operation="complex.restrict")
+        if counts == [len(f) for f in self._filt]:
+            return self
         if tuple(counts) in self._prefixes:
             return self._prefixes[tuple(counts)]
         top = max(m for m, n in enumerate(counts) if n)
@@ -316,7 +324,7 @@ class FilteredComplex:
         sub._verts, sub._filt, sub._faces = (
             [arr[:n] for arr, n in zip(store, counts[:top + 1])]
             for store in (self._verts, self._filt, self._faces))
-        sub._prefixes, sub._forests = {}, {}
+        sub._prefixes, sub._forests, sub.distances = {}, {}, self.distances
         self._prefixes[tuple(counts)] = sub
         return sub
 
@@ -425,19 +433,26 @@ def pairwise_distances(points) -> np.ndarray:
 
 
 def build_rips(points, threshold: float, max_dim: int) -> FilteredComplex:
-    """Vietoris-Rips complex of a point cloud under the Euclidean metric.
+    """Vietoris-Rips complex of a point cloud under the Euclidean metric:
+    `rips_from_distances` of its `pairwise_distances`."""
+    return rips_from_distances(pairwise_distances(points), threshold, max_dim)
+
+
+def rips_from_distances(dist: np.ndarray, threshold: float, max_dim: int) -> FilteredComplex:
+    """Vietoris-Rips complex of a symmetric distance matrix with a zero
+    diagonal, point i being vertex i.
 
     Contains every simplex on at most max_dim+1 points whose pairwise
     distances are all <= threshold; the filtration value of a simplex is the
     maximum pairwise distance among its vertices (its diameter). Cliques
     grow one dimension at a time on arrays: each m-simplex is extended by
-    every larger vertex adjacent to all of its vertices.
+    every larger vertex adjacent to all of its vertices. The complex at a
+    scale s <= t is bitwise the sublevel complex at s of the one at t.
     """
     if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
         raise ValueError(f"max_dim must be an integer >= 1, got {max_dim!r}")
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0 and not NaN, got {threshold}")
-    dist = pairwise_distances(points)
     n = len(dist)
     if n == 0:
         raise EmptyInput("no points", operation="complex.build_rips")
@@ -460,6 +475,18 @@ def build_rips(points, threshold: float, max_dim: int) -> FilteredComplex:
         filt.append(np.concatenate(grown_filt))
     cx = object.__new__(FilteredComplex)
     cx._init_arrays(verts, filt)
+    return cx
+
+
+def rips_skeleton(dist: np.ndarray, threshold: float) -> FilteredComplex:
+    """The 1-skeleton of the Rips complex of ``dist`` at ``threshold``,
+    keeping the matrix as ``distances``. Its triangles are implied rather
+    than stored: persistence reads the cofacets of an edge from the matrix,
+    so the skeleton's diagram up to degree 1 is that of
+    ``rips_from_distances(dist, threshold, 2)``, and that call at a smaller
+    scale builds any of its sublevel complexes."""
+    cx = rips_from_distances(dist, threshold, 1)
+    cx.distances = dist
     return cx
 
 

@@ -22,6 +22,11 @@ visited one by one:
   (d+1)-simplex on which it, or an older one, is nonzero, found by
   evaluating coboundaries in bounded chunks.
 
+The (d+1)-simplices are read through a cofacet source: the complex's face
+table, or on a Rips 1-skeleton the distance matrix, which gives the
+triangles without building them. Both name a simplex by its key,
+(filtration, a code that orders ties lexicographically).
+
 Diagrams and representatives are exactly those of the per-simplex loop,
 which the tests keep as their oracle. The dual 1-cycle of a class is a
 fundamental cycle of the spanning forest at the representative scale.
@@ -130,11 +135,28 @@ def _prefix_length(cx: FilteredComplex, m: int, scale: float) -> int:
 # cofacet values evaluated at once while searching for long deaths
 _EVAL_CHUNK = 1 << 18
 
+# A (d+1)-simplex is found by its key: the filtration, then a code that
+# orders ties lexicographically (its index in a complex, or the vertex code
+# of an implied triangle). _FIRST precedes every key and _NEVER follows it.
+_KEY = np.dtype([("f", float), ("c", np.int64)])
+_FIRST = np.array((-np.inf, -1), dtype=_KEY)[()]
+_NEVER = np.array((np.inf, np.iinfo(np.int64).max), dtype=_KEY)[()]
+
+
+def _before(a, b) -> np.ndarray:
+    """Whether key a comes before key b, elementwise."""
+    return (a["f"] < b["f"]) | ((a["f"] == b["f"]) & (a["c"] < b["c"]))
+
 
 def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
                           scale_policy: str | float = "midpoint") -> Diagram:
     """Persistence diagram over F_p with representative cocycles in
     dimensions 0..max_dim.
+
+    On a Rips 1-skeleton (see `complexes.rips_skeleton`) the triangles are
+    read from its distance matrix: the diagram is that of the Rips complex
+    with its triangles, and death simplices are triangles the skeleton does
+    not store.
 
     ``scale_policy`` fixes where representatives are restricted. A float s
     is used for every pair with birth <= s < death, essential pairs
@@ -145,18 +167,24 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     if max_dim > cx.dimension:
         raise ValueError(f"max_dim {max_dim} exceeds complex dimension {cx.dimension}")
     q = p.p
-    # (degree, birth index, death index or None, representative entries)
-    finished: list[tuple[int, int, int | None, dict[int, int]]] = []
-    dead = _components(cx, finished)
+    # (degree, birth index, (death value, death simplex) or None, entries)
+    finished: list[tuple[int, int, tuple | None, dict[int, int]]] = []
+    births = ~_components(cx, finished)
     for d in range(1, max_dim + 1):
-        dead = _reduce(cx, d, ~dead, q, finished)
+        # a skeleton's top-degree cofacets are implied by its distances
+        source = (_RipsTriangles(cx) if cx.distances is not None and d == cx.dimension
+                  else _FaceTable(cx, d))
+        deaths = _reduce(source, d, births, cx.filtration_values(d), q, finished)
+        if d < max_dim:
+            births = np.ones(cx.n_simplices(d + 1), dtype=bool)
+            births[deaths["c"]] = False
 
     final_scale = cx.max_filtration()
     diagram = Diagram(prime=q, complex=cx)
     ring = GF(q)
-    for d, bidx, didx, support in finished:
+    for d, bidx, died, support in finished:
         birth = float(cx.filtration_values(d)[bidx])
-        death = math.inf if didx is None else float(cx.filtration_values(d + 1)[didx])
+        death, death_simplex = (math.inf, None) if died is None else died
         raw = Cochain(cx, d, ring, support)
         if scale_policy != "midpoint" and birth <= float(scale_policy) < death:
             scale = float(scale_policy)
@@ -167,8 +195,7 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
         pair = PersistencePair(
             dimension=d, birth=birth, death=death, scale=scale,
             representative_cocycle=raw, cocycle_below_death=raw,
-            birth_simplex=cx.simplex(d, bidx),
-            death_simplex=None if didx is None else cx.simplex(d + 1, didx))
+            birth_simplex=cx.simplex(d, bidx), death_simplex=death_simplex)
         pair.representative_cocycle = pair.cocycle_at(scale)
         diagram.pairs_by_dim.setdefault(d, []).append(pair)
 
@@ -206,96 +233,213 @@ def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
             continue
         merges[j], root[young], components = True, old, components - 1
         if f_e[j] > f_v[young]:
-            finished.append((0, young, j, dict.fromkeys(members[young], 1)))
+            finished.append((0, young, (f_e[j], cx.simplex(1, j)),
+                             dict.fromkeys(members[young], 1)))
         members[old] += members[young]
     finished.extend((0, v, None, dict.fromkeys(members[v], 1))
                     for v in range(len(root)) if root[v] == v)
     return merges
 
 
-def _reduce(cx: FilteredComplex, d: int, births: np.ndarray, q: int,
+class _FaceTable:
+    """The (d+1)-simplices of a complex as cofacets of its d-simplices,
+    read from the face table; a key's code is the simplex's index."""
+
+    def __init__(self, cx: FilteredComplex, d: int):
+        self.d, self.up = d, cx.face_table(d + 1)
+        self.filt, self.verts = cx.filtration_values(d + 1), cx.vertex_array(d + 1)
+
+    def _keys(self, index: np.ndarray) -> np.ndarray:
+        keys = np.empty(len(index), dtype=_KEY)
+        keys["f"], keys["c"] = self.filt[index], index
+        return keys
+
+    def earliest(self, n_d: int) -> np.ndarray:
+        """Key of each d-simplex's earliest cofacet, _NEVER for none."""
+        n_up = len(self.up)
+        first = np.full(n_d, n_up)
+        np.minimum.at(first, self.up.ravel(), np.repeat(np.arange(n_up), self.d + 2))
+        keys = np.full(n_d, _NEVER)
+        has = first < n_up
+        keys[has] = self._keys(first[has])
+        return keys
+
+    def faces(self, keys: np.ndarray) -> np.ndarray:
+        return self.up[keys["c"]]
+
+    def vertices(self, keys: np.ndarray) -> np.ndarray:
+        return self.verts[keys["c"]]
+
+    def cofacets(self, support: np.ndarray, after, arrive: np.ndarray, step: int):
+        """Chunks (keys, face rows), in key order, of the (d+1)-simplices
+        after ``after`` with a face in ``support``, skipping the apparent
+        ones (an apparent simplex is the key in ``arrive`` of its latest
+        face)."""
+        for lo in range(int(after["c"]) + 1, len(self.up), step):
+            chunk = np.arange(lo, min(lo + step, len(self.up)))
+            faces = self.up[chunk]
+            keep = support[faces].any(axis=1) & (arrive["c"][faces.max(axis=1)] != chunk)
+            if keep.any():
+                yield self._keys(chunk[keep]), faces[keep]
+
+
+class _RipsTriangles:
+    """The triangles of a Rips 1-skeleton as cofacets of its edges, read
+    from its distance matrix. The cofacets of edge (a, b) are the common
+    neighbours c; the filtration of {a, b, c} is its largest distance, the
+    filtration of its latest edge; its code (x*n + y)*n + z over its sorted
+    vertices x < y < z orders ties lexicographically, so for one edge the
+    cofacets come in the order of c."""
+
+    def __init__(self, cx: FilteredComplex):
+        self.dist, self.n = cx.distances, cx.n_vertices
+        self.edges, self.filt = cx.vertex_array(1), cx.filtration_values(1)
+        # index of the edge on each pair of vertices, len(edges) for none
+        self.edge = np.full((self.n, self.n), len(self.edges),
+                            dtype=np.int32 if len(self.edges) < 1 << 31 else np.int64)
+        a, b = self.edges.T
+        self.edge[a, b] = self.edge[b, a] = np.arange(len(self.edges))
+        self.adjacent = self.edge < len(self.edges)
+
+    def earliest(self, n_d: int) -> np.ndarray:
+        """Key of each edge's earliest cofacet: the first c of least
+        filtration; _NEVER for an edge in no triangle."""
+        keys, width = np.full(n_d, _NEVER), max(1, _EVAL_CHUNK // self.n)
+        for lo in range(0, n_d, width):
+            a, b = self.edges[lo:lo + width].T
+            g = np.maximum(self.dist[a], self.dist[b])
+            np.maximum(g, self.filt[lo:lo + len(a), None], out=g)
+            g[~(self.adjacent[a] & self.adjacent[b])] = np.inf
+            c = g.argmin(axis=1)
+            has = np.flatnonzero(self.adjacent[a, c] & self.adjacent[b, c])
+            keys["f"][lo + has] = g[has, c[has]]
+            keys["c"][lo + has] = self._code(a[has], b[has], c[has])
+        return keys
+
+    def _code(self, a, b, c) -> np.ndarray:
+        """Code of each triangle {a, b, c} with a < b."""
+        x, z = np.minimum(a, c), np.maximum(b, c)
+        return (x * self.n + (a + b + c - x - z)) * self.n + z
+
+    def vertices(self, keys: np.ndarray) -> np.ndarray:
+        n, code = self.n, keys["c"]
+        return np.stack([code // (n * n), code // n % n, code % n], axis=1)
+
+    def faces(self, keys: np.ndarray) -> np.ndarray:
+        x, y, z = self.vertices(keys).T
+        return np.stack([self.edge[y, z], self.edge[x, z], self.edge[x, y]], axis=1)
+
+    def cofacets(self, support: np.ndarray, after, arrive: np.ndarray, step: int):
+        """Chunks (keys, face rows), in key order, of the triangles after
+        ``after`` with an edge in ``support``, skipping the apparent ones
+        (an apparent triangle is the key in ``arrive`` of its latest edge).
+        Triangles are found by their latest edge j, a window of edges at a
+        time: the c whose edges to a and b both come before j."""
+        n, n_e = self.n, len(self.edges)
+        width = max(1, _EVAL_CHUNK // n)
+        near = support[self.edge]          # whether u and v share a support edge
+        lo = int(np.searchsorted(self.filt, after["f"]))
+        while lo < n_e:
+            # a window ends after a filtration value, so windows are in key order
+            hi = int(np.searchsorted(self.filt, self.filt[min(lo + width, n_e) - 1],
+                                     side="right"))
+            a, b = self.edges[lo:hi].T
+            j = np.arange(lo, hi)[:, None]
+            found = (self.edge[a] < j) & (self.edge[b] < j)
+            found &= near[a] | near[b] | support[lo:hi, None]
+            r, c = np.nonzero(found)
+            keys = np.empty(len(r), dtype=_KEY)
+            keys["f"], keys["c"] = self.filt[lo + r], self._code(a[r], b[r], c)
+            keep = (arrive["c"][lo + r] != keys["c"]) & _before(after, keys)
+            r, keys = r[keep], keys[keep]
+            # rows come by j, and one row's triangles in the order of c, so
+            # only ties of filtration between rows need sorting
+            tie = np.concatenate([[0], np.cumsum(np.diff(self.filt[lo:hi]) != 0)])
+            keys = keys[np.argsort(tie[r] * n ** 3 + keys["c"])]
+            for at in range(0, len(keys), step):
+                yield keys[at:at + step], self.faces(keys[at:at + step])
+            lo = hi
+
+
+def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,
             finished: list) -> np.ndarray:
     """Degree d >= 1: pair the births (a mask over the d-simplices) with
-    (d+1)-simplices. Returns which (d+1)-simplices are deaths.
+    (d+1)-simplices, read through ``source``. Returns the keys of the
+    (d+1)-simplices that are deaths.
 
     A birth sigma whose earliest cofacet tau has sigma as its latest facet
     is an apparent pair: {sigma: 1} is untouched until tau, where sigma is
     the youngest live cocycle nonzero on tau.
     """
-    up = cx.face_table(d + 1)
-    n_d, n_up = len(births), len(up)
-    f_d, f_up = cx.filtration_values(d), cx.filtration_values(d + 1)
-    earliest = np.full(n_d, n_up)
-    np.minimum.at(earliest, up.ravel(), np.repeat(np.arange(n_up), d + 2))
-    sigma = np.flatnonzero(births & (earliest < n_up))
+    n_d = len(births)
+    earliest = source.earliest(n_d)
+    sigma = np.flatnonzero(births & (earliest["c"] != _NEVER["c"]))
     tau = earliest[sigma]
-    apparent = up[tau].max(axis=1) == sigma
+    apparent = source.faces(tau).max(axis=1) == sigma
     sigma, tau = sigma[apparent], tau[apparent]
-    dead = np.zeros(n_up, dtype=bool)
-    dead[tau] = True
-    shown = f_up[tau] > f_d[sigma]
-    finished.extend((d, s, t, {s: 1})
-                    for s, t in zip(sigma[shown].tolist(), tau[shown].tolist()))
+    shown = tau["f"] > f_d[sigma]
+    finished.extend((d, s, (f, tuple(verts)), {s: 1}) for s, f, verts in zip(
+        sigma[shown].tolist(), tau["f"][shown].tolist(),
+        source.vertices(tau[shown]).tolist()))
 
     # when a simplex enters the long cocycles: apparent ones at their tau,
-    # long births at once (-1), the rest never (n_up)
-    arrive = np.full(n_d, n_up)
+    # long births at once (_FIRST), the rest never (_NEVER)
+    arrive = np.full(n_d, _NEVER)
     arrive[sigma] = tau
-    long = np.flatnonzero(births & (arrive == n_up))
+    long = np.flatnonzero(births & (arrive["c"] == _NEVER["c"]))
     # a birth with no cofacet keeps {b: 1} and never dies
-    alone = earliest[long] == n_up
+    alone = earliest["c"][long] == _NEVER["c"]
     finished.extend((d, b, None, {b: 1}) for b in long[alone].tolist())
     long = long[~alone]
-    arrive[long] = -1
-    if long.size:
-        _replay(cx, d, q, long, sigma, tau, arrive, dead, finished)
-    return dead
+    arrive[long] = _FIRST
+    if not long.size:
+        return tau
+    return np.concatenate([tau, _replay(source, d, f_d, q, long, sigma, tau, arrive,
+                                        finished)])
 
 
-def _replay(cx: FilteredComplex, d: int, q: int, long: np.ndarray, sigma: np.ndarray,
-            tau: np.ndarray, arrive: np.ndarray, dead: np.ndarray, finished: list) -> None:
+def _replay(source, d: int, f_d: np.ndarray, q: int, long: np.ndarray,
+            sigma: np.ndarray, tau: np.ndarray, arrive: np.ndarray,
+            finished: list) -> np.ndarray:
     """Run the long cocycles of degree d, one column of E each, born at the
     ``long`` simplices (ascending): extend them over the apparent simplices,
-    then find their deaths among the other (d+1)-simplices, marking those
-    in ``dead``.
+    then find their deaths among the other (d+1)-simplices, whose keys it
+    returns.
 
     Between long deaths a live long cocycle equals its column of E
     restricted to the simplices that have arrived, and it is nonzero on a
     non-apparent (d+1)-simplex exactly when the coboundary of its column
-    is. Absorptions are linear, so they combine columns.
+    is. Absorptions are linear, so they combine columns, and the values of
+    a chunk of simplices are updated with them rather than evaluated again.
     """
-    up, n_d = cx.face_table(d + 1), cx.n_simplices(d)
-    f_d, f_up = cx.filtration_values(d), cx.filtration_values(d + 1)
     signs = np.array(face_signs(d + 1))
     # row n_d stays zero; int64 holds every q^2 below 2^62 exactly
-    E = np.zeros((n_d + 1, len(long)), dtype=np.int64 if q < 1 << 31 else object)
+    E = np.zeros((len(arrive) + 1, len(long)), dtype=np.int64 if q < 1 << 31 else object)
     E[long, np.arange(len(long))] = 1
-    _extend(E, up[tau], sigma, signs, q)
+    _extend(E, source.faces(tau), sigma, signs, q)
 
-    live = np.ones(len(long), dtype=bool)
-    todo = np.flatnonzero(~dead)
+    live, deaths, after = np.ones(len(long), dtype=bool), [], _FIRST
     step = max(1, _EVAL_CHUNK // len(long))
-    for lo in range(0, len(todo), step):
-        if not live.any():
-            return
+    while after is not None and live.any():
         cols = np.flatnonzero(live)
         values = E[:, cols]
-        chunk = todo[lo:lo + step]
-        # only simplices with a face in some live support can evaluate nonzero
-        chunk = chunk[(values != 0).any(axis=1)[up[chunk]].any(axis=1)]
-        faces = up[chunk]
-        at = sum(int(s) * values[faces[:, i]] for i, s in enumerate(signs)) % q
+        # the zero row n_d stays out of the support
+        keys, at, after = _nonzero_cofacets(source, (values != 0).any(axis=1), after,
+                                            arrive, values, long[cols], signs, q, step)
         r = 0
         while (hits := np.flatnonzero((at[r:] != 0).any(axis=1))).size:
             r += int(hits[0])
             row = at[r].copy()
             nonzero = np.flatnonzero(row)
             # the youngest dies; the older ones absorb it
-            victim, rho = nonzero[-1], int(chunk[r])
+            victim, rho = nonzero[-1], keys[r]
             col, birth = int(cols[victim]), int(long[cols[victim]])
-            dead[rho], live[col] = True, False
-            if f_up[rho] > f_d[birth]:
-                finished.append((d, birth, rho, _entries(E, col, arrive < rho)))
+            live[col] = False
+            deaths.append(keys[r:r + 1])
+            if rho["f"] > f_d[birth]:
+                simplex = tuple(source.vertices(keys[r:r + 1])[0].tolist())
+                finished.append((d, birth, (float(rho["f"]), simplex),
+                                 _entries(E, col, _before(arrive, rho))))
             inv = inv_mod(int(row[victim]), q)
             for k in nonzero[:-1]:
                 factor = int(row[k]) * inv % q
@@ -303,7 +447,30 @@ def _replay(cx: FilteredComplex, d: int, q: int, long: np.ndarray, sigma: np.nda
                 at[:, k] = (at[:, k] - factor * at[:, victim]) % q
             at[:, victim] = 0
     for col in np.flatnonzero(live).tolist():
-        finished.append((d, int(long[col]), None, _entries(E, col, arrive < len(dead))))
+        finished.append((d, int(long[col]), None,
+                         _entries(E, col, arrive["c"] != _NEVER["c"])))
+    return np.concatenate(deaths or [np.empty(0, dtype=_KEY)])
+
+
+def _nonzero_cofacets(source, support: np.ndarray, after, arrive: np.ndarray,
+                      values: np.ndarray, born: np.ndarray, signs: np.ndarray, q: int,
+                      step: int):
+    """The first chunk of non-apparent (d+1)-simplices after ``after`` in
+    which some column of ``values`` has a nonzero coboundary: the keys of
+    those simplices, their coboundary values, and the last key of the
+    chunk; None for it when no simplex is left.
+
+    A column is zero below the simplex it was born at (ascending ``born``):
+    extension and absorption only add later simplices. So a chunk whose
+    faces all come before a column's birth is evaluated without it."""
+    for keys, faces in source.cofacets(support, after, arrive, step):
+        k = int(np.searchsorted(born, faces.max(), side="right"))
+        at = np.zeros((len(keys), values.shape[1]), dtype=values.dtype)
+        at[:, :k] = sum(int(s) * values[faces[:, i], :k] for i, s in enumerate(signs)) % q
+        hit = (at[:, :k] != 0).any(axis=1)
+        if hit.any():
+            return keys[hit], at[hit], keys[-1]
+    return np.empty(0, dtype=_KEY), np.empty((0, values.shape[1]), values.dtype), None
 
 
 def _extend(E: np.ndarray, rows: np.ndarray, sigma: np.ndarray, signs: np.ndarray,
@@ -344,14 +511,21 @@ def cycle_representative(cx: FilteredComplex, p: OddPrime,
     phi(b) - phi(a) gives the cycle: e plus the tree path from b back to a,
     coefficients +-1, which pairs to alpha(e) - (phi(b) - phi(a)). With no
     such edge alpha is an F_p coboundary, and ``NoDualCycle`` is raised.
+
+    ``cx`` is the complex the pair was computed on, or one with the same
+    vertices and edges up to the pair's scale, such as the working complex
+    at that scale; the cycle lives on ``cx``.
     """
-    if pair.representative_cocycle.complex is not cx:
-        raise ValueError("pair was computed on a different complex")
     if pair.dimension != 1:
         raise DimensionOutOfRange(
             f"dual cycles are computed in degree 1 only, got degree {pair.dimension}",
             operation="persistence.cycle_representative")
-    q, sub = p.p, cx.restrict(pair.scale)
+    q, sub, own = p.p, cx.restrict(pair.scale), pair.representative_cocycle.complex
+    if own is not cx and not all(
+            np.array_equal(sub.vertex_array(m),
+                           own.vertex_array(m)[:_prefix_length(own, m, pair.scale)])
+            for m in (0, 1)):
+        raise ValueError("pair was computed on a different complex")
     alpha = pair.representative_cocycle.to_array()
     tree, phi = forest_potential(sub, alpha, q)
     # column 0 of an edge's face row omits its first vertex a, so holds b

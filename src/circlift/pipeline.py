@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FilteredComplex, build_rips, pairwise_distances
+from .complexes import (FilteredComplex, build_rips, pairwise_distances,
+                        rips_from_distances, rips_skeleton)
 from .fields import OddPrime
 from .lifting import DEFAULT_SNF_CAP, LiftReport, lift_closed
 from .persistence import (Diagram, PersistencePair, cycle_representative,
@@ -45,7 +46,11 @@ class PipelineResult:
 def enclosing_radius(points) -> float:
     """min over points of the max distance to the rest: beyond this scale
     the Rips complex is a cone and carries no new classes."""
-    return float(pairwise_distances(points).max(axis=1).min())
+    return _cone_radius(pairwise_distances(points))
+
+
+def _cone_radius(dist) -> float:
+    return float(dist.max(axis=1).min())
 
 
 def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
@@ -58,27 +63,36 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
     """Run the full pipeline on a point cloud or a prebuilt complex.
 
     ``threshold="auto"`` builds the initial complex at the enclosing radius
-    and then works at the selected class's representative scale.
+    and then works at the selected class's representative scale. With
+    ``max_dim == 1`` the initial complex is the Rips 1-skeleton
+    (`rips_skeleton`), whose triangles persistence reads from the distance
+    matrix, and the working complex is the Rips complex at that scale, built
+    from the same matrix: bitwise the sublevel complex of the full one. The
+    matrix is computed once.
     """
     p = OddPrime(prime)
     if complex is None:
         if points is None:
             raise ValueError("need points or a complex")
-        t = enclosing_radius(points) if threshold == "auto" else float(threshold)
-        complex = build_rips(points, t, max_dim + 1)
+        if threshold == "auto":
+            dist = pairwise_distances(points)
+            t = _cone_radius(dist)
+            complex = (rips_skeleton(dist, t) if max_dim == 1
+                       else rips_from_distances(dist, t, max_dim + 1))
+        else:
+            complex = build_rips(points, float(threshold), max_dim + 1)
 
     diagram = persistent_cohomology(complex, p, max_dim, scale_policy=scale_policy)
     pair = select_class(diagram, class_strategy, dim=1)
-    cycle = cycle_representative(complex, p, pair)
+    scale = pair.scale
+    sub = (complex.restrict(scale) if complex.distances is None
+           else rips_from_distances(complex.distances, scale, 2))
+    cycle = cycle_representative(sub, p, pair)
     pair.representative_cycle = cycle
 
-    scale = pair.scale
-    sub = complex.restrict(scale)
     cocycle_p = pair.representative_cocycle.push_to(sub)
-    cycle_p = cycle.push_to(sub)
-
     cocycle_lift = lift_closed(cocycle_p, "cocycle", snf_cap=snf_cap)
-    cycle_lift = lift_closed(cycle_p, "cycle", snf_cap=snf_cap)
+    cycle_lift = lift_closed(cycle, "cycle", snf_cap=snf_cap)
 
     alpha = cocycle_lift.working_lift
     winding_report = None

@@ -12,6 +12,7 @@ from circlift import (Cochain, GF, OddPrime, ZZ, apply_boundary, apply_coboundar
 from circlift.errors import DimensionOutOfRange, NoDualCycle
 from circlift.experiments import sample_circle, sample_trefoil
 from circlift.persistence import PersistencePair
+from circlift.pipeline import enclosing_radius
 from conftest import random_complex
 from oracles import reference_cycle_representative
 
@@ -94,6 +95,19 @@ class TestAgainstReduction:
         assert cycle.entries == {last: 1, cx.index((0, 3)): 6, cx.index((0, 2)): 1}
         assert kronecker_pairing(alpha, cycle) % 7 == 3
 
+    def test_cycle_on_another_complex_with_the_same_edges(self):
+        # the working complex built at the scale holds the same edges as the
+        # pair's complex up to it; a complex with other edges is refused
+        pts, _ = sample_circle(20, 0.0, 2, seed=1)
+        cx, p = build_rips(pts, 2.0, 2), OddPrime(47)
+        pair = persistent_cohomology(cx, p, 1).pairs(1)[0]
+        sub = build_rips(pts, pair.scale, 2)
+        cycle = cycle_representative(sub, p, pair)
+        assert cycle.complex is sub
+        assert cycle.entries == cycle_representative(cx, p, pair).entries
+        with pytest.raises(ValueError, match="different complex"):
+            cycle_representative(build_rips(pts * 1.1, pair.scale, 2), p, pair)
+
 
 def lifted(cycle, sub):
     return lift_closed(cycle.push_to(sub), "cycle").working_lift
@@ -126,12 +140,22 @@ def test_winding_reduction_does_not_depend_on_the_dual_cycle(case, hexagon):
 
 def test_one_forest_per_fit(monkeypatch):
     # the dual cycle, the smoothing and the circular map all read the
-    # forest of the working complex, on a circle that forms one component
-    from circlift import complexes
-    builds = []
-    build = complexes._breadth_first_forest
+    # forest of the working complex, on a circle that forms one component;
+    # at threshold="auto" no triangles are built above the working scale
+    from circlift import FilteredComplex, complexes
+    builds, triangles = [], []
+    build, init = complexes._breadth_first_forest, FilteredComplex._init_arrays
     monkeypatch.setattr(complexes, "_breadth_first_forest",
                         lambda cx, root: builds.append(cx) or build(cx, root))
-    result = run_pipeline(points=sample_circle(30, 0.0, 2, seed=2)[0], prime=47)
+    monkeypatch.setattr(FilteredComplex, "_init_arrays", lambda cx, verts, filt: (
+        triangles.append(len(verts[2]) if len(verts) > 2 else 0), init(cx, verts, filt))[1])
+    points = sample_circle(30, 0.0, 2, seed=2)[0]
+    result = run_pipeline(points=points, prime=47)
     assert builds == [result.working_complex]
-    assert result.complex.restrict(result.scale) is result.working_complex
+    assert max(triangles) == result.working_complex.n_simplices(2)
+    sub = build_rips(points, enclosing_radius(points), 2).restrict(result.scale)
+    for m in range(3):
+        assert np.array_equal(sub.vertex_array(m), result.working_complex.vertex_array(m))
+        assert sub.filtration_values(m).tobytes() == \
+            result.working_complex.filtration_values(m).tobytes()
+        assert np.array_equal(sub.face_table(m), result.working_complex.face_table(m))

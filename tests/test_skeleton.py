@@ -1,0 +1,222 @@
+"""Persistence on a Rips 1-skeleton, whose triangles come from the distance
+matrix, against the face table of the Rips complex with its triangles; the
+working complex built at a scale against the sublevel complex of the full
+one; and a threshold="auto" fit against the same fit on the full complex."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from circlift import OddPrime, build_rips, persistent_cohomology, run_pipeline
+from circlift import complexes, persistence
+from circlift.complexes import pairwise_distances, rips_skeleton
+from circlift.experiments import sample_circle
+from circlift.pipeline import enclosing_radius
+from oracles import reference_persistent_cohomology
+
+DIFFERENTIAL = settings(max_examples=150, deadline=None, database=None)
+BIG_PRIME = 2_147_483_659          # above 2^31: columns hold Python ints
+
+
+@st.composite
+def clouds(draw):
+    """Gaussian clouds, or points on a coarse grid (tied distances and
+    repeated points), with the enclosing radius or one of the distances."""
+    n = draw(st.integers(2, 22))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.standard_normal((n, draw(st.integers(1, 3))))
+    else:
+        points = rng.integers(0, 4, (n, 2)).astype(float)
+    dist = pairwise_distances(points)
+    t = draw(st.sampled_from([enclosing_radius(points)]
+                             + sorted(set(dist[np.triu_indices(n, 1)].tolist()))))
+    return points, t
+
+
+def vertex_map(cochain) -> dict:
+    """A cochain as simplex vertex tuple -> coefficient."""
+    return {cochain.complex.simplex(cochain.dim, i): v for i, v in cochain.entries.items()}
+
+
+def assert_same_diagrams(a, b) -> None:
+    """Identical intervals, scales, birth and death simplices and cocycles,
+    on complexes that may differ."""
+    assert a.to_json_dict() == b.to_json_dict()
+    for x, y in zip(a.all_pairs(), b.all_pairs(), strict=True):
+        assert (x.birth, x.death, x.scale) == (y.birth, y.death, y.scale)
+        assert (x.birth_simplex, x.death_simplex) == (y.birth_simplex, y.death_simplex)
+        assert vertex_map(x.cocycle_below_death) == vertex_map(y.cocycle_below_death)
+        assert vertex_map(x.representative_cocycle) == vertex_map(y.representative_cocycle)
+
+
+class TestCofacetSources:
+    """The triangles a skeleton reads from its distances against the face
+    table of the complex with its triangles: the same simplices, faces and
+    filtrations, in the same order."""
+
+    @DIFFERENTIAL
+    @given(clouds(), st.sampled_from([1, 7, 1 << 18]), st.integers(0, 2**32 - 1))
+    def test_same_cofacets_in_the_same_order(self, cloud, chunk, seed):
+        points, t = cloud
+        cone = build_rips(points, t, 2)
+        if cone.dimension == 0:
+            return
+        rng = np.random.default_rng(seed)
+        n, n_e = len(points), cone.n_simplices(1)
+        tri, up = cone.vertex_array(2), cone.face_table(2)
+        code = (tri[:, 0] * n + tri[:, 1]) * n + tri[:, 2]
+        # the same triangles are apparent to both sources: at most one per
+        # latest face, the key it arrives at
+        arrive = {"table": np.full(n_e, persistence._NEVER),
+                  "rips": np.full(n_e, persistence._NEVER)}
+        for i in np.flatnonzero(rng.random(len(tri)) < 0.3):
+            arrive["table"][up[i].max()] = (cone.filtration_values(2)[i], i)
+            arrive["rips"][up[i].max()] = (cone.filtration_values(2)[i], code[i])
+        apparent = np.isin(np.arange(len(tri)), arrive["table"]["c"])
+        support = np.append(rng.random(n_e) < 0.5, False)
+        start = int(rng.integers(-1, len(tri)))        # -1: from the first triangle
+        after = {"table": persistence._FIRST, "rips": persistence._FIRST}
+        if start >= 0:
+            after = {"table": np.array((tri_f := cone.filtration_values(2)[start], start),
+                                       dtype=persistence._KEY)[()],
+                     "rips": np.array((tri_f, code[start]), dtype=persistence._KEY)[()]}
+        with mock.patch.object(persistence, "_EVAL_CHUNK", chunk):
+            sources = {"table": persistence._FaceTable(cone, 1),
+                       "rips": persistence._RipsTriangles(
+                           rips_skeleton(pairwise_distances(points), t))}
+            found = {}
+            for name, source in sources.items():
+                chunks = list(source.cofacets(support, after[name], arrive[name], chunk))
+                keys = np.concatenate([k for k, _ in chunks] or [np.empty(0, persistence._KEY)])
+                faces = np.concatenate([f for _, f in chunks] or [np.empty((0, 3), int)])
+                earliest = source.earliest(n_e)
+                has = earliest["c"] != persistence._NEVER["c"]
+                found[name] = (source.vertices(keys).tolist(), keys["f"].tolist(),
+                               faces.tolist(), has.tolist(),
+                               source.vertices(earliest[has]).tolist(),
+                               earliest["f"][has].tolist())
+        want = np.flatnonzero(~apparent & support[up].any(axis=1) & (np.arange(len(tri)) > start))
+        assert found["rips"] == found["table"]
+        assert found["table"][:3] == (tri[want].tolist(), cone.filtration_values(2)[want].tolist(),
+                                      up[want].tolist())
+
+
+class TestSkeletonPersistence:
+    @DIFFERENTIAL
+    @given(clouds(), st.sampled_from([3, 47, BIG_PRIME]), st.sampled_from([1, 7, 1 << 18]))
+    def test_same_diagram_as_the_face_table(self, cloud, p, chunk):
+        # small chunks cut the windows of edges and the evaluated cofacets
+        points, t = cloud
+        cx = build_rips(points, t, 2)
+        if cx.dimension == 0:
+            return
+        skeleton = rips_skeleton(pairwise_distances(points), t)
+        with mock.patch.object(persistence, "_EVAL_CHUNK", chunk):
+            new = persistent_cohomology(skeleton, OddPrime(p), 1)
+            old = persistent_cohomology(cx, OddPrime(p), 1)
+        assert new.complex is skeleton and skeleton.dimension == 1
+        assert_same_diagrams(new, old)
+        if len(points) <= 12:
+            assert_same_diagrams(new, reference_persistent_cohomology(cx, OddPrime(p), 1))
+
+    def test_long_birth_that_is_the_latest_face_of_a_tied_triangle(self):
+        # a grid cloud where a long cocycle's birth edge is the latest face
+        # of a later triangle of the same filtration: with one cofacet per
+        # chunk that triangle is evaluated on the column born at its face
+        points = np.array([[2, 2, 2], [2, 0, 2], [1, 2, 1], [2, 0, 0], [2, 1, 1],
+                           [2, 1, 2], [1, 0, 0], [1, 0, 2]], dtype=float)
+        t = 3 ** 0.5
+        cx = build_rips(points, t, 2)
+        with mock.patch.object(persistence, "_EVAL_CHUNK", 3):
+            for source in (rips_skeleton(pairwise_distances(points), t), cx):
+                assert_same_diagrams(persistent_cohomology(source, OddPrime(3), 1),
+                                     reference_persistent_cohomology(cx, OddPrime(3), 1))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_circle_cone(self, seed):
+        pts, _ = sample_circle(40, 0.0, 3, seed=seed)
+        t = enclosing_radius(pts)
+        for p in (47, BIG_PRIME):
+            assert_same_diagrams(
+                persistent_cohomology(rips_skeleton(pairwise_distances(pts), t), OddPrime(p), 1),
+                persistent_cohomology(build_rips(pts, t, 2), OddPrime(p), 1))
+
+    def test_restricted_skeleton_keeps_its_distances(self):
+        pts, _ = sample_circle(30, 0.1, 2, seed=4)
+        dist = pairwise_distances(pts)
+        s = float(np.median(dist))
+        sub = rips_skeleton(dist, enclosing_radius(pts)).restrict(s)
+        assert sub.distances is dist
+        assert_same_diagrams(persistent_cohomology(sub, OddPrime(47), 1),
+                             persistent_cohomology(build_rips(pts, s, 2), OddPrime(47), 1))
+
+
+class TestWorkingComplex:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(clouds())
+    def test_complex_at_a_scale_is_the_sublevel_complex(self, cloud):
+        points, t = cloud
+        cone = build_rips(points, t, 2)
+        assert cone.restrict(t) is cone
+        for s in sorted(set(cone.filtration_values(1).tolist())):
+            cx, sub = build_rips(points, s, 2), cone.restrict(s)
+            assert cx.dimension == sub.dimension
+            for m in range(cx.dimension + 1):
+                assert np.array_equal(cx.vertex_array(m), sub.vertex_array(m))
+                assert cx.filtration_values(m).tobytes() == sub.filtration_values(m).tobytes()
+                assert np.array_equal(cx.face_table(m), sub.face_table(m))
+
+
+def assert_same_fit(auto, full) -> None:
+    assert auto.complex.dimension == 1 and auto.complex.distances is not None
+    assert auto.diagram.to_json_dict() == full.diagram.to_json_dict()
+    assert auto.pair.representative_cycle.to_json_dict() == \
+        full.pair.representative_cycle.to_json_dict()
+    assert auto.scale == full.scale
+    for a, b in ((auto.cocycle_lift, full.cocycle_lift), (auto.cycle_lift, full.cycle_lift)):
+        assert (a.certificate, a.r) == (b.certificate, b.r)
+        assert a.to_json_dict() == b.to_json_dict()
+    wa, wb = auto.winding_report, full.winding_report
+    assert (wa.winding_number, wa.division_trace) == (wb.winding_number, wb.division_trace)
+    assert wa.to_json_dict() == wb.to_json_dict()
+    assert auto.coords.values == full.coords.values
+    assert auto.coordinate_array().tobytes() == full.coordinate_array().tobytes()
+
+
+@pytest.mark.parametrize("points", [
+    sample_circle(60, 0.0, 300, seed=7)[0],
+    sample_circle(40, 0.1, 2, seed=3)[0],
+    sample_circle(40, 0.15, 3, seed=9)[0],
+], ids=["acceptance8", "noisy40a", "noisy40b"])
+def test_auto_fit_equals_the_fit_on_the_full_complex(points):
+    full = run_pipeline(complex=build_rips(points, enclosing_radius(points), 2), prime=47)
+    assert_same_fit(run_pipeline(points=points, prime=47), full)
+
+
+def test_one_distance_matrix_per_auto_fit(monkeypatch):
+    calls = []
+    original = complexes.pairwise_distances
+
+    def counted(points):
+        calls.append(len(points))
+        return original(points)
+
+    from circlift import pipeline
+    monkeypatch.setattr(complexes, "pairwise_distances", counted)
+    monkeypatch.setattr(pipeline, "pairwise_distances", counted)
+    points = sample_circle(30, 0.05, 2, seed=1)[0]
+    for max_dim in (1, 2):
+        calls.clear()
+        run_pipeline(points=points, prime=47, max_dim=max_dim)
+        assert calls == [30]
+    assert enclosing_radius(points) == float(original(points).max(axis=1).min())
+
+
+def test_refuses_a_skeleton_above_degree_one():
+    pts, _ = sample_circle(12, 0.0, 2, seed=0)
+    skeleton = rips_skeleton(pairwise_distances(pts), 2.0)
+    with pytest.raises(ValueError, match="exceeds complex dimension"):
+        persistent_cohomology(skeleton, OddPrime(47), 2)

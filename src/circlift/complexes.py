@@ -30,6 +30,8 @@ class Ring:
     Arithmetic happens with Python's own +,-,* on the normalized values;
     ``normalize`` maps any representative to the canonical one (e.g. mod p).
     ``dtype`` holds values exactly in numpy: Python ints, or floats for R.
+    Array kernels compute in ``array_dtype(bound)`` and map their results
+    to canonical values with ``normalize_array``.
     """
 
     name: str
@@ -37,6 +39,14 @@ class Ring:
 
     def normalize(self, x):
         raise NotImplementedError
+
+    def array_dtype(self, bound: int):
+        """Dtype of an exact computation whose intermediates are at most
+        ``bound`` in magnitude: see `exact_dtype`."""
+        return exact_dtype(bound)
+
+    def normalize_array(self, values: np.ndarray) -> np.ndarray:
+        return values
 
     def is_zero(self, x) -> bool:
         return self.normalize(x) == self.zero
@@ -69,6 +79,9 @@ class Reals(Ring):
     def normalize(self, x):
         return float(x)
 
+    def array_dtype(self, bound: int):
+        return float
+
     def __repr__(self):
         return "RR"
 
@@ -80,6 +93,9 @@ class PrimeField(Ring):
 
     def normalize(self, x):
         return int(x) % self.p
+
+    def normalize_array(self, values: np.ndarray) -> np.ndarray:
+        return values % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -93,6 +109,19 @@ class PrimeField(Ring):
 
 ZZ = Integers()
 RR = Reals()
+
+_EXACT_LIMIT = 1 << 62
+
+
+def exact_dtype(bound: int):
+    """The dtype of exact integer array arithmetic whose every intermediate
+    is at most ``bound`` in magnitude: int64 when that is below 2^62, so no
+    sum or product can wrap, else object arrays of Python ints. A kernel
+    computes the bound from p and its input magnitudes (including every
+    Python int it combines with the array); the numpy expressions are the
+    same for both dtypes."""
+    return np.int64 if bound < _EXACT_LIMIT else object
+
 
 _gf_cache: dict[int, PrimeField] = {}
 
@@ -567,15 +596,18 @@ class SparseMatrix:
 
 class _SimplexVector:
     """Sparse simplex-indexed vector over a declared ring. Zero coefficients
-    are never stored, so the support is exact."""
+    are never stored, so the support is exact.
+
+    Kernels that compute on coefficient arrays build their results with
+    `from_array`, which takes canonical values as they are; only the
+    constructor normalizes entry by entry. Such a vector keeps its dense
+    array, which the kernels read directly, and builds the ``entries`` dict
+    (dropping the array) only when that is asked for.
+    """
 
     def __init__(self, complex: FilteredComplex, dim: int, ring: Ring,
                  entries: Mapping[int, object]):
-        # degree dimension+1 is allowed as the (always empty) target of the
-        # top-degree coboundary
-        if not 0 <= dim <= complex.dimension + 1:
-            raise DimensionOutOfRange(f"degree {dim} not present",
-                                      operation="complex.vector")
+        _check_degree(complex, dim)
         n, zero = complex.n_simplices(dim), ring.zero
         clean: dict[int, object] = {}
         for idx, coeff in entries.items():
@@ -588,9 +620,31 @@ class _SimplexVector:
         self.complex = complex
         self.dim = int(dim)
         self.ring = ring
-        self.entries: dict[int, object] = clean
+        self._entries: dict[int, object] | None = clean
+        self._dense: np.ndarray | None = None
+
+    @property
+    def entries(self) -> dict[int, object]:
+        """Simplex index -> nonzero coefficient."""
+        if self._entries is None:
+            dense, self._dense = self._dense, None
+            nz = np.flatnonzero(dense)
+            self._entries = dict(zip(nz.tolist(), dense[nz].tolist()))
+        return self._entries
 
     # -- construction helpers --
+
+    @classmethod
+    def _canonical(cls, complex: FilteredComplex, dim: int, ring: Ring,
+                   entries: dict[int, object] | None, dense: np.ndarray | None = None):
+        """Vector holding ``entries`` (int indices in range, values canonical
+        and nonzero in ``ring``) or else the dense array of canonical
+        coefficients ``dense``, as they are."""
+        _check_degree(complex, dim)
+        vec = object.__new__(cls)
+        vec.complex, vec.dim, vec.ring = complex, int(dim), ring
+        vec._entries, vec._dense = entries, dense
+        return vec
 
     @classmethod
     def from_simplices(cls, complex: FilteredComplex, dim: int, ring: Ring,
@@ -603,21 +657,51 @@ class _SimplexVector:
 
     @classmethod
     def from_array(cls, complex: FilteredComplex, dim: int, ring: Ring, values: np.ndarray):
-        """Vector with the nonzero entries of a dense coefficient array."""
-        nz = np.flatnonzero(values != 0)
-        return cls(complex, dim, ring, dict(zip(nz.tolist(), values[nz].tolist())))
+        """Vector with the nonzero entries of a dense array of canonical
+        coefficients over the simplices of the degree. The vector keeps the
+        array, so the caller must not change it afterwards."""
+        if len(values) != complex.n_simplices(dim):
+            raise ValueError(f"{len(values)} coefficients for "
+                             f"{complex.n_simplices(dim)} simplices in degree {dim}")
+        return cls._canonical(complex, dim, ring, None, values)
 
-    def to_array(self) -> np.ndarray:
-        """Dense coefficients over the simplices of the degree, exactly."""
-        out = np.zeros(self.complex.n_simplices(self.dim), dtype=self.ring.dtype)
-        out[list(self.entries)] = list(self.entries.values())
+    def to_array(self, dtype=None) -> np.ndarray:
+        """Dense coefficients over the simplices of the degree, exactly: as
+        ``dtype`` when given (see `exact_dtype`), else as the ring's. The
+        array is the caller's to change."""
+        dtype = dtype or self.ring.dtype
+        if self._dense is not None:
+            return self._dense.astype(dtype)
+        out = np.zeros(self.complex.n_simplices(self.dim), dtype=dtype)
+        out[np.fromiter(self._entries, np.int64, len(self._entries))] = \
+            list(self._entries.values())
         return out
+
+    def _support(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Support indices and their coefficients as ``dtype``."""
+        if self._dense is not None:
+            index = np.flatnonzero(self._dense)
+            return index, self._dense[index].astype(dtype)
+        return (np.fromiter(self._entries, np.int64, len(self._entries)),
+                np.array(list(self._entries.values()), dtype=dtype))
+
+    def coefficient_bound(self) -> int:
+        """An upper bound on |coefficient|, at least 1: p - 1 over F_p, the
+        largest one otherwise."""
+        if isinstance(self.ring, PrimeField):
+            return self.ring.p - 1
+        if self._dense is not None and self._dense.dtype != object:
+            return max(1, np.abs(self._dense).max(initial=0).item())
+        values = self._entries.values() if self._dense is None else self._dense.tolist()
+        return max(1, max(map(abs, values), default=0))
 
     # -- ring-respecting arithmetic --
 
     def scale(self, c):
         r = self.ring
-        return self.with_entries({i: r.normalize(c * v) for i, v in self.entries.items()})
+        c = r.normalize(c)
+        values = self.to_array(r.array_dtype(max(abs(c), 1) * self.coefficient_bound()))
+        return self.from_array(self.complex, self.dim, r, r.normalize_array(values * c))
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -647,7 +731,9 @@ class _SimplexVector:
         return sorted(self.entries)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        if self._dense is not None:
+            return not (self._dense != 0).any()
+        return not self._entries
 
     def __eq__(self, other) -> bool:
         return (type(self) is type(other) and self.complex is other.complex
@@ -662,8 +748,8 @@ class _SimplexVector:
 
     def reduce_mod(self, p: int):
         """Push Z (or F_q) coefficients through the quotient map to F_p."""
-        return self.with_entries({i: int(v) % p for i, v in self.entries.items()},
-                                 ring=GF(p))
+        values = self.to_array(exact_dtype(max(self.coefficient_bound(), p)))
+        return self.from_array(self.complex, self.dim, GF(p), values % p)
 
     def map_coefficients(self, fn, ring: Ring):
         return self.with_entries({i: fn(v) for i, v in self.entries.items()}, ring=ring)
@@ -674,10 +760,11 @@ class _SimplexVector:
         Support simplices missing from the target are dropped: this is the
         pullback along the inclusion of a subcomplex.
         """
-        rows = self.complex.vertex_array(self.dim)[list(self.entries)]
-        target = other.indices(self.dim, rows).tolist()
-        entries = {j: v for j, v in zip(target, self.entries.values()) if j >= 0}
-        return type(self)(other, self.dim, self.ring, entries)
+        index, values = self._support(self.ring.dtype)
+        target = other.indices(self.dim, self.complex.vertex_array(self.dim)[index])
+        keep = target >= 0
+        return type(self)._canonical(other, self.dim, self.ring,
+                                     dict(zip(target[keep].tolist(), values[keep].tolist())))
 
     # -- serialization --
 
@@ -698,6 +785,13 @@ class _SimplexVector:
         return vec
 
 
+def _check_degree(complex: FilteredComplex, dim: int) -> None:
+    # degree dimension+1 is allowed as the (always empty) target of the
+    # top-degree coboundary
+    if not 0 <= dim <= complex.dimension + 1:
+        raise DimensionOutOfRange(f"degree {dim} not present", operation="complex.vector")
+
+
 class Cochain(_SimplexVector):
     """Sparse m-cochain (simplex -> coefficient)."""
 
@@ -706,14 +800,22 @@ class Chain(_SimplexVector):
     """Sparse m-chain (simplex -> coefficient)."""
 
 
+def coboundary_array(cx: FilteredComplex, m: int, values: np.ndarray) -> np.ndarray:
+    """(delta c)(s) = sum_i (-1)^i c(face_i(s)) over all (m+1)-simplices, for
+    dense m-cochain coefficients ``values``, in their dtype."""
+    values = values[cx.face_table(m + 1)]
+    return sum(sign * values[:, i] for i, sign in enumerate(face_signs(m + 1)))
+
+
 def apply_coboundary(c: Cochain) -> Cochain:
-    """(delta c)(s) = sum_i (-1)^i c(face_i(s)) over all (m+1)-simplices."""
-    cx, m = c.complex, c.dim
+    """The coboundary of an m-cochain, degree m+1; integer and F_p
+    coefficients are summed in int64 whenever `exact_dtype` allows."""
+    cx, m, ring = c.complex, c.dim, c.ring
     if m > cx.dimension:
         _raise_degree(m)
-    values = c.to_array()[cx.face_table(m + 1)]
-    total = sum(sign * values[:, i] for i, sign in enumerate(face_signs(m + 1)))
-    return Cochain.from_array(cx, m + 1, c.ring, total)
+    values = c.to_array(ring.array_dtype((m + 2) * c.coefficient_bound()))
+    return Cochain.from_array(cx, m + 1, ring,
+                              ring.normalize_array(coboundary_array(cx, m, values)))
 
 
 def _raise_degree(m: int):
@@ -722,15 +824,15 @@ def _raise_degree(m: int):
 
 def apply_boundary(c: Chain) -> Chain:
     """Boundary of an m-chain: sum of signed faces, degree m-1."""
-    cx, m = c.complex, c.dim
+    cx, m, ring = c.complex, c.dim, c.ring
     if m < 1:
         _raise_degree(m - 1)
-    support = list(c.entries)
-    coeff = np.array(list(c.entries.values()), dtype=c.ring.dtype)
-    total = np.zeros(cx.n_simplices(m - 1), dtype=c.ring.dtype)
+    # a face collects at most one coefficient per m-simplex
+    support, coeff = c._support(ring.array_dtype(cx.n_simplices(m) * c.coefficient_bound()))
+    total = np.zeros(cx.n_simplices(m - 1), dtype=coeff.dtype)
     np.add.at(total, cx.face_table(m)[support].ravel(),
-              (coeff[:, None] * face_signs(m)).ravel())
-    return Chain.from_array(cx, m - 1, c.ring, total)
+              (coeff[:, None] * np.array(face_signs(m))).ravel())
+    return Chain.from_array(cx, m - 1, ring, ring.normalize_array(total))
 
 
 def kronecker_pairing(alpha: Cochain, beta: Chain):
@@ -739,13 +841,5 @@ def kronecker_pairing(alpha: Cochain, beta: Chain):
     if alpha.complex is not beta.complex or alpha.dim != beta.dim:
         raise DimensionMismatch("pairing needs matching complex and degree",
                                 operation="complex.kronecker_pairing")
-    ring = alpha.ring
-    total = 0
-    small, large = (alpha.entries, beta.entries)
-    if len(large) < len(small):
-        small, large = large, small
-    for i, v in small.items():
-        w = large.get(i)
-        if w is not None:
-            total += v * w
-    return ring.normalize(total)
+    index, values = beta._support(object)
+    return alpha.ring.normalize((alpha.to_array(object)[index] * values).sum())

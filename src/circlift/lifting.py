@@ -13,17 +13,21 @@ integer solve when both searches fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Optional, Sequence
 
 import numpy as np
 
 from . import snf
-from .complexes import Chain, Cochain, ZZ, apply_boundary, apply_coboundary, face_signs
+from .complexes import (Chain, Cochain, ZZ, apply_boundary, apply_coboundary, exact_dtype,
+                        face_signs)
 from .errors import (ComplexTooLargeForSnf, NotClosed, TorsionObstruction,
                      ValidationFailed)
-from .fields import FpElement, OddPrime, abs_mod, inv_mod, lift_mod
+from .fields import FpElement, OddPrime, inv_mod
 
 DEFAULT_SNF_CAP = 1500
+# a scan block of scalars times support entries holds at most this many values
+_SCAN_CHUNK = 1 << 18
 
 Kind = Literal["cocycle", "cycle"]
 
@@ -33,46 +37,67 @@ CERT_VERIFIED_ONLY = "VerifiedOnly"
 CERT_SNF_REPAIRED = "SnfRepaired"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSystem:
     """Signed vanishing relations over the support of an F_p (co)chain.
 
-    Each relation is a tuple of (position, sign) pairs with
-    sum_j sign_j * c_j = 0 in F_p; positions are simplex indices. Signs fold
-    the orientation of each face into the relation, which leaves the
-    magnitude bounds untouched.
+    Relation i is the run ``start[i]:start[i+1]`` of the arrays ``pos``
+    (simplex indices) and ``sign``, with sum_j sign_j * c_j = 0 in F_p.
+    Signs fold the orientation of each face into the relation, which leaves
+    the magnitude bounds untouched.
     """
 
     dim: int
     prime: int
-    relations: tuple[tuple[tuple[int, int], ...], ...]
+    pos: np.ndarray
+    sign: np.ndarray
+    start: np.ndarray
 
     def __post_init__(self):
-        for rel in self.relations:
-            if not rel:
-                raise ValueError("empty relation")
+        if (np.diff(self.start) <= 0).any():
+            raise ValueError("empty relation")
 
-    @staticmethod
-    def check(relations, entries, p: int) -> None:
-        for rel in relations:
-            if sum(sign * entries.get(pos, 0) for pos, sign in rel) % p:
-                raise NotClosed(
-                    f"relation {rel} does not vanish mod {p}",
-                    operation="lifting.cocycle_index_system",
-                )
+    @cached_property
+    def relations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each relation as a tuple of (position, sign) pairs."""
+        pairs = list(zip(self.pos.tolist(), self.sign.tolist()))
+        cut = self.start.tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip(cut, cut[1:]))
+
+    @property
+    def longest(self) -> int:
+        """Length of the longest relation, 0 without any."""
+        return int(np.diff(self.start).max(initial=0))
+
+    def sums(self, terms: np.ndarray) -> np.ndarray:
+        """Signed sum of each relation, per row of ``terms``, whose last
+        axis holds the coefficient at each entry of ``pos``."""
+        if len(self.start) == 1:
+            return terms[..., :0]
+        return np.add.reduceat(terms * self.sign, self.start[:-1], axis=-1)
+
+    def check(self, c: Cochain | Chain) -> None:
+        """Raise NotClosed unless every relation vanishes mod p on the
+        coefficients of the F_p (co)chain c."""
+        p = self.prime
+        terms = c.to_array(exact_dtype(self.longest * p))[self.pos]
+        bad = np.flatnonzero(self.sums(terms) % p)
+        if bad.size:
+            rel = self.relations[bad[0]]
+            raise NotClosed(f"relation {rel} does not vanish mod {p}",
+                            operation="lifting.cocycle_index_system")
 
     def bounds(self, support: Sequence[int]) -> dict[int, int]:
         """Per-position bound: min over containing relations of
         floor((p-1)/|relation|); positions in no relation are only limited
         by the lift range (p-1)/2 itself."""
         p = self.prime
-        out = {pos: (p - 1) // 2 for pos in support}
-        for rel in self.relations:
-            b = (p - 1) // len(rel)
-            for pos, _ in rel:
-                if pos in out and b < out[pos]:
-                    out[pos] = b
-        return out
+        support = np.asarray(support, dtype=np.int64)
+        size = np.diff(self.start)
+        out = np.full(max(support.max(initial=-1), self.pos.max(initial=-1)) + 1,
+                      (p - 1) // 2, dtype=exact_dtype(p))
+        np.minimum.at(out, self.pos, np.repeat((p - 1) // size.astype(out.dtype), size))
+        return dict(zip(support.tolist(), out[support].tolist()))
 
 
 @dataclass(frozen=True)
@@ -117,7 +142,12 @@ def _field_prime(c: Cochain | Chain) -> int:
 def naive_lift(c: Cochain | Chain) -> Cochain | Chain:
     """Coefficient-wise centered lift to Z. No closedness guarantee."""
     p = _field_prime(c)
-    return c.map_coefficients(lambda v: lift_mod(v, p), ZZ)
+    return type(c).from_array(c.complex, c.dim, ZZ, _centred(c.to_array(exact_dtype(p)), p))
+
+
+def _centred(values: np.ndarray, p: int) -> np.ndarray:
+    """The lift_mod representatives in [-(p-1)/2, (p-1)/2] of values in [0, p)."""
+    return np.where(values > (p - 1) // 2, values - p, values)
 
 
 def _is_closed(c: Cochain | Chain, kind: Kind) -> bool:
@@ -130,41 +160,53 @@ def infer_kind(c: Cochain | Chain) -> Kind:
     return "cycle" if isinstance(c, Chain) else "cocycle"
 
 
-def _runs(group: np.ndarray, pos: np.ndarray, sign: np.ndarray
-          ) -> list[tuple[tuple[int, int], ...]]:
-    """One relation of (position, sign) pairs per run of equal ``group``."""
-    pairs = list(zip(pos.tolist(), sign.tolist()))
-    bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(pairs)]
-    return [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
-
-
 def cocycle_index_system(c: Cochain | Chain, kind: Kind | None = None) -> IndexSystem:
     """Vanishing relations certifying closedness of an F_p (co)chain.
 
     For an m-cocycle there is one relation per (m+1)-simplex, listing its
     faces inside the support; for an m-cycle, one relation per (m-1)-simplex
-    that is a face of a support simplex. Raises NotClosed when any relation
-    sum fails to vanish mod p.
+    that is a face of a support simplex (none for m = 0). Raises NotClosed
+    when any relation sum fails to vanish mod p.
     """
     kind = kind or infer_kind(c)
     p = _field_prime(c)
     cx = c.complex
+    support = c._support(object)[0]
     if kind == "cocycle":
         faces = cx.face_table(c.dim + 1)
         in_support = np.zeros(cx.n_simplices(c.dim), dtype=bool)
-        in_support[list(c.entries)] = True
-        row, col = np.nonzero(in_support[faces])
-        relations = _runs(row, faces[row, col], np.array(face_signs(c.dim + 1))[col])
+        in_support[support] = True
+        group, col = np.nonzero(in_support[faces])
+        pos, sign = faces[group, col], np.array(face_signs(c.dim + 1))[col]
     else:
-        if c.dim < 1:
-            raise ValueError("cycles of degree 0 have no face relations")
-        support = np.array(sorted(c.entries), dtype=np.int64)
+        support.sort()
         faces = cx.face_table(c.dim)[support].ravel()
         order = np.argsort(faces, kind="stable")
         row, col = np.divmod(order, c.dim + 1)
-        relations = _runs(faces[order], support[row], np.array(face_signs(c.dim))[col])
-    IndexSystem.check(relations, c.entries, p)
-    return IndexSystem(c.dim, p, tuple(relations))
+        group, pos, sign = faces[order], support[row], np.array(face_signs(c.dim))[col]
+    # a relation starts where the sorted group changes; the fences -1 and
+    # -2 differ from every group and from each other, so with no group at
+    # all the offsets are just [0]
+    start = np.flatnonzero(np.diff(group, prepend=-1, append=-2))
+    system = IndexSystem(c.dim, p, pos, sign.astype(np.int64), start)
+    system.check(c)
+    return system
+
+
+def _first_scalar(p: int, values: np.ndarray, passes) -> Optional[int]:
+    """Smallest r in 1..(p-1)/2 for which ``passes`` accepts the row of
+    r * values mod p in an R x len(values) block, or None. The dtype of
+    ``values`` must hold r * values exactly. Blocks grow geometrically, so
+    an early r costs little."""
+    half, lo, rows = (p - 1) // 2, 1, 1
+    cap = max(1, _SCAN_CHUNK // max(len(values), 1))
+    while lo <= half:
+        r = np.arange(lo, min(lo + rows, half + 1), dtype=values.dtype)
+        ok = np.flatnonzero(passes(r[:, None] * values % p))
+        if ok.size:
+            return int(r[ok[0]])
+        lo, rows = lo + len(r), min(2 * rows, cap)
+    return None
 
 
 def scaling_search(c: Cochain | Chain,
@@ -176,13 +218,25 @@ def scaling_search(c: Cochain | Chain,
     never in the upper half.
     """
     p = _field_prime(c)
-    items = [(v, bounds[pos]) for pos, v in c.entries.items()]
-    if not items:
+    index, values = c._support(exact_dtype(p * p))
+    if not index.size:
         return FpElement(1, OddPrime(p))
-    for r in range(1, (p - 1) // 2 + 1):
-        if all(abs_mod(r * v, p) <= b for v, b in items):
-            return FpElement(r, OddPrime(p))
-    return None
+    limit = np.array(list(map(bounds.__getitem__, index.tolist())), dtype=values.dtype)
+    r = _first_scalar(p, values,
+                      lambda scaled: (np.minimum(scaled, p - scaled) <= limit).all(axis=1))
+    return None if r is None else FpElement(r, OddPrime(p))
+
+
+def _verified_scalar(c: Cochain | Chain, system: IndexSystem) -> Optional[int]:
+    """Smallest r in 1..(p-1)/2 whose scaled centred lift is closed over Z:
+    every relation of ``system``, which covers every simplex the
+    (co)boundary of a lift on the support can reach, sums to zero."""
+    p = _field_prime(c)
+    index, values = c._support(exact_dtype(p * max(p, system.longest)))
+    order = np.argsort(index)
+    at = order[np.searchsorted(index[order], system.pos)]
+    return _first_scalar(p, values,
+                         lambda scaled: ~system.sums(_centred(scaled, p)[:, at]).any(axis=1))
 
 
 def lift_closed(c: Cochain | Chain, kind: Kind | None = None, *,
@@ -192,10 +246,11 @@ def lift_closed(c: Cochain | Chain, kind: Kind | None = None, *,
     Routes, cheapest certificate first:
       1. scaling search under the index-system bounds (closedness guaranteed
          by the range argument: certificate InRange / PerFaceRange);
-      2. plain sweep over r, keeping any scaled heuristic lift that verifies
+      2. plain sweep over r, keeping the first scaled heuristic lift that is
          closed over Z (VerifiedOnly);
       3. integer repair of the r=1 lift through a Smith-normal-form solve
          (SnfRepaired), capped by ``snf_cap``.
+    Whatever the route, the lift returned is checked closed directly.
     """
     kind = kind or infer_kind(c)
     p = _field_prime(c)
@@ -211,11 +266,10 @@ def lift_closed(c: Cochain | Chain, kind: Kind | None = None, *,
         cert = CERT_IN_RANGE if kind == "cocycle" else CERT_PER_FACE_RANGE
         return _finish_report(c, r, working, cert, kind)
 
-    for rv in range(1, (p - 1) // 2 + 1):
-        working = naive_lift(c.scale(rv))
-        if _is_closed(working, kind):
-            return _finish_report(c, FpElement(rv, prime), working,
-                                  CERT_VERIFIED_ONLY, kind)
+    rv = _verified_scalar(c, system)
+    if rv is not None:
+        return _finish_report(c, FpElement(rv, prime), naive_lift(c.scale(rv)),
+                              CERT_VERIFIED_ONLY, kind)
 
     repaired = snf_repair(naive_lift(c), prime, kind=kind, snf_cap=snf_cap)
     return _finish_report(c, FpElement(1, prime), repaired,

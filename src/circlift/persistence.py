@@ -79,7 +79,7 @@ class PersistencePair:
         if max(full.entries, default=-1) < n:
             return full
         kept = {i: v for i, v in full.entries.items() if i < n}
-        return Cochain(full.complex, self.dimension, full.ring, kept)
+        return Cochain._canonical(full.complex, self.dimension, full.ring, kept)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -185,7 +185,8 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     for d, bidx, died, support in finished:
         birth = float(cx.filtration_values(d)[bidx])
         death, death_simplex = (math.inf, None) if died is None else died
-        raw = Cochain(cx, d, ring, support)
+        # every support map below holds canonical nonzero F_q values
+        raw = Cochain._canonical(cx, d, ring, support)
         if scale_policy != "midpoint" and birth <= float(scale_policy) < death:
             scale = float(scale_policy)
         elif math.isinf(death):

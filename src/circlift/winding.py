@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import snf
 from .complexes import (Chain, Cochain, ZZ, apply_boundary, apply_coboundary,
-                        forest_potential, kronecker_pairing)
+                        coboundary_array, exact_dtype, forest_potential, kronecker_pairing)
 from .errors import NotACocycle, NotDivisible, ValidationFailed, ZeroPairing
-from .fields import is_prime, lift_mod
+from .fields import is_prime
 from .lifting import DEFAULT_SNF_CAP, _snf_guard
 
 ROUTE_MOD_P = "ModPSolve"
@@ -81,13 +83,16 @@ def _split(alpha: Cochain, q: int, route: str, snf_cap: int,
             raise ValueError("the mod-q route divides 1-cocycles only")
         # f: centred lift of alpha mod q integrated from 0 at each forest
         # root; alpha - delta f vanishes mod q on tree edges by construction,
-        # and on every edge exactly when alpha mod q is an F_q coboundary
-        phi = forest_potential(cx, alpha.to_array(), q)[1]
-        f = Cochain(cx, 0, ZZ, {i: lift_mod(v, q) for i, v in enumerate(phi)})
-        residue = alpha - apply_coboundary(f)
-        if not _divisible(residue, q):
+        # and on every edge exactly when alpha mod q is an F_q coboundary.
+        # |delta f| < q, so every intermediate is below |alpha| + 2q.
+        a = alpha.to_array(exact_dtype(alpha.coefficient_bound() + 2 * q))
+        phi = np.array(forest_potential(cx, a.tolist(), q)[1], dtype=a.dtype)
+        f = np.where(phi > (q - 1) // 2, phi - q, phi)
+        residue = a - coboundary_array(cx, 0, f)
+        if (residue % q != 0).any():
             return None
-        return f, residue.map_coefficients(lambda v: v // q, ZZ), ROUTE_MOD_P
+        return (Cochain.from_array(cx, 0, ZZ, f), Cochain.from_array(cx, 1, ZZ, residue // q),
+                ROUTE_MOD_P)
     n_m, n_below = cx.n_simplices(m), cx.n_simplices(m - 1)
     _snf_guard(n_below + n_m, n_m, snf_cap, operation)
     rows = snf.sparse_to_rows(cx.coboundary_matrix(m - 1, ZZ))
@@ -98,6 +103,17 @@ def _split(alpha: Cochain, q: int, route: str, snf_cap: int,
         return None
     return (Cochain(cx, m - 1, ZZ, dict(enumerate(sol[:n_below]))),
             Cochain(cx, m, ZZ, dict(enumerate(sol[n_below:]))), ROUTE_SNF)
+
+
+def _decomposes(alpha: Cochain, omega: int, reduced: Cochain, witness: Cochain) -> bool:
+    """Whether alpha = omega * reduced + delta(witness) exactly."""
+    m = alpha.dim
+    bound = (omega * reduced.coefficient_bound() + (m + 1) * witness.coefficient_bound()
+             + alpha.coefficient_bound())
+    dtype = exact_dtype(bound)
+    total = omega * reduced.to_array(dtype) + coboundary_array(
+        alpha.complex, m - 1, witness.to_array(dtype))
+    return np.array_equal(total, alpha.to_array(dtype))
 
 
 def class_vanishes_mod(alpha: Cochain, q: int) -> bool:
@@ -154,7 +170,7 @@ def divide_step(alpha: Cochain, q: int, *, route: str = "auto",
         raise NotDivisible(f"class does not vanish mod {q}",
                            operation="winding.divide_step")
     f, gamma, label = split
-    if gamma.scale(q) + apply_coboundary(f) != alpha:
+    if not _decomposes(alpha, q, gamma, f):
         raise ValidationFailed("division identity broken",
                                operation="winding.divide_step")
     return DivideStep(gamma, f, label)
@@ -178,7 +194,9 @@ def reduce_winding(alpha: Cochain, beta: Chain, *,
     primes = candidate_primes(pairing)
 
     current, omega = alpha, 1
-    witness = Cochain(alpha.complex, alpha.dim - 1, ZZ, {})
+    # the witness sum of omega * f accumulates on an array; its bound
+    # covers every partial sum and omega itself
+    witness, bound = Cochain(alpha.complex, alpha.dim - 1, ZZ, {}).to_array(np.int64), 1
     trace: list[tuple[int, int, str]] = []
     for q in primes:
         max_times, r = 0, abs(pairing)
@@ -193,13 +211,16 @@ def reduce_winding(alpha: Cochain, beta: Chain, *,
                     f"division by {q} exceeded the pairing bound {max_times}",
                     operation=operation)
             f, current, label = split
-            witness = witness + f.scale(omega)
+            bound += omega * f.coefficient_bound()
+            dtype = exact_dtype(bound)
+            witness = witness.astype(dtype) + omega * f.to_array(dtype)
             omega *= q
             times += 1
         if times:
             trace.append((q, times, label))
 
-    if current.scale(omega) + apply_coboundary(witness) != alpha:
+    witness = Cochain.from_array(alpha.complex, alpha.dim - 1, ZZ, witness)
+    if not _decomposes(alpha, omega, current, witness):
         raise ValidationFailed("winding decomposition identity broken",
                                operation=operation)
     return WindingReport(

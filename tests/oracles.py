@@ -10,6 +10,10 @@ boundary-matrix reduction with recorded column combinations that the
 spanning-forest dual cycle replaced, and ``reference_persistent_cohomology``
 the per-simplex cohomology reduction that visits every simplex, which
 union-find, apparent pairs and the long-cocycle replay replaced.
+``reference_lift_closed`` and ``reference_reduce_winding`` are the
+per-entry loops over dicts (relation checks and bounds, scaling search,
+verify-every-scalar sweep, forest division and witness accumulation) that
+the coefficient-array kernels of ``lifting`` and ``winding`` replaced.
 """
 
 from __future__ import annotations
@@ -18,11 +22,16 @@ import math
 
 import numpy as np
 
-from circlift.complexes import Chain, Cochain, FilteredComplex, GF, Simplex, face_signs
-from circlift.errors import EmptyInput, NoDualCycle
-from circlift.fields import OddPrime, inv_mod
+from circlift.complexes import (Chain, Cochain, FilteredComplex, GF, Simplex, ZZ, face_signs,
+                                forest_potential)
+from circlift.errors import (EmptyInput, NoDualCycle, NotACocycle, NotClosed, ValidationFailed,
+                             ZeroPairing)
+from circlift.fields import FpElement, OddPrime, abs_mod, inv_mod, lift_mod
+from circlift.lifting import (CERT_IN_RANGE, CERT_PER_FACE_RANGE, CERT_SNF_REPAIRED,
+                              CERT_VERIFIED_ONLY, LiftReport, snf_repair)
 from circlift.persistence import Diagram, PersistencePair, _prefix_length
 from circlift.snf import smith_normal_form
+from circlift.winding import ROUTE_MOD_P, WindingReport, candidate_primes
 
 
 def faces_with_signs(s: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
@@ -381,3 +390,157 @@ def reference_persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: i
     for pairs in diagram.pairs_by_dim.values():
         pairs.sort(key=lambda pr: (-pr.persistence, pr.birth, pr.birth_simplex))
     return diagram
+
+
+# -- lifting and winding, entry by entry -----------------------------------------
+
+def reference_relations(c, kind: str) -> list[tuple[tuple[int, int], ...]]:
+    """The vanishing relations of an F_p (co)chain, from vertex tuples: per
+    (m+1)-simplex its faces in the support (cocycle), or per (m-1)-simplex
+    the support simplices it is a face of (cycle), as (position, sign)."""
+    cx, m = c.complex, c.dim
+    if kind == "cocycle":
+        below = _index(cx, m)
+        rels = [tuple((below[face], sign) for face, sign in faces_with_signs(s)
+                      if below[face] in c.entries) for s in cx.simplices(m + 1)]
+        return [rel for rel in rels if rel]
+    if m == 0:
+        return []
+    below = _index(cx, m - 1)
+    simp = cx.simplices(m)
+    by_face: dict[int, list[tuple[int, int]]] = {}
+    for i in sorted(c.entries):
+        for face, sign in faces_with_signs(simp[i]):
+            by_face.setdefault(below[face], []).append((i, sign))
+    return [tuple(v) for _, v in sorted(by_face.items())]
+
+
+def reference_check(relations, entries, p: int) -> None:
+    for rel in relations:
+        if sum(sign * entries.get(pos, 0) for pos, sign in rel) % p:
+            raise NotClosed(f"relation {rel} does not vanish mod {p}",
+                            operation="lifting.cocycle_index_system")
+
+
+def reference_bounds(relations, p: int, support) -> dict[int, int]:
+    out = {pos: (p - 1) // 2 for pos in support}
+    for rel in relations:
+        b = (p - 1) // len(rel)
+        for pos, _ in rel:
+            if pos in out and b < out[pos]:
+                out[pos] = b
+    return out
+
+
+def reference_scaling_search(c, bounds, prime: OddPrime) -> FpElement | None:
+    p = prime.p
+    items = [(v, bounds[pos]) for pos, v in c.entries.items()]
+    if not items:
+        return FpElement(1, prime)
+    for r in range(1, (p - 1) // 2 + 1):
+        if all(abs_mod(r * v, p) <= b for v, b in items):
+            return FpElement(r, prime)
+    return None
+
+
+def _reference_closed(vec, kind: str) -> bool:
+    if kind == "cocycle":
+        return not reference_coboundary(vec)
+    return vec.dim == 0 or not reference_boundary(vec)
+
+
+def _reference_lift(c, r: int) -> dict[int, int]:
+    p = c.ring.p
+    return {i: lift_mod(r * v, p) for i, v in c.entries.items()}
+
+
+def reference_lift_closed(c, kind: str, snf_cap: int = 1500) -> LiftReport:
+    """``lifting.lift_closed`` entry by entry: the same routes, certificates
+    and checks."""
+    p = c.ring.p
+    prime = OddPrime(p)
+    if not _reference_closed(c, kind):
+        raise NotClosed(f"input is not a {kind} over F_{p}", operation="lifting.lift_closed")
+    relations = reference_relations(c, kind)
+    reference_check(relations, c.entries, p)
+    r = reference_scaling_search(c, reference_bounds(relations, p, list(c.entries)), prime)
+    if r is not None:
+        cert = CERT_IN_RANGE if kind == "cocycle" else CERT_PER_FACE_RANGE
+        return _reference_report(c, r, _reference_lift(c, r.value), cert, kind)
+    for rv in range(1, (p - 1) // 2 + 1):
+        working = _reference_lift(c, rv)
+        if _reference_closed(type(c)(c.complex, c.dim, ZZ, working), kind):
+            return _reference_report(c, FpElement(rv, prime), working, CERT_VERIFIED_ONLY, kind)
+    repaired = snf_repair(type(c)(c.complex, c.dim, ZZ, _reference_lift(c, 1)), prime,
+                          kind=kind, snf_cap=snf_cap)
+    return _reference_report(c, FpElement(1, prime), dict(repaired.entries),
+                             CERT_SNF_REPAIRED, kind)
+
+
+def _reference_report(c, r: FpElement, working: dict, certificate: str,
+                      kind: str) -> LiftReport:
+    p = r.p
+    if not _reference_closed(type(c)(c.complex, c.dim, ZZ, working), kind):
+        raise ValidationFailed("certified lift failed the direct closedness check",
+                               operation="lifting.lift_closed")
+    inv = inv_mod(r.value, p)
+    preimage = {i: v * inv for i, v in working.items()}
+    if {i: v % p for i, v in preimage.items() if v % p} != c.entries:
+        raise ValidationFailed("preimage does not reduce to the input",
+                               operation="lifting.lift_closed")
+    cls = type(c)
+    return LiftReport(input=c, scaling=r,
+                      working_lift=cls(c.complex, c.dim, ZZ, working),
+                      exact_preimage=cls(c.complex, c.dim, ZZ, preimage),
+                      certificate=certificate, is_closed=True)
+
+
+def reference_split(alpha: Cochain, q: int) -> tuple[dict, dict] | None:
+    """The degree-1 forest division alpha = q * gamma + delta(f) on dicts:
+    (f, gamma), or None when the class does not vanish mod q."""
+    cx = alpha.complex
+    phi = forest_potential(cx, alpha.to_array(), q)[1]
+    f = {i: lift_mod(v, q) for i, v in enumerate(phi) if lift_mod(v, q)}
+    residue = dict(alpha.entries)
+    for i, v in reference_coboundary(Cochain(cx, 0, ZZ, f)).items():
+        residue[i] = residue.get(i, 0) - v
+    if any(v % q for v in residue.values()):
+        return None
+    return f, {i: v // q for i, v in residue.items() if v}
+
+
+def reference_reduce_winding(alpha: Cochain, beta: Chain) -> WindingReport:
+    """``winding.reduce_winding`` in degree 1, entry by entry."""
+    cx = alpha.complex
+    if reference_coboundary(alpha):
+        raise NotACocycle("input cochain is not a cocycle over Z",
+                          operation="winding.reduce_winding")
+    if reference_boundary(beta):
+        raise ValueError("beta must be an integer cycle")
+    pairing = sum(v * beta.entries.get(i, 0) for i, v in alpha.entries.items())
+    if pairing == 0:
+        raise ZeroPairing("pairing is zero; pick a different cycle",
+                          operation="winding.candidate_primes")
+    primes = candidate_primes(pairing)
+    current, omega, witness = dict(alpha.entries), 1, {}
+    trace = []
+    for q in primes:
+        times = 0
+        while (split := reference_split(Cochain(cx, 1, ZZ, current), q)) is not None:
+            f, current = split
+            for i, v in f.items():
+                witness[i] = witness.get(i, 0) + omega * v
+            omega *= q
+            times += 1
+        if times:
+            trace.append((q, times, ROUTE_MOD_P))
+    total = {i: omega * v for i, v in current.items()}
+    for i, v in reference_coboundary(Cochain(cx, 0, ZZ, witness)).items():
+        total[i] = total.get(i, 0) + v
+    if {i: v for i, v in total.items() if v} != alpha.entries:
+        raise ValidationFailed("winding decomposition identity broken",
+                               operation="winding.reduce_winding")
+    return WindingReport(pairing=pairing, candidate_primes=tuple(primes),
+                         division_trace=tuple(trace), winding_number=omega,
+                         reduced_cocycle=Cochain(cx, 1, ZZ, current),
+                         coboundary_witness=Cochain(cx, 0, ZZ, witness))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from circlift import Cochain, GF, ZZ
+from circlift import Chain, Cochain, GF, ZZ
 from circlift.cli import main
 from circlift.errors import DegenerateData
 from circlift.experiments import sample_circle
@@ -100,6 +100,20 @@ class TestLift:
         assert report["certificate"] == "InRange"
         preimage = {tuple(v): c for v, c in report["exact_preimage"]["entries"]}
         assert preimage == {(0, 1): "8", (0, 2): "4", (1, 2): "-4"}
+
+    def test_degree_zero_cycle(self, tmp_path, filled_triangle):
+        # a 0-chain is a cycle with no face relations: the centred lift at r=1
+        cpath = tmp_path / "cx.json"
+        ipath = tmp_path / "chain.json"
+        write_complex_json(cpath, filled_triangle)
+        write_chain_json(ipath, Chain(filled_triangle, 0, GF(7), {0: 3, 1: 5, 2: 6}))
+        code = main(["lift", "--complex", str(cpath), "--input", str(ipath),
+                     "--prime", "7", "--kind", "cycle", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "lift_report.json").read_text())
+        assert (report["r"], report["certificate"], report["kind"]) == (1, "PerFaceRange", "cycle")
+        lift = {tuple(v): c for v, c in report["working_lift"]["entries"]}
+        assert lift == {(0,): "3", (1,): "-2", (2,): "-1"}
 
     def test_torsion_obstruction_exit_code(self, tmp_path):
         from fplinalg import in_image_mod, nullspace_mod, to_numpy_mod

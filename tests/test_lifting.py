@@ -127,6 +127,15 @@ class TestLiftClosed:
         rep = lift_closed(cyc)
         assert rep.certificate == CERT_PER_FACE_RANGE
 
+    def test_degree_zero_cycle_lifts_at_one(self, filled_triangle):
+        # every 0-chain is a cycle, and it has no face relations
+        z = Chain(filled_triangle, 0, GF(7), {0: 3, 1: 5, 2: 6})
+        assert cocycle_index_system(z, "cycle").relations == ()
+        rep = lift_closed(z)
+        assert (rep.r, rep.certificate) == (1, CERT_PER_FACE_RANGE)
+        assert rep.working_lift == Chain(filled_triangle, 0, ZZ, {0: 3, 1: -2, 2: -1})
+        assert rep.exact_preimage == rep.working_lift
+
     def test_not_closed(self, filled_triangle):
         c = Cochain.from_simplices(filled_triangle, 1, GF(7), {(0, 1): 1})
         with pytest.raises(NotClosed):

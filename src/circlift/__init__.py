@@ -19,7 +19,7 @@ from .persistence import (Diagram, PersistencePair, cycle_representative,
                           persistent_cohomology, select_class)
 from .pipeline import PipelineResult, run_pipeline
 from .smoothing import (CircularCoords, SmoothedCocycle, circular_correlation,
-                        circular_map, harmonic_smooth, naive_circular_map)
+                        circular_map, harmonic_smooth)
 from .winding import (WindingReport, candidate_primes, class_vanishes_mod,
                       divide_step, reduce_winding)
 
@@ -32,8 +32,8 @@ __all__ = [
     "check_points_array", "circular_correlation", "circular_map",
     "class_vanishes_mod", "cocycle_index_system", "cycle_representative",
     "divide_step", "harmonic_smooth", "has_p_torsion", "inverse",
-    "kronecker_pairing", "lift_closed", "lift_coeff", "naive_circular_map",
-    "naive_lift", "persistent_cohomology", "pigeonhole_bound", "range_bound",
+    "kronecker_pairing", "lift_closed", "lift_coeff", "naive_lift",
+    "persistent_cohomology", "pigeonhole_bound", "range_bound",
     "reduce_coeff", "reduce_winding", "run_pipeline", "scaling_search",
     "select_class", "snf_repair",
 ]

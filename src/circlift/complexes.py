@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -357,35 +358,32 @@ class FilteredComplex:
         self._prefixes[tuple(counts)] = sub
         return sub
 
-    def boundary_faces(self, s: Simplex) -> list[tuple[int, int]]:
-        """Indices and signs of the faces of ``s`` (one dimension down)."""
-        m = len(s) - 1
-        return list(zip(self._faces[m][self.index(s)].tolist(), face_signs(m)))
-
-    def boundary_matrix(self, m: int, ring: Ring = ZZ) -> "SparseMatrix":
-        """Matrix of the boundary C_m -> C_{m-1}: rows are (m-1)-simplices,
-        column j holds the signed faces of the j-th m-simplex."""
+    def boundary_matrix(self, m: int) -> np.ndarray:
+        """Dense N_{m-1} x N_m integer matrix of the boundary C_m -> C_{m-1}:
+        column j holds the signed faces of the j-th m-simplex. Only the
+        Smith-normal-form routes build it, under their size cap."""
         if not 1 <= m <= self.dimension:
             raise DimensionOutOfRange(f"no boundary in degree {m}",
                                       operation="complex.boundary_matrix")
-        signs = [ring.normalize(s) for s in face_signs(m)]
-        cols = [dict(zip(row, signs)) for row in self._faces[m].tolist()]
-        return SparseMatrix(self.n_simplices(m - 1), self.n_simplices(m), ring, cols)
+        return self._incidence(m)
 
-    def coboundary_matrix(self, m: int, ring: Ring = ZZ) -> "SparseMatrix":
-        """Matrix of delta_m : C^m -> C^{m+1}, the transpose of the boundary
-        matrix in degree m+1. Rows are (m+1)-simplices."""
+    def coboundary_matrix(self, m: int) -> np.ndarray:
+        """Dense matrix of delta_m : C^m -> C^{m+1}, the transpose of the
+        boundary matrix in degree m+1; 0 x N_m in the top degree, so kernels
+        make sense."""
         if not 0 <= m <= self.dimension:
             raise DimensionOutOfRange(f"no coboundary in degree {m}",
                                       operation="complex.coboundary_matrix")
-        # a top-degree coboundary is an empty matrix, so kernels make sense
-        cols: list[dict[int, object]] = [{} for _ in range(self.n_simplices(m))]
-        if m < self.dimension:
-            signs = [ring.normalize(s) for s in face_signs(m + 1)]
-            for row, faces in enumerate(self._faces[m + 1].tolist()):
-                for col, sign in zip(faces, signs):
-                    cols[col][row] = sign
-        return SparseMatrix(self.n_simplices(m + 1), self.n_simplices(m), ring, cols)
+        return self._incidence(m + 1).T
+
+    def _incidence(self, m: int) -> np.ndarray:
+        """N_{m-1} x N_m signed incidences from the face table; no columns
+        above the top dimension."""
+        faces = self.face_table(m)
+        out = np.zeros((self.n_simplices(m - 1), len(faces)), dtype=np.int64)
+        for i, sign in enumerate(face_signs(m)):
+            out[faces[:, i], np.arange(len(faces))] = sign
+        return out
 
     # -- serialization --------------------------------------------------------
 
@@ -577,32 +575,19 @@ def forest_potential(cx: FilteredComplex, values, modulus, root: int | None = No
 
 
 # ---------------------------------------------------------------------------
-# sparse matrices
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SparseMatrix:
-    """Column-sparse matrix over a declared coefficient ring."""
-
-    n_rows: int
-    n_cols: int
-    ring: Ring
-    columns: list[dict[int, object]]
-
-
-# ---------------------------------------------------------------------------
 # chains and cochains
 # ---------------------------------------------------------------------------
 
 class _SimplexVector:
-    """Sparse simplex-indexed vector over a declared ring. Zero coefficients
+    """Sparse simplex-indexed vector over a declared ring, held as two
+    read-only arrays: ``index``, the ascending indices of the nonzero
+    coefficients, and ``values``, those coefficients, canonical in the ring
+    (Python ints or int64 over Z and F_p, floats over R). Zero coefficients
     are never stored, so the support is exact.
 
-    Kernels that compute on coefficient arrays build their results with
-    `from_array`, which takes canonical values as they are; only the
-    constructor normalizes entry by entry. Such a vector keeps its dense
-    array, which the kernels read directly, and builds the ``entries`` dict
-    (dropping the array) only when that is asked for.
+    The constructor normalizes entry by entry; kernels that compute on
+    coefficient arrays build their results from canonical values, taken as
+    they are (`from_array`).
     """
 
     def __init__(self, complex: FilteredComplex, dim: int, ring: Ring,
@@ -617,34 +602,42 @@ class _SimplexVector:
             v = ring.normalize(coeff)
             if v != zero:
                 clean[int(idx)] = v
-        self.complex = complex
-        self.dim = int(dim)
-        self.ring = ring
-        self._entries: dict[int, object] | None = clean
-        self._dense: np.ndarray | None = None
+        index = np.fromiter(clean, np.int64, len(clean))
+        order = np.argsort(index)
+        self._hold(complex, dim, ring, index[order],
+                   np.array(list(clean.values()), dtype=ring.dtype)[order])
 
-    @property
-    def entries(self) -> dict[int, object]:
-        """Simplex index -> nonzero coefficient."""
-        if self._entries is None:
-            dense, self._dense = self._dense, None
-            nz = np.flatnonzero(dense)
-            self._entries = dict(zip(nz.tolist(), dense[nz].tolist()))
-        return self._entries
-
-    # -- construction helpers --
+    def _hold(self, complex: FilteredComplex, dim: int, ring: Ring,
+              index: np.ndarray, values: np.ndarray) -> None:
+        _check_degree(complex, dim)
+        self.complex, self.dim, self.ring = complex, int(dim), ring
+        index.setflags(write=False)
+        values.setflags(write=False)
+        self.index, self.values = index, values
 
     @classmethod
-    def _canonical(cls, complex: FilteredComplex, dim: int, ring: Ring,
-                   entries: dict[int, object] | None, dense: np.ndarray | None = None):
-        """Vector holding ``entries`` (int indices in range, values canonical
-        and nonzero in ``ring``) or else the dense array of canonical
-        coefficients ``dense``, as they are."""
-        _check_degree(complex, dim)
+    def _of(cls, complex: FilteredComplex, dim: int, ring: Ring,
+            index: np.ndarray, values: np.ndarray):
+        """Vector of nonzero canonical ``values`` at ascending ``index``,
+        taken as they are."""
         vec = object.__new__(cls)
-        vec.complex, vec.dim, vec.ring = complex, int(dim), ring
-        vec._entries, vec._dense = entries, dense
+        vec._hold(complex, dim, ring, index, values)
         return vec
+
+    @classmethod
+    def _sparse(cls, complex: FilteredComplex, dim: int, ring: Ring,
+                index: np.ndarray, values: np.ndarray):
+        """`_of` with the zeros of ``values`` dropped."""
+        keep = values != 0
+        return cls._of(complex, dim, ring, index[keep], values[keep])
+
+    @cached_property
+    def entries(self) -> Mapping[int, object]:
+        """Simplex index -> nonzero coefficient, as plain Python scalars;
+        read-only, and built once, on first access."""
+        return MappingProxyType(dict(zip(self.index.tolist(), self.values.tolist())))
+
+    # -- construction helpers --
 
     @classmethod
     def from_simplices(cls, complex: FilteredComplex, dim: int, ring: Ring,
@@ -652,63 +645,48 @@ class _SimplexVector:
         return cls(complex, dim, ring,
                    {complex.index(as_simplex(s)): v for s, v in assignment.items()})
 
-    def with_entries(self, entries: Mapping[int, object], ring: Ring | None = None):
-        return type(self)(self.complex, self.dim, ring or self.ring, entries)
-
     @classmethod
     def from_array(cls, complex: FilteredComplex, dim: int, ring: Ring, values: np.ndarray):
         """Vector with the nonzero entries of a dense array of canonical
-        coefficients over the simplices of the degree. The vector keeps the
-        array, so the caller must not change it afterwards."""
+        coefficients over the simplices of the degree."""
         if len(values) != complex.n_simplices(dim):
             raise ValueError(f"{len(values)} coefficients for "
                              f"{complex.n_simplices(dim)} simplices in degree {dim}")
-        return cls._canonical(complex, dim, ring, None, values)
+        index = np.flatnonzero(values)
+        return cls._of(complex, dim, ring, index, values[index])
 
     def to_array(self, dtype=None) -> np.ndarray:
         """Dense coefficients over the simplices of the degree, exactly: as
         ``dtype`` when given (see `exact_dtype`), else as the ring's. The
         array is the caller's to change."""
-        dtype = dtype or self.ring.dtype
-        if self._dense is not None:
-            return self._dense.astype(dtype)
-        out = np.zeros(self.complex.n_simplices(self.dim), dtype=dtype)
-        out[np.fromiter(self._entries, np.int64, len(self._entries))] = \
-            list(self._entries.values())
+        out = np.zeros(self.complex.n_simplices(self.dim), dtype=dtype or self.ring.dtype)
+        out[self.index] = self.values
         return out
-
-    def _support(self, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """Support indices and their coefficients as ``dtype``."""
-        if self._dense is not None:
-            index = np.flatnonzero(self._dense)
-            return index, self._dense[index].astype(dtype)
-        return (np.fromiter(self._entries, np.int64, len(self._entries)),
-                np.array(list(self._entries.values()), dtype=dtype))
 
     def coefficient_bound(self) -> int:
         """An upper bound on |coefficient|, at least 1: p - 1 over F_p, the
         largest one otherwise."""
         if isinstance(self.ring, PrimeField):
             return self.ring.p - 1
-        if self._dense is not None and self._dense.dtype != object:
-            return max(1, np.abs(self._dense).max(initial=0).item())
-        values = self._entries.values() if self._dense is None else self._dense.tolist()
-        return max(1, max(map(abs, values), default=0))
+        return max(1, np.abs(self.values).max(initial=0, keepdims=True).item())
 
     # -- ring-respecting arithmetic --
 
     def scale(self, c):
         r = self.ring
         c = r.normalize(c)
-        values = self.to_array(r.array_dtype(max(abs(c), 1) * self.coefficient_bound()))
-        return self.from_array(self.complex, self.dim, r, r.normalize_array(values * c))
+        values = self.values.astype(r.array_dtype(max(abs(c), 1) * self.coefficient_bound()))
+        return self._sparse(self.complex, self.dim, r, self.index, r.normalize_array(values * c))
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            out[i] = self.ring.normalize(out.get(i, 0) + v)
-        return self.with_entries(out)
+        r, n = self.ring, len(self.index)
+        index, at = np.unique(np.concatenate([self.index, other.index]), return_inverse=True)
+        dtype = r.array_dtype(self.coefficient_bound() + other.coefficient_bound())
+        total = np.zeros(len(index), dtype=dtype)
+        total[at[:n]] = self.values.astype(dtype)
+        total[at[n:]] += other.values.astype(dtype)
+        return self._sparse(self.complex, self.dim, r, index, r.normalize_array(total))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -724,35 +702,35 @@ class _SimplexVector:
     # -- views --
 
     def coefficient(self, s: Simplex):
-        return self.entries.get(self.complex.index(as_simplex(s)), self.ring.zero)
+        i = self.complex.index(as_simplex(s))
+        at = int(np.searchsorted(self.index, i))
+        if at < len(self.index) and self.index[at] == i:
+            return self.values[at:at + 1].tolist()[0]
+        return self.ring.zero
 
     @property
     def support(self) -> list[int]:
-        return sorted(self.entries)
+        return self.index.tolist()
 
     def is_zero(self) -> bool:
-        if self._dense is not None:
-            return not (self._dense != 0).any()
-        return not self._entries
+        return not len(self.index)
 
     def __eq__(self, other) -> bool:
         return (type(self) is type(other) and self.complex is other.complex
-                and self.dim == other.dim and self.entries == other.entries)
+                and self.dim == other.dim and np.array_equal(self.index, other.index)
+                and np.array_equal(self.values, other.values))
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{self.complex.simplex(self.dim, i)}: {v}"
-                           for i, v in sorted(self.entries.items()))
+                           for i, v in zip(self.index.tolist(), self.values.tolist()))
         return f"{type(self).__name__}[{self.ring.name}]({{{inside}}})"
 
     # -- coefficient maps --
 
     def reduce_mod(self, p: int):
         """Push Z (or F_q) coefficients through the quotient map to F_p."""
-        values = self.to_array(exact_dtype(max(self.coefficient_bound(), p)))
-        return self.from_array(self.complex, self.dim, GF(p), values % p)
-
-    def map_coefficients(self, fn, ring: Ring):
-        return self.with_entries({i: fn(v) for i, v in self.entries.items()}, ring=ring)
+        values = self.values.astype(exact_dtype(max(self.coefficient_bound(), p)))
+        return self._sparse(self.complex, self.dim, GF(p), self.index, values % p)
 
     def push_to(self, other: FilteredComplex):
         """Re-express on another complex holding (a subset of) the support.
@@ -760,11 +738,10 @@ class _SimplexVector:
         Support simplices missing from the target are dropped: this is the
         pullback along the inclusion of a subcomplex.
         """
-        index, values = self._support(self.ring.dtype)
-        target = other.indices(self.dim, self.complex.vertex_array(self.dim)[index])
-        keep = target >= 0
-        return type(self)._canonical(other, self.dim, self.ring,
-                                     dict(zip(target[keep].tolist(), values[keep].tolist())))
+        target = other.indices(self.dim, self.complex.vertex_array(self.dim)[self.index])
+        keep = np.flatnonzero(target >= 0)
+        keep = keep[np.argsort(target[keep])]
+        return self._of(other, self.dim, self.ring, target[keep], self.values[keep])
 
     # -- serialization --
 
@@ -774,15 +751,14 @@ class _SimplexVector:
             "dim": self.dim,
             "ring": self.ring.name,
             "entries": [[rows[i].tolist(), self.ring.coeff_to_str(v)]
-                        for i, v in sorted(self.entries.items())],
+                        for i, v in zip(self.index.tolist(), self.values.tolist())],
         }
 
     @classmethod
     def from_json_dict(cls, complex: FilteredComplex, data: dict, ring: Ring | None = None):
         ring = ring or ring_from_name(data.get("ring", "Z"))
         assignment = {tuple(v): ring.coeff_from_str(c) for v, c in data["entries"]}
-        vec = cls.from_simplices(complex, int(data["dim"]), ring, assignment)
-        return vec
+        return cls.from_simplices(complex, int(data["dim"]), ring, assignment)
 
 
 def _check_degree(complex: FilteredComplex, dim: int) -> None:
@@ -828,9 +804,9 @@ def apply_boundary(c: Chain) -> Chain:
     if m < 1:
         _raise_degree(m - 1)
     # a face collects at most one coefficient per m-simplex
-    support, coeff = c._support(ring.array_dtype(cx.n_simplices(m) * c.coefficient_bound()))
+    coeff = c.values.astype(ring.array_dtype(cx.n_simplices(m) * c.coefficient_bound()))
     total = np.zeros(cx.n_simplices(m - 1), dtype=coeff.dtype)
-    np.add.at(total, cx.face_table(m)[support].ravel(),
+    np.add.at(total, cx.face_table(m)[c.index].ravel(),
               (coeff[:, None] * np.array(face_signs(m))).ravel())
     return Chain.from_array(cx, m - 1, ring, ring.normalize_array(total))
 
@@ -841,5 +817,6 @@ def kronecker_pairing(alpha: Cochain, beta: Chain):
     if alpha.complex is not beta.complex or alpha.dim != beta.dim:
         raise DimensionMismatch("pairing needs matching complex and degree",
                                 operation="complex.kronecker_pairing")
-    index, values = beta._support(object)
-    return alpha.ring.normalize((alpha.to_array(object)[index] * values).sum())
+    _, a, b = np.intersect1d(alpha.index, beta.index, assume_unique=True, return_indices=True)
+    return alpha.ring.normalize((alpha.values[a].astype(object)
+                                 * beta.values[b].astype(object)).sum())

@@ -8,8 +8,6 @@ in any order, or in parallel, without changing results.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,31 +68,15 @@ def _count_non_liftable(p: int, n: int, k: int, samples: int, seed: int) -> int:
 
 
 def sparsity_sweep(n: int, prime_min: int, prime_max: int,
-                   samples_per_prime: int, k: int, seed: int,
-                   threads: int | None = None) -> list[SparsityRow]:
+                   samples_per_prime: int, k: int, seed: int) -> list[SparsityRow]:
     """Proportion of non-liftable lines in F_p^n for each prime in range."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     if prime_min < 3:
         raise ValueError("sweep primes start at 3 (odd primes only)")
-    primes = primes_in_range(prime_min, prime_max)
-    threads = threads if threads is not None else _env_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(
-                lambda p: _count_non_liftable(p, n, k, samples_per_prime, seed),
-                primes))
-    else:
-        counts = [_count_non_liftable(p, n, k, samples_per_prime, seed)
-                  for p in primes]
-    return [SparsityRow(p, samples_per_prime, c) for p, c in zip(primes, counts)]
-
-
-def _env_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CIRCLIFT_THREADS", "1")))
-    except ValueError:
-        return 1
+    return [SparsityRow(p, samples_per_prime,
+                        _count_non_liftable(p, n, k, samples_per_prime, seed))
+            for p in primes_in_range(prime_min, prime_max)]
 
 
 def trend_slope(rows: list[SparsityRow]) -> float:

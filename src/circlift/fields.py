@@ -8,12 +8,15 @@ the lifting heuristics share. Everything here is pure and immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ZeroInverse
 
 
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Trial-division primality check (desk-scale inputs)."""
+    """Trial-division primality check (desk-scale inputs). Remembered, so
+    each prime a run works over is proven once."""
     if n < 2:
         return False
     if n < 4:

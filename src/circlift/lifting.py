@@ -170,8 +170,7 @@ def cocycle_index_system(c: Cochain | Chain, kind: Kind | None = None) -> IndexS
     """
     kind = kind or infer_kind(c)
     p = _field_prime(c)
-    cx = c.complex
-    support = c._support(object)[0]
+    cx, support = c.complex, c.index
     if kind == "cocycle":
         faces = cx.face_table(c.dim + 1)
         in_support = np.zeros(cx.n_simplices(c.dim), dtype=bool)
@@ -179,7 +178,6 @@ def cocycle_index_system(c: Cochain | Chain, kind: Kind | None = None) -> IndexS
         group, col = np.nonzero(in_support[faces])
         pos, sign = faces[group, col], np.array(face_signs(c.dim + 1))[col]
     else:
-        support.sort()
         faces = cx.face_table(c.dim)[support].ravel()
         order = np.argsort(faces, kind="stable")
         row, col = np.divmod(order, c.dim + 1)
@@ -218,10 +216,10 @@ def scaling_search(c: Cochain | Chain,
     never in the upper half.
     """
     p = _field_prime(c)
-    index, values = c._support(exact_dtype(p * p))
-    if not index.size:
+    values = c.values.astype(exact_dtype(p * p))
+    if not values.size:
         return FpElement(1, OddPrime(p))
-    limit = np.array(list(map(bounds.__getitem__, index.tolist())), dtype=values.dtype)
+    limit = np.array(list(map(bounds.__getitem__, c.support)), dtype=values.dtype)
     r = _first_scalar(p, values,
                       lambda scaled: (np.minimum(scaled, p - scaled) <= limit).all(axis=1))
     return None if r is None else FpElement(r, OddPrime(p))
@@ -232,9 +230,8 @@ def _verified_scalar(c: Cochain | Chain, system: IndexSystem) -> Optional[int]:
     every relation of ``system``, which covers every simplex the
     (co)boundary of a lift on the support can reach, sums to zero."""
     p = _field_prime(c)
-    index, values = c._support(exact_dtype(p * max(p, system.longest)))
-    order = np.argsort(index)
-    at = order[np.searchsorted(index[order], system.pos)]
+    values = c.values.astype(exact_dtype(p * max(p, system.longest)))
+    at = np.searchsorted(c.index, system.pos)
     return _first_scalar(p, values,
                          lambda scaled: ~system.sums(_centred(scaled, p)[:, at]).any(axis=1))
 
@@ -260,7 +257,7 @@ def lift_closed(c: Cochain | Chain, kind: Kind | None = None, *,
                         operation="lifting.lift_closed")
 
     system = cocycle_index_system(c, kind)
-    r = scaling_search(c, system.bounds(list(c.entries)))
+    r = scaling_search(c, system.bounds(c.index))
     if r is not None:
         working = naive_lift(c.scale(r.value))
         cert = CERT_IN_RANGE if kind == "cocycle" else CERT_PER_FACE_RANGE
@@ -308,21 +305,17 @@ def snf_repair(alpha: Cochain | Chain, p: OddPrime, kind: Kind | None = None, *,
     kind = kind or infer_kind(alpha)
     cx = alpha.complex
     defect = (apply_coboundary(alpha) if kind == "cocycle" else apply_boundary(alpha))
-    if any(v % p.p for v in defect.entries.values()):
+    if not defect.reduce_mod(p.p).is_zero():
         raise NotClosed(f"input is not closed mod {p.p}", operation="lifting.snf_repair")
     if defect.is_zero():
         return alpha
 
-    if kind == "cocycle":
-        op = cx.coboundary_matrix(alpha.dim, ZZ)
-    else:
-        op = cx.boundary_matrix(alpha.dim, ZZ)
-    _snf_guard(op.n_cols, op.n_rows, snf_cap, "lifting.snf_repair")
-
-    eta = [0] * op.n_rows
-    for i, v in defect.entries.items():
-        eta[i] = int(v) // p.p
-    xi = snf.solve_integer(snf.sparse_to_rows(op), eta)
+    _snf_guard(cx.n_simplices(alpha.dim), cx.n_simplices(defect.dim), snf_cap,
+               "lifting.snf_repair")
+    op = (cx.coboundary_matrix(alpha.dim) if kind == "cocycle"
+          else cx.boundary_matrix(alpha.dim))
+    eta = (defect.to_array(object) // p.p).tolist()
+    xi = snf.solve_integer(op, eta)
     if xi is None:
         raise TorsionObstruction(
             f"defect class is {p.p}-torsion; retry with another prime",
@@ -348,6 +341,6 @@ def has_p_torsion(cx, degree: int, p: OddPrime, *,
     degree-1 chains, i.e. whether degree-th cohomology has p-torsion."""
     if degree < 1 or degree > cx.dimension:
         return False
-    op = cx.boundary_matrix(degree, ZZ)
-    _snf_guard(op.n_cols, op.n_rows, snf_cap, "lifting.has_p_torsion")
-    return any(d % p.p == 0 for d in snf.elementary_divisors(snf.sparse_to_rows(op)))
+    _snf_guard(cx.n_simplices(degree), cx.n_simplices(degree - 1), snf_cap,
+               "lifting.has_p_torsion")
+    return any(d % p.p == 0 for d in snf.elementary_divisors(cx.boundary_matrix(degree)))

@@ -75,11 +75,11 @@ class PersistencePair:
         """Restriction of the representative to the sublevel complex at
         ``scale`` (entries on later simplices are dropped)."""
         full = self.cocycle_below_death
-        n = _prefix_length(full.complex, self.dimension, scale)
-        if max(full.entries, default=-1) < n:
+        k = int(full.index.searchsorted(_prefix_length(full.complex, self.dimension, scale)))
+        if k == len(full.index):
             return full
-        kept = {i: v for i, v in full.entries.items() if i < n}
-        return Cochain._canonical(full.complex, self.dimension, full.ring, kept)
+        return Cochain._of(full.complex, self.dimension, full.ring,
+                           full.index[:k], full.values[:k])
 
     def to_json_dict(self) -> dict:
         out = {
@@ -129,7 +129,7 @@ class Diagram:
 
 def _prefix_length(cx: FilteredComplex, m: int, scale: float) -> int:
     """Number of m-simplices with filtration <= scale: they come first."""
-    return int(np.searchsorted(cx.filtration_values(m), scale, side="right"))
+    return int(cx.filtration_values(m).searchsorted(scale, side="right"))
 
 
 # cofacet values evaluated at once while searching for long deaths
@@ -167,8 +167,9 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     if max_dim > cx.dimension:
         raise ValueError(f"max_dim {max_dim} exceeds complex dimension {cx.dimension}")
     q = p.p
-    # (degree, birth index, (death value, death simplex) or None, entries)
-    finished: list[tuple[int, int, tuple | None, dict[int, int]]] = []
+    # (degree, birth index, (death value, death simplex) or None, support,
+    # canonical nonzero F_q values on it)
+    finished: list[tuple[int, int, tuple | None, np.ndarray, np.ndarray]] = []
     births = ~_components(cx, finished)
     for d in range(1, max_dim + 1):
         # a skeleton's top-degree cofacets are implied by its distances
@@ -182,11 +183,10 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     final_scale = cx.max_filtration()
     diagram = Diagram(prime=q, complex=cx)
     ring = GF(q)
-    for d, bidx, died, support in finished:
+    for d, bidx, died, support, values in finished:
         birth = float(cx.filtration_values(d)[bidx])
         death, death_simplex = (math.inf, None) if died is None else died
-        # every support map below holds canonical nonzero F_q values
-        raw = Cochain._canonical(cx, d, ring, support)
+        raw = Cochain._of(cx, d, ring, support, values)
         if scale_policy != "midpoint" and birth <= float(scale_policy) < death:
             scale = float(scale_policy)
         elif math.isinf(death):
@@ -234,12 +234,16 @@ def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
             continue
         merges[j], root[young], components = True, old, components - 1
         if f_e[j] > f_v[young]:
-            finished.append((0, young, (f_e[j], cx.simplex(1, j)),
-                             dict.fromkeys(members[young], 1)))
+            finished.append((0, young, (f_e[j], cx.simplex(1, j)), *_indicator(members[young])))
         members[old] += members[young]
-    finished.extend((0, v, None, dict.fromkeys(members[v], 1))
+    finished.extend((0, v, None, *_indicator(members[v]))
                     for v in range(len(root)) if root[v] == v)
     return merges
+
+
+def _indicator(members: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Support and values of the cochain that is 1 on ``members``."""
+    return np.array(sorted(members)), np.ones(len(members), dtype=np.int64)
 
 
 class _FaceTable:
@@ -379,7 +383,7 @@ def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,
     apparent = source.faces(tau).max(axis=1) == sigma
     sigma, tau = sigma[apparent], tau[apparent]
     shown = tau["f"] > f_d[sigma]
-    finished.extend((d, s, (f, tuple(verts)), {s: 1}) for s, f, verts in zip(
+    finished.extend((d, s, (f, tuple(verts)), *_indicator([s])) for s, f, verts in zip(
         sigma[shown].tolist(), tau["f"][shown].tolist(),
         source.vertices(tau[shown]).tolist()))
 
@@ -390,7 +394,7 @@ def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,
     long = np.flatnonzero(births & (arrive["c"] == _NEVER["c"]))
     # a birth with no cofacet keeps {b: 1} and never dies
     alone = earliest["c"][long] == _NEVER["c"]
-    finished.extend((d, b, None, {b: 1}) for b in long[alone].tolist())
+    finished.extend((d, b, None, *_indicator([b])) for b in long[alone].tolist())
     long = long[~alone]
     arrive[long] = _FIRST
     if not long.size:
@@ -440,7 +444,7 @@ def _replay(source, d: int, f_d: np.ndarray, q: int, long: np.ndarray,
             if rho["f"] > f_d[birth]:
                 simplex = tuple(source.vertices(keys[r:r + 1])[0].tolist())
                 finished.append((d, birth, (float(rho["f"]), simplex),
-                                 _entries(E, col, _before(arrive, rho))))
+                                 *_column(E, col, _before(arrive, rho))))
             inv = inv_mod(int(row[victim]), q)
             for k in nonzero[:-1]:
                 factor = int(row[k]) * inv % q
@@ -449,7 +453,7 @@ def _replay(source, d: int, f_d: np.ndarray, q: int, long: np.ndarray,
             at[:, victim] = 0
     for col in np.flatnonzero(live).tolist():
         finished.append((d, int(long[col]), None,
-                         _entries(E, col, arrive["c"] != _NEVER["c"])))
+                         *_column(E, col, arrive["c"] != _NEVER["c"])))
     return np.concatenate(deaths or [np.empty(0, dtype=_KEY)])
 
 
@@ -496,10 +500,10 @@ def _extend(E: np.ndarray, rows: np.ndarray, sigma: np.ndarray, signs: np.ndarra
         E[sigma[group]] = -signs[pos[group], None] * total % q
 
 
-def _entries(E: np.ndarray, col: int, arrived: np.ndarray) -> dict[int, int]:
-    """Column ``col`` of E on the simplices in ``arrived``, as a support map."""
+def _column(E: np.ndarray, col: int, arrived: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support and values of column ``col`` of E on the simplices in ``arrived``."""
     kept = np.flatnonzero((E[:-1, col] != 0) & arrived)
-    return dict(zip(kept.tolist(), E[kept, col].tolist()))
+    return kept, E[kept, col]
 
 
 def cycle_representative(cx: FilteredComplex, p: OddPrime,

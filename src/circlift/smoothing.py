@@ -16,8 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .complexes import (Cochain, FilteredComplex, RR, ZZ, apply_coboundary,
-                        forest_potential, spanning_forest)
+from .complexes import (Cochain, RR, ZZ, apply_coboundary, forest_potential,
+                        spanning_forest)
 from .errors import InconsistentCocycle, NotACocycle, SolverDiverged, VertexSetMismatch
 
 RESIDUAL_RTOL = 1e-9
@@ -120,13 +120,6 @@ def harmonic_smooth(alpha: Cochain) -> SmoothedCocycle:
             operation="smoothing_coords.harmonic_smooth")
     return SmoothedCocycle(Cochain.from_array(cx, 1, RR, alpha_tilde),
                            Cochain.from_array(cx, 0, RR, f), residual)
-
-
-def naive_circular_map(alpha: Cochain, cx: FilteredComplex | None = None) -> CircularCoords:
-    """The base construction sends every vertex to 0: circular variation
-    lives entirely on the edges. Exposed for completeness and testing."""
-    cx = cx or alpha.complex
-    return CircularCoords({v: 0.0 for v in cx.vertex_ids})
 
 
 def circular_map(smoothed: SmoothedCocycle,

@@ -7,8 +7,6 @@ callers enforce their own size caps.
 
 from __future__ import annotations
 
-from .complexes import SparseMatrix
-
 Matrix = list[list[int]]
 
 
@@ -134,12 +132,3 @@ def solve_integer(matrix, rhs: list[int]) -> list[int] | None:
         elif c[i]:
             return None
     return [sum(V[i][k] * y[k] for k in range(n)) for i in range(n)]
-
-
-def sparse_to_rows(mat: SparseMatrix) -> Matrix:
-    """Dense integer row-major copy of a sparse matrix over Z."""
-    rows = [[0] * mat.n_cols for _ in range(mat.n_rows)]
-    for j, col in enumerate(mat.columns):
-        for i, v in col.items():
-            rows[i][j] = int(v)
-    return rows

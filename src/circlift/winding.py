@@ -66,10 +66,6 @@ def _require_integer_cocycle(alpha: Cochain, operation: str) -> None:
         raise NotACocycle("input cochain is not a cocycle over Z", operation=operation)
 
 
-def _divisible(c: Cochain, q: int) -> bool:
-    return all(v % q == 0 for v in c.entries.values())
-
-
 def _split(alpha: Cochain, q: int, route: str, snf_cap: int,
            operation: str) -> tuple[Cochain, Cochain, str] | None:
     """(f, gamma, route label) with alpha = q * gamma + delta(f) exactly, or
@@ -95,9 +91,9 @@ def _split(alpha: Cochain, q: int, route: str, snf_cap: int,
                 ROUTE_MOD_P)
     n_m, n_below = cx.n_simplices(m), cx.n_simplices(m - 1)
     _snf_guard(n_below + n_m, n_m, snf_cap, operation)
-    rows = snf.sparse_to_rows(cx.coboundary_matrix(m - 1, ZZ))
-    for i in range(n_m):
-        rows[i].extend(q if k == i else 0 for k in range(n_m))
+    # the q I block stays in Python ints: q may exceed 2^63
+    rows = [row + [q if k == i else 0 for k in range(n_m)]
+            for i, row in enumerate(cx.coboundary_matrix(m - 1).tolist())]
     sol = snf.solve_integer(rows, alpha.to_array().tolist())
     if sol is None:
         return None
@@ -125,7 +121,7 @@ def class_vanishes_mod(alpha: Cochain, q: int) -> bool:
     """
     _require_integer_cocycle(alpha, "winding.class_vanishes_mod")
     if alpha.dim == 0:
-        return _divisible(alpha, q)
+        return alpha.reduce_mod(q).is_zero()
     return _split(alpha, q, "auto", DEFAULT_SNF_CAP,
                   "winding.class_vanishes_mod") is not None
 
@@ -196,7 +192,7 @@ def reduce_winding(alpha: Cochain, beta: Chain, *,
     current, omega = alpha, 1
     # the witness sum of omega * f accumulates on an array; its bound
     # covers every partial sum and omega itself
-    witness, bound = Cochain(alpha.complex, alpha.dim - 1, ZZ, {}).to_array(np.int64), 1
+    witness, bound = np.zeros(alpha.complex.n_simplices(alpha.dim - 1), dtype=np.int64), 1
     trace: list[tuple[int, int, str]] = []
     for q in primes:
         max_times, r = 0, abs(pairing)

@@ -11,13 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def to_numpy_mod(mat, q: int) -> np.ndarray:
-    """Dense int64 copy of an integer SparseMatrix, reduced mod q."""
-    out = np.zeros((mat.n_rows, mat.n_cols), dtype=np.int64)
-    for j, col in enumerate(mat.columns):
-        for i, v in col.items():
-            out[i, j] = int(v) % q
-    return out
+def to_numpy_mod(mat: np.ndarray, q: int) -> np.ndarray:
+    """An integer matrix reduced mod q."""
+    return np.mod(mat, q)
 
 
 def _inv_mod(a: int, q: int) -> int:

@@ -14,6 +14,8 @@ union-find, apparent pairs and the long-cocycle replay replaced.
 per-entry loops over dicts (relation checks and bounds, scaling search,
 verify-every-scalar sweep, forest division and witness accumulation) that
 the coefficient-array kernels of ``lifting`` and ``winding`` replaced.
+``boundary_faces`` is no oracle but a helper that reads the faces of one
+simplex from a complex's face table.
 """
 
 from __future__ import annotations
@@ -150,13 +152,11 @@ def reference_boundary(c: Chain) -> dict[int, object]:
     return {i: v for i, v in out.items() if not ring.is_zero(v)}
 
 
-def to_dense(mat) -> list[list[object]]:
-    """Dense row-major copy of a SparseMatrix."""
-    dense = [[mat.ring.zero] * mat.n_cols for _ in range(mat.n_rows)]
-    for j, col in enumerate(mat.columns):
-        for i, v in col.items():
-            dense[i][j] = v
-    return dense
+def boundary_faces(cx, s: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Indices and signs of the faces of ``s`` (one dimension down) in
+    ``cx``, read from its face table."""
+    m = len(s) - 1
+    return list(zip(cx.face_table(m)[cx.index(s)].tolist(), face_signs(m)))
 
 
 def persistent_homology_intervals(cx, p, max_dim: int) -> list[tuple[int, float, float]]:

@@ -19,8 +19,9 @@ from circlift.experiments import (sample_circle, sample_trefoil,
                                   sparsity_sweep, trend_slope)
 from circlift.fields import FpElement, abs_mod, abs_p, lift_coeff, primes_in_range
 from circlift.lifting import CERT_VERIFIED_ONLY
-from circlift.snf import solve_integer, sparse_to_rows
+from circlift.snf import solve_integer
 from conftest import random_connected_complex
+from oracles import boundary_faces
 
 
 def _report(number: int, name: str, t0: float, budget: float) -> None:
@@ -136,7 +137,7 @@ def test_criterion_06_division_route_oracle_equivalence():
         s_snf = divide_step(alpha, q, route="snf")
         assert s_snf.gamma.scale(q) + apply_coboundary(s_snf.potential) == alpha
         diff = s_mod.gamma - s_snf.gamma
-        rows = sparse_to_rows(cx.coboundary_matrix(0, ZZ))
+        rows = cx.coboundary_matrix(0)
         b = [0] * cx.n_simplices(1)
         for i, v in diff.entries.items():
             b[i] = int(v)
@@ -169,7 +170,7 @@ def test_criterion_07_smoothing_characterization():
         n_e, n_v = cx.n_simplices(1), cx.n_vertices
         B = np.zeros((n_e, n_v))
         for j, s in enumerate(cx.simplices(1)):
-            for idx, sign in cx.boundary_faces(s):
+            for idx, sign in boundary_faces(cx, s):
                 B[j, idx] = sign
         a = np.zeros(n_e)
         for i, v in alpha.entries.items():

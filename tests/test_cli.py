@@ -118,8 +118,8 @@ class TestLift:
     def test_torsion_obstruction_exit_code(self, tmp_path):
         from fplinalg import in_image_mod, nullspace_mod, to_numpy_mod
         moore = moore_z3_complex()
-        d1 = to_numpy_mod(moore.coboundary_matrix(1, ZZ), 3)
-        d0 = to_numpy_mod(moore.coboundary_matrix(0, ZZ), 3)
+        d1 = to_numpy_mod(moore.coboundary_matrix(1), 3)
+        d0 = to_numpy_mod(moore.coboundary_matrix(0), 3)
         vec = next(v for v in nullspace_mod(d1, 3) if not in_image_mod(d0, v, 3))
         cochain = Cochain(moore, 1, GF(3), {i: int(x) for i, x in enumerate(vec)})
         cpath = tmp_path / "cx.json"

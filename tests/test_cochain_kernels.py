@@ -21,8 +21,6 @@ from circlift.lifting import (CERT_IN_RANGE, CERT_PER_FACE_RANGE, CERT_SNF_REPAI
 from oracles import reference_lift_closed, reference_reduce_winding
 
 DIFFERENTIAL = settings(max_examples=120, deadline=None, database=None)
-# each OddPrime(p) of a large prime costs a trial division up to sqrt(p)
-LARGE = settings(max_examples=40, deadline=None, database=None)
 SMALL_PRIMES = (3, 7, 47, 1009)
 LARGE_PRIMES = (2_147_483_659, 1_099_511_627_791)
 
@@ -86,7 +84,7 @@ class TestLift:
     def test_random_complexes_small_primes(self, cx, p, data):
         self._check(cx, p, data)
 
-    @LARGE
+    @DIFFERENTIAL
     @given(complexes(5), st.sampled_from(LARGE_PRIMES), st.data())
     def test_random_complexes_large_primes(self, cx, p, data):
         # at most 5 vertices: relations of at most k <= 4 terms on at most

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from circlift import (Chain, Cochain, GF, OddPrime, ZZ, apply_boundary,
+from circlift import (Chain, Cochain, FilteredComplex, GF, OddPrime, ZZ, apply_boundary,
                       apply_coboundary, build_from_simplices,
                       cocycle_index_system, has_p_torsion, lift_closed,
                       naive_lift, pigeonhole_bound, scaling_search, snf_repair)
 from circlift.errors import (ComplexTooLargeForSnf, NotClosed,
                              TorsionObstruction, Unliftable)
-from circlift.fields import abs_mod, primes_in_range
+from circlift.fields import abs_mod, is_prime, primes_in_range
 from circlift.lifting import (CERT_IN_RANGE, CERT_PER_FACE_RANGE,
                               CERT_SNF_REPAIRED, CERT_VERIFIED_ONLY)
 from conftest import moore_z3_complex, random_complex, random_fp_cocycle, rp2_complex
@@ -136,6 +136,17 @@ class TestLiftClosed:
         assert rep.working_lift == Chain(filled_triangle, 0, ZZ, {0: 3, 1: -2, 2: -1})
         assert rep.exact_preimage == rep.working_lift
 
+    def test_each_prime_is_proven_once(self, filled_triangle):
+        # OddPrime(p) proves p prime by trial division up to sqrt(p), about
+        # 10^6 divisions at this p; lift_closed constructs it more than once
+        p = 1_099_511_627_791
+        c = Cochain.from_simplices(filled_triangle, 1, GF(p),
+                                   {(1, 2): 3, (0, 2): 4, (0, 1): 1})
+        is_prime.cache_clear()
+        for _ in range(2):
+            assert lift_closed(c).certificate == CERT_IN_RANGE
+        assert is_prime.cache_info().misses == 1
+
     def test_not_closed(self, filled_triangle):
         c = Cochain.from_simplices(filled_triangle, 1, GF(7), {(0, 1): 1})
         with pytest.raises(NotClosed):
@@ -157,8 +168,7 @@ class TestLiftClosed:
                     sign = 1 if (a, b) == (i, (i + 1) % n) else -1
                     entries[(a, b)] = (w * sign) % p
                 cyc = Chain.from_simplices(poly, 1, GF(p), entries)
-                assert apply_boundary(cyc.map_coefficients(
-                    lambda v: v, GF(p))).is_zero()
+                assert apply_boundary(cyc).is_zero()
                 rep = lift_closed(cyc)
                 assert rep.certificate == CERT_PER_FACE_RANGE
 
@@ -216,8 +226,8 @@ class TestSnfRepair:
         q = 3
         # a 1-cocycle over F_3 whose class generates H^1(X; F_3): it cannot
         # lift because the integral H^1 is trivial while H^2 has 3-torsion
-        d1 = to_numpy_mod(moore.coboundary_matrix(1, ZZ), q)
-        d0 = to_numpy_mod(moore.coboundary_matrix(0, ZZ), q)
+        d1 = to_numpy_mod(moore.coboundary_matrix(1), q)
+        d0 = to_numpy_mod(moore.coboundary_matrix(0), q)
         witness = None
         for vec in nullspace_mod(d1, q):
             if not in_image_mod(d0, vec, q):
@@ -264,6 +274,22 @@ class TestSnfRepair:
         alpha = Cochain.from_simplices(filled_triangle, 1, ZZ, {(0, 1): 1})
         with pytest.raises(NotClosed):
             snf_repair(alpha, OddPrime(7))
+
+    def test_cap_checked_before_any_matrix_is_built(self, filled_triangle, monkeypatch):
+        def build(*args):
+            raise AssertionError("matrix built before the SNF cap was checked")
+
+        monkeypatch.setattr(FilteredComplex, "boundary_matrix", build)
+        monkeypatch.setattr(FilteredComplex, "coboundary_matrix", build)
+        cocycle = Cochain.from_simplices(filled_triangle, 1, ZZ,
+                                         {(1, 2): 3, (0, 2): -3, (0, 1): 1})
+        cycle = Chain.from_simplices(filled_triangle, 1, ZZ, {(0, 1): 7})
+        with pytest.raises(ComplexTooLargeForSnf, match=r"3\+1 simplices .* cap 2"):
+            snf_repair(cocycle, OddPrime(7), snf_cap=2)
+        with pytest.raises(ComplexTooLargeForSnf, match=r"3\+3 simplices .* cap 2"):
+            snf_repair(cycle, OddPrime(7), snf_cap=2)
+        with pytest.raises(ComplexTooLargeForSnf, match=r"1\+3 simplices .* cap 2"):
+            has_p_torsion(filled_triangle, 2, OddPrime(3), snf_cap=2)
 
 
 class TestPigeonhole:

@@ -3,9 +3,9 @@ from collections import deque
 import numpy as np
 import pytest
 
-from circlift import (Cochain, RR, ZZ, apply_coboundary,
+from circlift import (Chain, Cochain, RR, ZZ, apply_coboundary,
                       build_from_simplices, circular_correlation, circular_map,
-                      harmonic_smooth, kronecker_pairing, naive_circular_map)
+                      harmonic_smooth, kronecker_pairing)
 from circlift.errors import InconsistentCocycle, NotACocycle, VertexSetMismatch
 from circlift.smoothing import CircularCoords, SmoothedCocycle
 from conftest import (hexagon_fundamental_cycle, hexagon_generator,
@@ -139,7 +139,7 @@ class TestHarmonicSmooth:
 
     def test_winding_fidelity(self, hexagon):
         # the smoothed class integrates to exactly w around the loop
-        beta = hexagon_fundamental_cycle(hexagon).map_coefficients(float, RR)
+        beta = Chain(hexagon, 1, RR, hexagon_fundamental_cycle(hexagon).entries)
         for w in (1, 2, 5, 10):
             smoothed = harmonic_smooth(hexagon_generator(hexagon).scale(w))
             total = kronecker_pairing(smoothed.alpha_tilde, beta)
@@ -179,10 +179,6 @@ class TestHarmonicSmooth:
 
 
 class TestCircularMap:
-    def test_naive_map_is_zero(self, hexagon):
-        coords = naive_circular_map(hexagon_generator(hexagon))
-        assert coords.values == {v: 0.0 for v in range(6)}
-
     def test_hexagon_sixths(self, hexagon):
         smoothed = harmonic_smooth(hexagon_generator(hexagon))
         coords = circular_map(smoothed)

@@ -12,7 +12,7 @@ from circlift import (Chain, Cochain, OddPrime, ZZ,
 from circlift.errors import (ComplexTooLargeForSnf, NotACocycle, NotDivisible,
                              ZeroPairing)
 from circlift.experiments import sample_circle
-from circlift.snf import solve_integer, sparse_to_rows
+from circlift.snf import solve_integer
 from circlift.winding import ROUTE_MOD_P, ROUTE_SNF
 from conftest import (hexagon_fundamental_cycle, hexagon_generator,
                       moore_z3_complex, random_complex,
@@ -28,11 +28,8 @@ def random_vertex_cochain(rng, cx, lo=-5, hi=5):
 
 
 def is_integer_coboundary(cx, diff: Cochain) -> bool:
-    A = sparse_to_rows(cx.coboundary_matrix(diff.dim - 1, ZZ))
-    b = [0] * cx.n_simplices(diff.dim)
-    for i, v in diff.entries.items():
-        b[i] = int(v)
-    return solve_integer(A, b) is not None
+    A = cx.coboundary_matrix(diff.dim - 1)
+    return solve_integer(A, diff.to_array().tolist()) is not None
 
 
 class TestClassVanishes:
@@ -266,7 +263,7 @@ def random_integer_cocycle(rng, cx, m: int) -> Cochain:
         basis = np.eye(n, dtype=np.int64)
     else:
         basis = np.array(nullspace_integer(
-            sparse_to_rows(cx.coboundary_matrix(m, ZZ))), dtype=np.int64).reshape(-1, n)
+            cx.coboundary_matrix(m)), dtype=np.int64).reshape(-1, n)
     vec = rng.integers(-3, 4, len(basis)) @ basis
     return Cochain(cx, m, ZZ, {i: int(v) for i, v in enumerate(vec)})
 
@@ -274,10 +271,8 @@ def random_integer_cocycle(rng, cx, m: int) -> Cochain:
 def dense_vanishes(alpha: Cochain, q: int) -> bool:
     """Dense F_q oracle: alpha mod q lies in the image of delta."""
     cx, m = alpha.complex, alpha.dim
-    b = np.zeros(cx.n_simplices(m), dtype=np.int64)
-    for i, v in alpha.entries.items():
-        b[i] = v % q
-    return in_image_mod(to_numpy_mod(cx.coboundary_matrix(m - 1, ZZ), q), b, q)
+    b = alpha.reduce_mod(q).to_array(np.int64)
+    return in_image_mod(to_numpy_mod(cx.coboundary_matrix(m - 1), q), b, q)
 
 
 def oracle_cases(seed: int, m: int, count: int):

@@ -9,10 +9,9 @@ transpose of the boundary matrix one degree up.
 from __future__ import annotations
 
 import json
-from collections import deque
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -209,13 +208,14 @@ class FilteredComplex:
             filt_by_dim.append(np.array(filt.get(m, []), dtype=float)[lex])
         self._init_arrays(verts_by_dim, filt_by_dim)
 
-    def _init_arrays(self, verts_by_dim: list[np.ndarray], filt_by_dim: list[np.ndarray]
-                     ) -> None:
+    def _init_arrays(self, verts_by_dim: list[np.ndarray], filt_by_dim: list[np.ndarray],
+                     rips: bool = False) -> None:
         """Fill the complex from per-dimension int64 vertex rows (ascending
         within a row) and their filtration values; trailing empty dimensions
         are dropped. The rows of each dimension must come in lexicographic
         order: one stable sort on the filtration then gives the (filtration,
-        lex) order."""
+        lex) order. With ``rips`` the vertices are 0..n-1 and the triangles
+        find their faces in the `edge_index` matrix."""
         counts = [len(v) for v in verts_by_dim]
         if not any(counts):
             raise EmptyInput("complex has no simplices", operation="complex.build")
@@ -225,16 +225,23 @@ class FilteredComplex:
         self._prefixes, self._forests = {}, {}
         self.distances = None
         for m in range(self.dimension + 1):
-            verts, filt = verts_by_dim[m], filt_by_dim[m]
-            order = np.argsort(filt, kind="stable")
-            self._add_dimension(verts[order], filt[order])
+            order = np.argsort(filt_by_dim[m], kind="stable")
+            verts, filt = verts_by_dim[m][order], filt_by_dim[m][order]
+            faces = (_rips_faces(verts, edge_index(self.n_vertices, self._verts[1]))
+                     if rips and m == 2 else None)
+            self._add_dimension(verts, filt, faces)
 
-    def _add_dimension(self, verts: np.ndarray, filt: np.ndarray) -> None:
+    def _add_dimension(self, verts: np.ndarray, filt: np.ndarray,
+                       faces: np.ndarray | None = None) -> None:
         """Append the next dimension. Finding every face by its key checks
-        closure and monotonicity."""
+        closure and monotonicity; ``faces``, when given, holds the face
+        indices of the rows, or the count of (m-1)-simplices for a face that
+        is missing."""
         m = len(self._verts)
-        faces, key = np.empty((len(verts), 0), dtype=np.int64), verts[:, 0]
-        if m:
+        key = verts[:, 0]
+        if not m:
+            faces = np.empty((len(verts), 0), dtype=np.int64)
+        elif faces is None:
             codes = []
             for i in range(m + 1):
                 code, found = self._codes(np.delete(verts, i, axis=1))
@@ -243,13 +250,25 @@ class FilteredComplex:
                     raise ValueError(f"complex not closed under faces: {tuple(face)} missing")
                 codes.append(code)
             faces = self._lex[m - 1][np.stack(codes, axis=1)]
-            late = np.argwhere(self._filt[m - 1][faces] > filt[:, None] + 1e-12)
-            if late.size:
-                j, i = late[0]
+            last = codes[m]
+        else:
+            missing = faces.T == len(self._verts[m - 1])
+            if missing.any():
+                i, j = divmod(int(np.flatnonzero(missing)[0]), len(verts))
+                face = np.delete(verts[j], i).tolist()
+                raise ValueError(f"complex not closed under faces: {tuple(face)} missing")
+            # the key rank of each face omitting the last vertex
+            rank_of = np.empty_like(self._lex[m - 1])
+            rank_of[self._lex[m - 1]] = np.arange(len(rank_of))
+            last = rank_of[faces[:, m]]
+        if m:
+            late = self._filt[m - 1][faces] > filt[:, None] + 1e-12
+            if late.any():
+                j, i = divmod(int(np.flatnonzero(late)[0]), m + 1)
                 raise ValueError(f"filtration not monotone at {tuple(verts[j].tolist())}"
                                  f" / {self.simplex(m - 1, faces[j, i])}")
             rank = np.searchsorted(self._keys[0], verts[:, m])
-            key = codes[m] * len(self._keys[0]) + rank
+            key = last * len(self._keys[0]) + rank
         order = np.argsort(key, kind="stable")
         for store, arr in ((self._verts, verts), (self._filt, filt), (self._faces, faces),
                            (self._keys, key[order]), (self._lex, order)):
@@ -345,9 +364,9 @@ class FilteredComplex:
         top = max(m for m, n in enumerate(counts) if n)
         for m in range(1, top + 1):
             # a face may sit up to 1e-12 above its coface, beyond the cut
-            outside = np.argwhere(self._faces[m][:counts[m]] >= counts[m - 1])
-            if outside.size:
-                face = self.simplex(m - 1, self._faces[m][tuple(outside[0])])
+            outside = self._faces[m][:counts[m]] >= counts[m - 1]
+            if outside.any():
+                face = self.simplex(m - 1, self._faces[m].flat[np.flatnonzero(outside)[0]])
                 raise ValueError(f"complex not closed under faces: {face} missing")
         sub = object.__new__(FilteredComplex)
         sub.dimension, sub._keys, sub._lex = top, self._keys, self._lex
@@ -445,11 +464,12 @@ def pairwise_distances(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    bad = np.argwhere(~np.isfinite(pts))
-    if bad.size:
-        raise ValueError(f"points must be finite, got {pts[tuple(bad[0])]} "
-                         f"(NaN or inf) in row {bad[0][0]}")
     n, d = pts.shape
+    bad = ~np.isfinite(pts)
+    if bad.any():
+        row, col = divmod(int(np.flatnonzero(bad)[0]), d)
+        raise ValueError(f"points must be finite, got {pts[row, col]} "
+                         f"(NaN or inf) in row {row}")
     dist = np.empty((n, n))
     step = max(1, _DISTANCE_CHUNK // max(n * d, 1))
     for lo in range(0, n, step):
@@ -473,8 +493,10 @@ def rips_from_distances(dist: np.ndarray, threshold: float, max_dim: int) -> Fil
     distances are all <= threshold; the filtration value of a simplex is the
     maximum pairwise distance among its vertices (its diameter). Cliques
     grow one dimension at a time on arrays: each m-simplex is extended by
-    every larger vertex adjacent to all of its vertices. The complex at a
-    scale s <= t is bitwise the sublevel complex at s of the one at t.
+    every larger vertex adjacent to all of its vertices. Triangles find
+    their faces in the `edge_index` matrix of the edges, higher simplices by
+    their keys. The complex at a scale s <= t is bitwise the sublevel
+    complex at s of the one at t.
     """
     if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
         raise ValueError(f"max_dim must be an integer >= 1, got {max_dim!r}")
@@ -485,7 +507,8 @@ def rips_from_distances(dist: np.ndarray, threshold: float, max_dim: int) -> Fil
         raise EmptyInput("no points", operation="complex.build_rips")
     # above[u, k]: k > u and the pair is within the threshold
     above = np.triu(dist <= threshold, 1)
-    verts, filt = [np.arange(n)[:, None], np.argwhere(above)], [np.zeros(n), dist[above]]
+    u, k = np.divmod(np.flatnonzero(above), n)
+    verts, filt = [np.arange(n)[:, None], np.column_stack([u, k])], [np.zeros(n), dist[u, k]]
     while len(verts) <= max_dim and len(verts[-1]):
         rows, grown, grown_filt = verts[-1], [], []
         step = max(1, _CLIQUE_CHUNK // n)
@@ -494,15 +517,34 @@ def rips_from_distances(dist: np.ndarray, threshold: float, max_dim: int) -> Fil
             mask = above[chunk[:, 0]]
             for column in chunk[:, 1:].T:
                 mask &= above[column]
-            r, k = np.nonzero(mask)
+            r, k = np.divmod(np.flatnonzero(mask), n)
             grown.append(np.column_stack([chunk[r], k]))
-            grown_filt.append(np.maximum(filt[-1][lo + r],
-                                         dist[chunk[r], k[:, None]].max(axis=1)))
+            far = filt[-1][lo + r]
+            for column in chunk[r].T:
+                np.maximum(far, dist[column, k], out=far)
+            grown_filt.append(far)
         verts.append(np.concatenate(grown))
         filt.append(np.concatenate(grown_filt))
     cx = object.__new__(FilteredComplex)
-    cx._init_arrays(verts, filt)
+    cx._init_arrays(verts, filt, rips=True)
     return cx
+
+
+def edge_index(n: int, edges: np.ndarray) -> np.ndarray:
+    """n x n matrix of the index of the edge on each pair of the vertices
+    0..n-1, in either order; len(edges) where there is none. ``edges``
+    holds the vertex pairs, one edge per row."""
+    index = np.full((n, n), len(edges), dtype=np.int32 if len(edges) < 1 << 31 else np.int64)
+    a, b = edges.T
+    index[a, b] = index[b, a] = np.arange(len(edges))
+    return index
+
+
+def _rips_faces(triangles: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Face table of triangles x < y < z read from an `edge_index`: the
+    edges yz, xz and xy."""
+    x, y, z = triangles.T
+    return np.stack([index[y, z], index[x, z], index[x, y]], axis=1, dtype=np.int64)
 
 
 def rips_skeleton(dist: np.ndarray, threshold: float) -> FilteredComplex:
@@ -517,61 +559,105 @@ def rips_skeleton(dist: np.ndarray, threshold: float) -> FilteredComplex:
     return cx
 
 
-def spanning_forest(cx: FilteredComplex, root: int | None = None
-                    ) -> tuple[list[int], list[tuple[int, int, int, int]]]:
-    """Breadth-first spanning forest of the 1-skeleton, on vertex indices.
+class Forest(NamedTuple):
+    """A breadth-first spanning forest of a 1-skeleton, on vertex indices.
+
+    ``roots`` holds one vertex per component, in component order, and
+    ``tree`` one row (parent, child, edge index, sign) per tree edge, in
+    visit order: component by component, level by level. Sign is +1 when
+    the child is the edge's second vertex; then f(child) - f(parent) = sign
+    * (delta f)(edge) for every 0-cochain f. ``steps`` holds the same rows
+    as columns, level by level across all components: level k + 1, the
+    children of level k, is ``steps[:, levels[k]:levels[k + 1]]``.
+    """
+
+    roots: np.ndarray
+    tree: np.ndarray
+    steps: np.ndarray
+    levels: np.ndarray
+
+
+def spanning_forest(cx: FilteredComplex, root: int | None = None) -> Forest:
+    """Breadth-first spanning forest of the 1-skeleton.
 
     Every component is rooted at its lowest vertex index, except the one
-    holding ``root``, which is rooted there. Neighbors are visited in edge
-    order. Returns the roots and the tree edges in visit order as
-    (parent, child, edge index, sign), where sign is +1 when the child is
-    the edge's second vertex; then f(child) - f(parent) = sign * (delta f)(edge)
-    for every 0-cochain f. A complex never changes, so it keeps its forest
-    per root; callers share the returned lists and must not modify them.
+    holding ``root``, which is rooted there; components come in the order
+    of their roots, ``root`` first. Neighbors are visited in edge order. A
+    complex never changes, so it keeps its forest per root; callers share
+    the returned arrays and must not modify them.
     """
     if root not in cx._forests:
         cx._forests[root] = _breadth_first_forest(cx, root)
     return cx._forests[root]
 
 
-def _breadth_first_forest(cx: FilteredComplex, root: int | None
-                          ) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+def _breadth_first_forest(cx: FilteredComplex, root: int | None) -> Forest:
+    """All components at once, one level per step. A vertex's parent is the
+    first vertex of the frontier, in frontier order, with an edge to it,
+    and children come in the order of (parent, edge): within a component
+    that is the order of a first-in first-out search."""
     n = cx.n_vertices
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     # column 0 of an edge's face row omits its first vertex a, so holds b
-    for j, (b, a) in enumerate(cx.face_table(1).tolist()):
-        adj[a].append((b, j, 1))
-        adj[b].append((a, j, -1))
-    seen = [False] * n
-    roots: list[int] = []
-    tree: list[tuple[int, int, int, int]] = []
-    for start in ([] if root is None else [root]) + list(range(n)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        roots.append(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w, j, sign in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    tree.append((u, w, j, sign))
-                    queue.append(w)
-    return roots, tree
+    b, a = cx.face_table(1).T
+    label = _lowest_in_component(n, a, b)
+    roots = np.flatnonzero(label == np.arange(n))
+    if root is not None:
+        roots = np.concatenate([[root], roots[roots != label[root]]])
+    rank = np.empty(n, dtype=np.int64)
+    rank[label[roots]] = np.arange(len(roots))
+    # adjacency (owner, neighbour, edge, sign), sorted by owner then edge
+    owner, adj = np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()
+    adj = np.stack([owner, adj, np.repeat(np.arange(len(a)), 2), np.tile([1, -1], len(a))],
+                   axis=1)[np.argsort(owner, kind="stable")]
+    start = np.searchsorted(adj[:, 0], np.arange(n + 1))
+    seen = np.zeros(n, dtype=bool)
+    seen[roots] = True
+    frontier, steps = roots, []
+    while frontier.size:
+        at = concat_ranges(start[frontier], start[frontier + 1] - start[frontier])
+        at = at[~seen[adj[at, 1]]]
+        first = np.sort(np.unique(adj[at, 1], return_index=True)[1])
+        steps.append(adj[at[first]])
+        frontier = steps[-1][:, 1]
+        seen[frontier] = True
+    rows = np.concatenate(steps)
+    visit = np.argsort(rank[label[rows[:, 1]]], kind="stable")
+    levels = np.cumsum([0] + [len(step) for step in steps])
+    return Forest(roots, rows[visit], np.ascontiguousarray(rows.T), levels)
 
 
-def forest_potential(cx: FilteredComplex, values, modulus, root: int | None = None
-                     ) -> tuple[list[tuple[int, int, int, int]], list]:
-    """The tree edges of ``spanning_forest`` and the potential phi of the
-    edge values along them: phi is 0 at every root and phi(child) =
-    phi(parent) + sign * values[edge] mod ``modulus`` (ints stay exact;
-    floats with modulus 1.0 count turns)."""
-    tree = spanning_forest(cx, root)[1]
-    phi = [0] * cx.n_vertices
-    for parent, child, j, sign in tree:
-        phi[child] = (phi[parent] + sign * values[j]) % modulus
-    return tree, phi
+def concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenation of range(start[i], start[i] + count[i]) over i."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _lowest_in_component(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The lowest vertex of each vertex's component, for edges (a, b): hook
+    the higher of two labels on an edge under the lower, then follow labels
+    to the end, until every edge has one label."""
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+
+
+def forest_potential(cx: FilteredComplex, values: np.ndarray, modulus,
+                     root: int | None = None) -> np.ndarray:
+    """The potential phi of the edge values along the tree edges of
+    ``spanning_forest``, in the dtype of ``values``: phi is 0 at every root
+    and phi(child) = (phi(parent) + sign * values[edge]) % ``modulus``
+    (ints stay exact; floats with modulus 1.0 count turns), one level at a
+    time."""
+    forest = spanning_forest(cx, root)
+    phi = np.zeros(cx.n_vertices, dtype=values.dtype)
+    for lo, hi in zip(forest.levels[:-1].tolist(), forest.levels[1:].tolist()):
+        parent, child, edge, sign = forest.steps[:, lo:hi]
+        phi[child] = (phi[parent] + sign * values[edge]) % modulus
+    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def cocycle_index_system(c: Cochain | Chain, kind: Kind | None = None) -> IndexS
         faces = cx.face_table(c.dim + 1)
         in_support = np.zeros(cx.n_simplices(c.dim), dtype=bool)
         in_support[support] = True
-        group, col = np.nonzero(in_support[faces])
+        group, col = np.divmod(np.flatnonzero(in_support[faces]), c.dim + 2)
         pos, sign = faces[group, col], np.array(face_signs(c.dim + 1))[col]
     else:
         faces = cx.face_table(c.dim)[support].ravel()

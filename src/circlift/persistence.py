@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import (Chain, Cochain, FilteredComplex, GF, face_signs,
-                        forest_potential)
+from .complexes import (Chain, Cochain, FilteredComplex, GF, concat_ranges, edge_index,
+                        exact_dtype, face_signs, forest_potential, spanning_forest)
 from .errors import DimensionOutOfRange, EmptyDiagram, NoDualCycle
 from .fields import OddPrime, inv_mod
 
@@ -213,31 +213,56 @@ def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
     indicator, which vanishes on every edge inside a component. An edge
     that joins two components kills the younger one, whose indicator is the
     representative, and the older one absorbs it into the indicator of the
-    union.
+    union. Members are kept as linked lists, the older's first, so the
+    members of every component that ever lived are a contiguous block of
+    the final lists.
     """
-    f_v, f_e = cx.filtration_values(0).tolist(), cx.filtration_values(1).tolist()
-    root = list(range(cx.n_vertices))
-    members = [[v] for v in root]
+    n, f_v, f_e = cx.n_vertices, cx.filtration_values(0), cx.filtration_values(1)
+    root, size = list(range(n)), [1] * n
+    after, last = [-1] * n, list(range(n))      # next member; last member
 
     def find(v: int) -> int:
         while root[v] != v:
             root[v] = v = root[root[v]]
         return v
 
-    merges, components = np.zeros(len(f_e), dtype=bool), len(root)
+    merges, absorbed, count, components = np.zeros(len(f_e), dtype=bool), [], [], n
     # column 0 of an edge's face row omits its first vertex a, so holds b
-    for j, (b, a) in enumerate(cx.face_table(1).tolist()):
+    for j, (b, a) in enumerate(zip(*cx.face_table(1).T.tolist())):
         if components == 1:
             break
-        old, young = sorted((find(a), find(b)))
+        old, young = find(a), find(b)
         if old == young:
             continue
+        if young < old:
+            old, young = young, old
         merges[j], root[young], components = True, old, components - 1
-        if f_e[j] > f_v[young]:
-            finished.append((0, young, (f_e[j], cx.simplex(1, j)), *_indicator(members[young])))
-        members[old] += members[young]
-    finished.extend((0, v, None, *_indicator(members[v]))
-                    for v in range(len(root)) if root[v] == v)
+        absorbed.append(young)
+        count.append(size[young])
+        after[last[old]], last[old] = young, last[young]
+        size[old] += size[young]
+    order, alive = [], [v for v in range(n) if root[v] == v]
+    for v in alive:
+        while v >= 0:
+            order.append(v)
+            v = after[v]
+
+    deaths = np.flatnonzero(merges)
+    shown = np.flatnonzero(f_e[deaths] > f_v[absorbed])
+    died = list(zip(f_e[deaths[shown]].tolist(),
+                    map(tuple, cx.vertex_array(1)[deaths[shown]].tolist())))
+    named = np.concatenate([np.array(absorbed, dtype=np.int64)[shown], alive])
+    count = np.concatenate([np.array(count, dtype=np.int64)[shown], np.array(size)[alive]])
+    # the members of a named component follow its name; sorting the keys
+    # (block, member) sorts each block in place
+    at = np.empty(n, dtype=np.int64)
+    at[order] = np.arange(n)
+    block = np.repeat(np.arange(len(named)), count)
+    members = np.sort(block * n + np.array(order)[concat_ranges(at[named], count)]) - block * n
+    ends = np.cumsum(count).tolist()
+    ones = np.ones(n, dtype=np.int64)
+    finished.extend((0, v, death, members[lo:hi], ones[:hi - lo]) for v, death, lo, hi in zip(
+        named.tolist(), died + [None] * len(alive), [0] + ends, ends))
     return merges
 
 
@@ -299,11 +324,7 @@ class _RipsTriangles:
     def __init__(self, cx: FilteredComplex):
         self.dist, self.n = cx.distances, cx.n_vertices
         self.edges, self.filt = cx.vertex_array(1), cx.filtration_values(1)
-        # index of the edge on each pair of vertices, len(edges) for none
-        self.edge = np.full((self.n, self.n), len(self.edges),
-                            dtype=np.int32 if len(self.edges) < 1 << 31 else np.int64)
-        a, b = self.edges.T
-        self.edge[a, b] = self.edge[b, a] = np.arange(len(self.edges))
+        self.edge = edge_index(self.n, self.edges)
         self.adjacent = self.edge < len(self.edges)
 
     def earliest(self, n_d: int) -> np.ndarray:
@@ -352,7 +373,7 @@ class _RipsTriangles:
             j = np.arange(lo, hi)[:, None]
             found = (self.edge[a] < j) & (self.edge[b] < j)
             found &= near[a] | near[b] | support[lo:hi, None]
-            r, c = np.nonzero(found)
+            r, c = np.divmod(np.flatnonzero(found), n)
             keys = np.empty(len(r), dtype=_KEY)
             keys["f"], keys["c"] = self.filt[lo + r], self._code(a[r], b[r], c)
             keep = (arrive["c"][lo + r] != keys["c"]) & _before(after, keys)
@@ -484,16 +505,23 @@ def _extend(E: np.ndarray, rows: np.ndarray, sigma: np.ndarray, signs: np.ndarra
     vanishes on sigma's tau (face rows ``rows``): E(sigma) = -sign_sigma *
     the sum of sign_i E(face_i) over tau's other faces, which all come
     earlier in index order. Rows go level by level: a simplex's level is
-    one more than the deepest level among those faces."""
+    one more than the deepest level among those faces, 0 for a simplex
+    that is not apparent. The levels are the fixed point of that rule,
+    reached from all 0 in one array pass per level."""
     if not sigma.size:
         return
     pos = rows.argmax(axis=1)
     rows = rows.copy()
     rows[np.arange(len(rows)), pos] = len(E) - 1      # sigma reads the zero row
-    level = [0] * len(E)
-    for s, faces in zip(sigma.tolist(), rows.tolist()):
-        level[s] = 1 + max([level[f] for f in faces])
-    depth = np.array(level)[sigma]
+    level, columns = np.zeros(len(E), dtype=np.int64), rows.T.copy()
+    while True:
+        depth = level[columns[0]]
+        for column in columns[1:]:
+            np.maximum(depth, level[column], out=depth)
+        depth += 1
+        if np.array_equal(depth, level[sigma]):
+            break
+        level[sigma] = depth
     order = np.argsort(depth, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
         total = sum(int(s) * E[rows[group, i]] for i, s in enumerate(signs))
@@ -531,20 +559,24 @@ def cycle_representative(cx: FilteredComplex, p: OddPrime,
                            own.vertex_array(m)[:_prefix_length(own, m, pair.scale)])
             for m in (0, 1)):
         raise ValueError("pair was computed on a different complex")
-    alpha = pair.representative_cocycle.to_array()
-    tree, phi = forest_potential(sub, alpha, q)
+    # at threshold="auto" alpha lives on the skeleton, which has more edges
+    alpha = pair.representative_cocycle.to_array(exact_dtype(3 * q))[:sub.n_simplices(1)]
+    phi = forest_potential(sub, alpha, q)
     # column 0 of an edge's face row omits its first vertex a, so holds b
-    for e, (b, a) in enumerate(sub.face_table(1).tolist()):
-        if (alpha[e] - phi[b] + phi[a]) % q:
-            break
-    else:
+    head, tail = sub.face_table(1).T
+    wrong = np.flatnonzero((alpha - phi[head] + phi[tail]) % q)
+    if not wrong.size:
         raise NoDualCycle("the cocycle is a coboundary mod p",
                           operation="persistence.cycle_representative")
-    up = {child: (parent, j, sign) for parent, child, j, sign in tree}
+    e = int(wrong[0])
+    up = np.full((sub.n_vertices, 3), -1, dtype=np.int64)
+    tree = spanning_forest(sub).tree
+    up[tree[:, 1]] = tree[:, [0, 2, 3]]
+    up = up.tolist()
     cycle = {e: 1}
     # b up to its root, then down to a; edges above both cancel to zero
-    for v, direction in ((b, -1), (a, 1)):
-        while v in up:
+    for v, direction in ((int(head[e]), -1), (int(tail[e]), 1)):
+        while up[v][0] >= 0:
             v, j, sign = up[v]
             cycle[j] = cycle.get(j, 0) + direction * sign
     return Chain(cx, 1, GF(q), cycle)

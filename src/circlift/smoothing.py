@@ -135,7 +135,7 @@ def circular_map(smoothed: SmoothedCocycle,
     cx = smoothed.alpha_tilde.complex
     value = smoothed.alpha_tilde.to_array()
     root = None if base_vertex is None else cx.index((base_vertex,))
-    theta = np.array(forest_potential(cx, value.tolist(), 1.0, root)[1], dtype=float)
+    theta = forest_potential(cx, value, 1.0, root)
 
     head, tail = cx.face_table(1).T
     off = _circular_distance(theta[head] - theta[tail] - value)

@@ -82,7 +82,7 @@ def _split(alpha: Cochain, q: int, route: str, snf_cap: int,
         # and on every edge exactly when alpha mod q is an F_q coboundary.
         # |delta f| < q, so every intermediate is below |alpha| + 2q.
         a = alpha.to_array(exact_dtype(alpha.coefficient_bound() + 2 * q))
-        phi = np.array(forest_potential(cx, a.tolist(), q)[1], dtype=a.dtype)
+        phi = forest_potential(cx, a, q)
         f = np.where(phi > (q - 1) // 2, phi - q, phi)
         residue = a - coboundary_array(cx, 0, f)
         if (residue % q != 0).any():

@@ -14,6 +14,9 @@ union-find, apparent pairs and the long-cocycle replay replaced.
 per-entry loops over dicts (relation checks and bounds, scaling search,
 verify-every-scalar sweep, forest division and witness accumulation) that
 the coefficient-array kernels of ``lifting`` and ``winding`` replaced.
+``reference_spanning_forest`` and ``reference_forest_potential`` are the
+first-in first-out search over adjacency lists and the per-edge
+integration that the level-by-level array forest replaced.
 ``boundary_faces`` is no oracle but a helper that reads the faces of one
 simplex from a complex's face table.
 """
@@ -21,11 +24,11 @@ simplex from a complex's face table.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
-from circlift.complexes import (Chain, Cochain, FilteredComplex, GF, Simplex, ZZ, face_signs,
-                                forest_potential)
+from circlift.complexes import Chain, Cochain, FilteredComplex, GF, Simplex, ZZ, face_signs
 from circlift.errors import (EmptyInput, NoDualCycle, NotACocycle, NotClosed, ValidationFailed,
                              ZeroPairing)
 from circlift.fields import FpElement, OddPrime, abs_mod, inv_mod, lift_mod
@@ -495,11 +498,51 @@ def _reference_report(c, r: FpElement, working: dict, certificate: str,
                       certificate=certificate, is_closed=True)
 
 
+def reference_spanning_forest(cx: FilteredComplex, root: int | None = None
+                              ) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """``complexes.spanning_forest`` as a first-in first-out search: the
+    roots and the tree edges (parent, child, edge index, sign) in visit
+    order."""
+    n = cx.n_vertices
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    # column 0 of an edge's face row omits its first vertex a, so holds b
+    for j, (b, a) in enumerate(cx.face_table(1).tolist()):
+        adj[a].append((b, j, 1))
+        adj[b].append((a, j, -1))
+    seen = [False] * n
+    roots: list[int] = []
+    tree: list[tuple[int, int, int, int]] = []
+    for start in ([] if root is None else [root]) + list(range(n)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        roots.append(start)
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w, j, sign in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    tree.append((u, w, j, sign))
+                    queue.append(w)
+    return roots, tree
+
+
+def reference_forest_potential(cx: FilteredComplex, values, modulus,
+                               root: int | None = None) -> list:
+    """``complexes.forest_potential`` edge by edge along the reference
+    forest, on Python scalars."""
+    phi = [0] * cx.n_vertices
+    for parent, child, j, sign in reference_spanning_forest(cx, root)[1]:
+        phi[child] = (phi[parent] + sign * values[j]) % modulus
+    return phi
+
+
 def reference_split(alpha: Cochain, q: int) -> tuple[dict, dict] | None:
     """The degree-1 forest division alpha = q * gamma + delta(f) on dicts:
     (f, gamma), or None when the class does not vanish mod q."""
     cx = alpha.complex
-    phi = forest_potential(cx, alpha.to_array(), q)[1]
+    phi = reference_forest_potential(cx, alpha.to_array(), q)
     f = {i: lift_mod(v, q) for i, v in enumerate(phi) if lift_mod(v, q)}
     residue = dict(alpha.entries)
     for i, v in reference_coboundary(Cochain(cx, 0, ZZ, f)).items():

@@ -147,8 +147,8 @@ def test_one_forest_per_fit(monkeypatch):
     build, init = complexes._breadth_first_forest, FilteredComplex._init_arrays
     monkeypatch.setattr(complexes, "_breadth_first_forest",
                         lambda cx, root: builds.append(cx) or build(cx, root))
-    monkeypatch.setattr(FilteredComplex, "_init_arrays", lambda cx, verts, filt: (
-        triangles.append(len(verts[2]) if len(verts) > 2 else 0), init(cx, verts, filt))[1])
+    monkeypatch.setattr(FilteredComplex, "_init_arrays", lambda cx, verts, filt, **kw: (
+        triangles.append(len(verts[2]) if len(verts) > 2 else 0), init(cx, verts, filt, **kw))[1])
     points = sample_circle(30, 0.0, 2, seed=2)[0]
     result = run_pipeline(points=points, prime=47)
     assert builds == [result.working_complex]

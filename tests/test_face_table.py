@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from circlift import (Chain, Cochain, FilteredComplex, GF, RR, ZZ, apply_boundary,
                       apply_coboundary, build_from_simplices, build_rips,
                       cocycle_index_system)
-from circlift.complexes import face_signs, spanning_forest
+from circlift.complexes import face_signs, forest_potential, spanning_forest
 from oracles import (ReferenceComplex, faces_with_signs, reference_boundary,
-                     reference_coboundary)
+                     reference_coboundary, reference_forest_potential,
+                     reference_spanning_forest)
 
 FAST = settings(max_examples=60, deadline=None, database=None)
 
@@ -43,6 +44,22 @@ def simplices(draw, max_dim=4):
 
 def tables(max_dim=4):
     return simplices(max_dim).map(closure)
+
+
+@st.composite
+def graphs(draw):
+    """Sparse-to-dense random graphs with isolated vertices and several
+    components; vertex filtrations vary, so vertex indices do not follow the
+    ids, and filtration values tie."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.03, 0.08, 0.2, 0.7]))
+    f_v = rng.integers(0, 3, n).astype(float)
+    table = {(v,): f for v, f in enumerate(f_v.tolist())}
+    for a, b in combinations(range(n), 2):
+        if rng.random() < density:
+            table[(a, b)] = max(f_v[a], f_v[b]) + float(rng.integers(0, 3))
+    return table
 
 
 def rips_table(points: np.ndarray, threshold: float, max_dim: int):
@@ -246,7 +263,8 @@ class TestSpanningForest:
     def test_tree_edges_are_graph_edges_reaching_every_vertex(self, table, data):
         cx = FilteredComplex(table)
         root = data.draw(st.none() | st.integers(0, cx.n_vertices - 1))
-        roots, tree = spanning_forest(cx, root)
+        forest = spanning_forest(cx, root)
+        roots, tree = forest.roots.tolist(), forest.tree.tolist()
         edges = cx.simplices(1)
         vertex = cx.vertex_ids
         assert len(roots) + len(tree) == cx.n_vertices
@@ -256,3 +274,50 @@ class TestSpanningForest:
         for parent, child, j, sign in tree:
             a, b = edges[j]
             assert (vertex[parent], vertex[child]) == ((a, b) if sign == 1 else (b, a))
+
+    @FAST
+    @given(st.one_of(graphs(), tables(max_dim=2)), st.data())
+    def test_matches_the_first_in_first_out_search(self, table, data):
+        cx = FilteredComplex(table)
+        root = data.draw(st.none() | st.integers(0, cx.n_vertices - 1))
+        forest = spanning_forest(cx, root)
+        roots, tree = reference_spanning_forest(cx, root)
+        assert forest.roots.tolist() == roots
+        assert list(map(tuple, forest.tree.tolist())) == tree
+        # the level offsets split the rows by depth, parents first
+        depth = np.zeros(cx.n_vertices, dtype=np.int64)
+        for k, (lo, hi) in enumerate(zip(forest.levels[:-1], forest.levels[1:])):
+            parent, child = forest.steps[:2, lo:hi]
+            assert np.all(depth[parent] == k)
+            depth[child] = k + 1
+        assert sorted(map(tuple, forest.steps.T.tolist())) == sorted(tree)
+
+    def test_potential_on_a_deep_and_a_shallow_component(self):
+        # the path 0-1-2 and the edge 3-4: visited 01, 12, 34, and level by
+        # level 01, 34, then 12
+        cx = build_from_simplices([((0, 1), 1.0), ((1, 2), 1.0), ((3, 4), 1.0)])
+        assert spanning_forest(cx).steps[:2].T.tolist() == [[0, 1], [3, 4], [1, 2]]
+        values = np.array([3, 4, 5])
+        assert forest_potential(cx, values, 7).tolist() == \
+            reference_forest_potential(cx, values.tolist(), 7) == [0, 3, 0, 0, 5]
+
+    @FAST
+    @given(graphs(), st.data())
+    def test_potential_matches_the_per_edge_loop(self, table, data):
+        cx = FilteredComplex(table)
+        root = data.draw(st.none() | st.integers(0, cx.n_vertices - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_e = cx.n_simplices(1)
+        big = 1_099_511_627_791
+        for values, modulus in (
+                (rng.integers(-10**6, 10**6, n_e), 1009),
+                (np.array([int(v) * 2**40 + 7 for v in rng.integers(-2**40, 2**40, n_e)],
+                          dtype=object), big),
+                (rng.standard_normal(n_e) * 3, 1.0)):
+            phi = forest_potential(cx, values, modulus, root)
+            want = reference_forest_potential(cx, values.tolist(), modulus, root)
+            assert phi.dtype == values.dtype
+            if values.dtype == float:
+                assert phi.tobytes() == np.array(want, dtype=float).tobytes()
+            else:
+                assert phi.tolist() == want

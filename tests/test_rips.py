@@ -1,5 +1,6 @@
-"""The array Rips builder against the recursive dict-of-tuples oracle, the
-row-chunked distance matrix, and the refusal of non-finite input."""
+"""The array Rips builder against the recursive dict-of-tuples oracle and
+against the dict constructor, the row-chunked distance matrix, and the
+refusal of non-finite input."""
 
 import json
 import re
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from circlift import FilteredComplex, build_rips, run_pipeline
 from circlift import complexes
 from circlift.cli import main
-from circlift.complexes import pairwise_distances
+from circlift.complexes import pairwise_distances, rips_from_distances
 from circlift.experiments import sample_circle
 from circlift.pipeline import enclosing_radius
 from oracles import reference_rips
@@ -74,6 +75,63 @@ class TestAgainstReference:
         monkeypatch.setattr(complexes, "_CLIQUE_CHUNK", 1)
         assert_same_complex(build_rips(points, 2.0, 3), want)
         assert_same_complex(want, reference_rips(points, 2.0, 3))
+
+
+@st.composite
+def rips_inputs(draw):
+    """Gaussian clouds, or evenly spaced circle points (tied distances),
+    with a threshold at one of the distances, and max_dim 1, 2 or 3."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.standard_normal((n, draw(st.integers(1, 3))))
+    else:
+        angle = 2 * np.pi * np.arange(n) / n
+        points = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    dist = pairwise_distances(points)
+    threshold = draw(st.sampled_from(sorted(set(dist.ravel().tolist()))))
+    return dist, threshold, draw(st.sampled_from([1, 2, 3]))
+
+
+class TestAgainstDictConstructor:
+    """Triangles read their faces from the edge index and their keys from
+    the edges' key ranks; the dict constructor finds both by key search."""
+
+    @DIFFERENTIAL
+    @given(rips_inputs(), st.data())
+    def test_same_arrays_and_lookups(self, inputs, data):
+        dist, threshold, max_dim = inputs
+        cx = rips_from_distances(dist, threshold, max_dim)
+        ref = FilteredComplex({s: f for m in range(cx.dimension + 1)
+                               for s, f in zip(cx.simplices(m),
+                                               cx.filtration_values(m).tolist())})
+        assert_same_complex(cx, ref)
+        for m in range(cx.dimension + 1):
+            assert cx._keys[m].tobytes() == ref._keys[m].tobytes()
+            assert cx._lex[m].tobytes() == ref._lex[m].tobytes()
+        n = cx.n_vertices
+        for m in range(1, 4):
+            rows = np.sort(np.array(data.draw(st.lists(
+                st.lists(st.integers(0, n + 2), min_size=m + 1, max_size=m + 1, unique=True),
+                max_size=12)), dtype=np.int64).reshape(-1, m + 1), axis=1)
+            rows = np.concatenate([rows, cx.vertex_array(m)[:5]])
+            assert np.array_equal(cx.indices(m, rows), ref.indices(m, rows))
+
+    def test_missing_edge_is_named(self):
+        cx = object.__new__(FilteredComplex)
+        verts = [np.arange(3)[:, None], np.array([[0, 1], [0, 2]]), np.array([[0, 1, 2]])]
+        with pytest.raises(ValueError, match=re.escape(
+                "complex not closed under faces: (1, 2) missing")):
+            cx._init_arrays(verts, [np.zeros(3), np.ones(2), np.ones(1)], rips=True)
+
+    def test_early_triangle_is_named(self):
+        cx = object.__new__(FilteredComplex)
+        verts = [np.arange(3)[:, None], np.array([[0, 1], [0, 2], [1, 2]]),
+                 np.array([[0, 1, 2]])]
+        with pytest.raises(ValueError, match=re.escape(
+                "filtration not monotone at (0, 1, 2) / (1, 2)")):
+            cx._init_arrays(verts, [np.zeros(3), np.array([1.0, 1.0, 3.0]), np.full(1, 2.0)],
+                            rips=True)
 
 
 class TestDistances:

@@ -6,11 +6,25 @@ from pathlib import Path
 import circlift
 
 
+def _offending(rule) -> list[str]:
+    """file:line of every syntax node of the library that breaks ``rule``."""
+    root = Path(circlift.__file__).parent
+    return [f"{path.relative_to(root)}:{node.lineno}"
+            for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if rule(node)]
+
+
 def test_no_assert_statements():
     # certificates are explicit checks: python -O strips assert statements
-    root = Path(circlift.__file__).parent
-    found = [f"{path.relative_to(root)}:{node.lineno}"
-             for path in sorted(root.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+    found = _offending(lambda node: isinstance(node, ast.Assert))
     assert not found, f"assert statements in circlift: {found}"
+
+
+def test_no_nonzero_or_argwhere():
+    # np.nonzero and np.argwhere on a 2-D mask cost many times np.flatnonzero
+    # plus divmod, which gives the same indices in the same order
+    found = _offending(lambda node: isinstance(node, ast.Attribute)
+                       and node.attr in ("nonzero", "argwhere")
+                       and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+    assert not found, f"np.nonzero or np.argwhere in circlift: {found}"

@@ -9,6 +9,7 @@ transpose of the boundary matrix one degree up.
 from __future__ import annotations
 
 import json
+import math
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -214,8 +215,13 @@ class FilteredComplex:
         within a row) and their filtration values; trailing empty dimensions
         are dropped. The rows of each dimension must come in lexicographic
         order: one stable sort on the filtration then gives the (filtration,
-        lex) order. With ``rips`` the vertices are 0..n-1 and the triangles
-        find their faces in the `edge_index` matrix."""
+        lex) order, and since keys sort like the rows, the inverse of that
+        permutation takes each key rank to its index. Finding every face by
+        its key checks closure; the filtration is checked to be monotone.
+        With ``rips`` the vertices are 0..n-1, so a vertex id is its key
+        rank, edges take their vertex faces directly and triangles find
+        theirs in the `edge_index` matrix, where a missing edge reads as the
+        number of edges."""
         counts = [len(v) for v in verts_by_dim]
         if not any(counts):
             raise EmptyInput("complex has no simplices", operation="complex.build")
@@ -227,52 +233,51 @@ class FilteredComplex:
         for m in range(self.dimension + 1):
             order = np.argsort(filt_by_dim[m], kind="stable")
             verts, filt = verts_by_dim[m][order], filt_by_dim[m][order]
-            faces = (_rips_faces(verts, edge_index(self.n_vertices, self._verts[1]))
-                     if rips and m == 2 else None)
-            self._add_dimension(verts, filt, faces)
+            if not m:
+                key, faces = verts[:, 0], np.empty((len(verts), 0), dtype=np.int64)
+            else:
+                if rips and m <= 2:
+                    faces = (verts[:, ::-1] if m == 1 else
+                             _rips_faces(verts, edge_index(self.n_vertices, self._verts[1])))
+                    self._check_closed(verts, faces)
+                    # the key rank of each face omitting the last vertex
+                    last = rank[faces[:, m]]
+                else:
+                    faces, last = self._find_faces(verts)
+                late = self._filt[m - 1][faces] > filt[:, None] + 1e-12
+                if late.any():
+                    j, i = divmod(int(np.flatnonzero(late)[0]), m + 1)
+                    raise ValueError(f"filtration not monotone at {tuple(verts[j].tolist())}"
+                                     f" / {self.simplex(m - 1, faces[j, i])}")
+                tail = verts[:, m] if rips else np.searchsorted(self._keys[0], verts[:, m])
+                key = last * len(self._keys[0]) + tail
+            keys, lex = np.empty_like(key), np.empty_like(order)
+            keys[order], lex[order] = key, np.arange(len(order))
+            for store, arr in ((self._verts, verts), (self._filt, filt),
+                               (self._faces, faces), (self._keys, keys), (self._lex, lex)):
+                store.append(arr)
+            rank = order                    # index -> key rank
 
-    def _add_dimension(self, verts: np.ndarray, filt: np.ndarray,
-                       faces: np.ndarray | None = None) -> None:
-        """Append the next dimension. Finding every face by its key checks
-        closure and monotonicity; ``faces``, when given, holds the face
-        indices of the rows, or the count of (m-1)-simplices for a face that
-        is missing."""
-        m = len(self._verts)
-        key = verts[:, 0]
-        if not m:
-            faces = np.empty((len(verts), 0), dtype=np.int64)
-        elif faces is None:
-            codes = []
-            for i in range(m + 1):
-                code, found = self._codes(np.delete(verts, i, axis=1))
-                if not found.all():
-                    face = np.delete(verts[np.argmin(found)], i).tolist()
-                    raise ValueError(f"complex not closed under faces: {tuple(face)} missing")
-                codes.append(code)
-            faces = self._lex[m - 1][np.stack(codes, axis=1)]
-            last = codes[m]
-        else:
-            missing = faces.T == len(self._verts[m - 1])
-            if missing.any():
-                i, j = divmod(int(np.flatnonzero(missing)[0]), len(verts))
-                face = np.delete(verts[j], i).tolist()
+    def _check_closed(self, verts: np.ndarray, faces: np.ndarray) -> None:
+        """Raise naming the first face that reads as missing: the count of
+        simplices one dimension down."""
+        missing = faces.T == len(self._verts[verts.shape[1] - 2])
+        if missing.any():
+            i, j = divmod(int(np.flatnonzero(missing)[0]), len(verts))
+            face = np.delete(verts[j], i).tolist()
+            raise ValueError(f"complex not closed under faces: {tuple(face)} missing")
+
+    def _find_faces(self, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Face table of rows of m-simplices found by key search, and the
+        key rank of each face omitting the last vertex."""
+        m, codes = verts.shape[1] - 1, []
+        for i in range(m + 1):
+            code, found = self._codes(np.delete(verts, i, axis=1))
+            if not found.all():
+                face = np.delete(verts[np.argmin(found)], i).tolist()
                 raise ValueError(f"complex not closed under faces: {tuple(face)} missing")
-            # the key rank of each face omitting the last vertex
-            rank_of = np.empty_like(self._lex[m - 1])
-            rank_of[self._lex[m - 1]] = np.arange(len(rank_of))
-            last = rank_of[faces[:, m]]
-        if m:
-            late = self._filt[m - 1][faces] > filt[:, None] + 1e-12
-            if late.any():
-                j, i = divmod(int(np.flatnonzero(late)[0]), m + 1)
-                raise ValueError(f"filtration not monotone at {tuple(verts[j].tolist())}"
-                                 f" / {self.simplex(m - 1, faces[j, i])}")
-            rank = np.searchsorted(self._keys[0], verts[:, m])
-            key = last * len(self._keys[0]) + rank
-        order = np.argsort(key, kind="stable")
-        for store, arr in ((self._verts, verts), (self._filt, filt), (self._faces, faces),
-                           (self._keys, key[order]), (self._lex, order)):
-            store.append(arr)
+            codes.append(code)
+        return self._lex[m - 1][np.stack(codes, axis=1)], codes[m]
 
     def _codes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Key rank of each row of vertex ids among the simplices of its
@@ -449,17 +454,26 @@ def build_from_simplices(entries: Iterable[tuple[Iterable[int], float]]) -> Filt
     return FilteredComplex(table)
 
 
-# row chunks hold this many float differences, or adjacency booleans
-_DISTANCE_CHUNK = 1 << 20
-_CLIQUE_CHUNK = 1 << 22
+# a block of the distance matrix holds this many float differences, and a
+# chunk of clique growth this many candidate vertices
+_DISTANCE_BLOCK = 1 << 15
+_CLIQUE_CHUNK = 1 << 18
 
 
 def pairwise_distances(points) -> np.ndarray:
     """Euclidean distance matrix of a finite point cloud, one point per row.
 
     The exact pairwise-difference formula (a Gram-matrix shortcut would
-    round equal distances apart), done in row chunks so memory stays n^2
-    plus a bounded buffer.
+    round equal distances apart). Each unordered pair is computed once, in
+    square blocks of the upper triangle of about 32k floats, and mirrored,
+    so the matrix is exactly symmetric with an exactly zero diagonal, and
+    memory stays n^2 plus a bounded buffer whatever the dimension d. The
+    squared differences are summed in numpy's own order for a length-d
+    axis: coordinate by coordinate below 8 coordinates, where numpy's sum
+    is sequential, and by ``sum(axis=-1)`` over each block of differences
+    from 8 on, where it is pairwise. The result is bitwise that of the
+    full n x n x d difference tensor. Points with no coordinates are all at
+    distance 0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -471,11 +485,26 @@ def pairwise_distances(points) -> np.ndarray:
         raise ValueError(f"points must be finite, got {pts[row, col]} "
                          f"(NaN or inf) in row {row}")
     dist = np.empty((n, n))
-    step = max(1, _DISTANCE_CHUNK // max(n * d, 1))
-    for lo in range(0, n, step):
-        diff = pts[lo:lo + step, None, :] - pts[None, :, :]
-        diff *= diff
-        np.sqrt(diff.sum(axis=-1), out=dist[lo:lo + step])
+    side = max(1, math.isqrt(_DISTANCE_BLOCK // (d if d >= 8 else 1)))
+    coords = np.ascontiguousarray(pts.T) if d < 8 else None
+    for lo in range(0, n, side):
+        rows = slice(lo, lo + side)
+        for at in range(lo, n, side):
+            cols = slice(at, at + side)
+            if d >= 8:
+                diff = pts[rows, None, :] - pts[None, cols, :]
+                diff *= diff
+                block = diff.sum(axis=-1)
+            else:
+                block = np.zeros((min(side, n - lo), min(side, n - at)))
+                term = np.empty_like(block)
+                for x in coords:
+                    np.subtract.outer(x[rows], x[cols], out=term)
+                    term *= term
+                    block += term
+            np.sqrt(block, out=block)
+            dist[rows, cols] = block
+            dist[cols, rows] = block.T
     return dist
 
 
@@ -492,11 +521,18 @@ def rips_from_distances(dist: np.ndarray, threshold: float, max_dim: int) -> Fil
     Contains every simplex on at most max_dim+1 points whose pairwise
     distances are all <= threshold; the filtration value of a simplex is the
     maximum pairwise distance among its vertices (its diameter). Cliques
-    grow one dimension at a time on arrays: each m-simplex is extended by
-    every larger vertex adjacent to all of its vertices. Triangles find
-    their faces in the `edge_index` matrix of the edges, higher simplices by
-    their keys. The complex at a scale s <= t is bitwise the sublevel
-    complex at s of the one at t.
+    grow one dimension at a time from neighbour lists (Zomorodian, "Fast
+    construction of the Vietoris-Rips complex", 2010). The upper neighbours
+    of a vertex, the larger vertices within the threshold, form one sorted
+    list per vertex, and each m-simplex is extended by every upper
+    neighbour of its last vertex that is within the threshold of all its
+    other vertices. Those pairs u < k, and the new distances, are read from
+    the flattened matrix at u * n + k. Each dimension's rows come out in
+    lexicographic order. At most ``_CLIQUE_CHUNK`` candidates are held at
+    once, or the candidates of one simplex if it has more. Edges take their
+    vertex faces directly, triangles find theirs in the `edge_index` matrix
+    of the edges, higher simplices by their keys. The complex at a scale
+    s <= t is bitwise the sublevel complex at s of the one at t.
     """
     if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
         raise ValueError(f"max_dim must be an integer >= 1, got {max_dim!r}")
@@ -505,24 +541,38 @@ def rips_from_distances(dist: np.ndarray, threshold: float, max_dim: int) -> Fil
     n = len(dist)
     if n == 0:
         raise EmptyInput("no points", operation="complex.build_rips")
-    # above[u, k]: k > u and the pair is within the threshold
-    above = np.triu(dist <= threshold, 1)
-    u, k = np.divmod(np.flatnonzero(above), n)
-    verts, filt = [np.arange(n)[:, None], np.column_stack([u, k])], [np.zeros(n), dist[u, k]]
+    # within[u * n + k]: the pair is within the threshold; read only at u < k
+    flat = np.asarray(dist).ravel()
+    within = flat <= threshold
+    pairs = np.flatnonzero(within)
+    owner, neighbour = np.divmod(pairs, n)
+    upper = neighbour > owner
+    pairs, owner, neighbour = pairs[upper], owner[upper], neighbour[upper]
+    # upper neighbours of v: neighbour[start[v]:start[v + 1]], ascending
+    start = np.searchsorted(owner, np.arange(n + 1))
+    verts = [np.arange(n)[:, None], np.column_stack([owner, neighbour])]
+    filt = [np.zeros(n), flat[pairs]]
     while len(verts) <= max_dim and len(verts[-1]):
         rows, grown, grown_filt = verts[-1], [], []
-        step = max(1, _CLIQUE_CHUNK // n)
-        for lo in range(0, len(rows), step):
-            chunk = rows[lo:lo + step]
-            mask = above[chunk[:, 0]]
-            for column in chunk[:, 1:].T:
-                mask &= above[column]
-            r, k = np.divmod(np.flatnonzero(mask), n)
-            grown.append(np.column_stack([chunk[r], k]))
-            far = filt[-1][lo + r]
-            for column in chunk[r].T:
-                np.maximum(far, dist[column, k], out=far)
+        first, count = start[rows[:, -1]], np.diff(start)[rows[:, -1]]
+        ends = np.cumsum(count)
+        lo = 0
+        while lo < len(rows):
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + _CLIQUE_CHUNK,
+                                                 side="right")))
+            r = np.repeat(np.arange(lo, hi), count[lo:hi])
+            at = concat_ranges(first[lo:hi], count[lo:hi])
+            k = neighbour[at]
+            # flat positions of the pairs (v, k) for the other vertices v
+            other = rows[r, :-1] * n + k[:, None]
+            keep = within[other].all(axis=1)
+            r, k, other = r[keep], k[keep], other[keep]
+            far = np.maximum(filt[-1][r], filt[1][at[keep]])
+            for column in other.T:
+                np.maximum(far, flat[column], out=far)
+            grown.append(np.column_stack([rows[r], k]))
             grown_filt.append(far)
+            lo = hi
         verts.append(np.concatenate(grown))
         filt.append(np.concatenate(grown_filt))
     cx = object.__new__(FilteredComplex)

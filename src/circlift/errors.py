@@ -21,6 +21,11 @@ class ZeroInverse(CircliftError):
     """Multiplicative inverse of zero requested."""
 
 
+class PrimalityUnproven(CircliftError):
+    """A number passed Miller-Rabin to every base `fields.is_prime` tries,
+    but lies above the bound below which that proves it prime."""
+
+
 # --- complexes ---
 
 class EmptyInput(CircliftError):

@@ -10,24 +10,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ZeroInverse
+from .errors import PrimalityUnproven, ZeroInverse
+
+
+# Miller-Rabin to the first 13 prime bases proves n prime below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Trial-division primality check (desk-scale inputs). Remembered, so
-    each prime a run works over is proven once."""
+    """Deterministic Miller-Rabin primality test to the first 13 prime
+    bases. A witness proves n composite at any size; passing all 13 proves
+    n prime below `PRIMALITY_BOUND`, and above it raises
+    `PrimalityUnproven` rather than call a probable prime a prime.
+    Remembered, so each prime a run works over is proven once."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= PRIMALITY_BOUND:
+        raise PrimalityUnproven(
+            f"{n} passes Miller-Rabin to the first 13 prime bases, which proves "
+            f"primality only below {PRIMALITY_BOUND:,}", operation="finite_field.is_prime")
     return True
 
 

@@ -180,29 +180,44 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
             births = np.ones(cx.n_simplices(d + 1), dtype=bool)
             births[deaths["c"]] = False
 
-    final_scale = cx.max_filtration()
     diagram = Diagram(prime=q, complex=cx)
-    ring = GF(q)
-    for d, bidx, died, support, values in finished:
-        birth = float(cx.filtration_values(d)[bidx])
-        death, death_simplex = (math.inf, None) if died is None else died
-        raw = Cochain._of(cx, d, ring, support, values)
-        if scale_policy != "midpoint" and birth <= float(scale_policy) < death:
-            scale = float(scale_policy)
-        elif math.isinf(death):
-            scale = final_scale
-        else:
-            scale = (birth + death) / 2.0
-        pair = PersistencePair(
-            dimension=d, birth=birth, death=death, scale=scale,
-            representative_cocycle=raw, cocycle_below_death=raw,
-            birth_simplex=cx.simplex(d, bidx), death_simplex=death_simplex)
-        pair.representative_cocycle = pair.cocycle_at(scale)
-        diagram.pairs_by_dim.setdefault(d, []).append(pair)
-
-    for pairs in diagram.pairs_by_dim.values():
-        pairs.sort(key=lambda pr: (-pr.persistence, pr.birth, pr.birth_simplex))
+    for d in sorted({entry[0] for entry in finished}):
+        diagram.pairs_by_dim[d] = _pairs(cx, d, [e for e in finished if e[0] == d],
+                                         GF(q), scale_policy)
     return diagram
+
+
+def _pairs(cx: FilteredComplex, d: int, finished: list, ring, scale_policy) -> list:
+    """The degree-d pairs of ``finished``, most persistent first: births,
+    deaths, scales and the restriction cut of every pair are computed as
+    arrays, then each pair's cochains are built once."""
+    born, died, supports, values = zip(*(entry[1:] for entry in finished))
+    f_d, born = cx.filtration_values(d), np.array(born)
+    birth = f_d[born]
+    death = np.array([math.inf if x is None else x[0] for x in died])
+    scale = np.where(np.isinf(death), cx.max_filtration(), (birth + death) / 2.0)
+    if scale_policy != "midpoint":
+        fixed = float(scale_policy)
+        scale[(birth <= fixed) & (fixed < death)] = fixed
+    # a pair keeps the entries of its support below the cut: supports ascend
+    cut = f_d.searchsorted(scale, side="right")
+    sizes = np.array([len(x) for x in supports])
+    below = np.concatenate([[0], np.cumsum(np.concatenate(supports) < np.repeat(cut, sizes))])
+    ends = np.cumsum(sizes)
+    kept = (below[ends] - below[ends - sizes]).tolist()
+    simplices = cx.vertex_array(d)[born]
+    order = np.lexsort([*simplices.T[::-1], birth, birth - death])
+    pairs = []
+    for j, b, x, s, simplex in zip(order.tolist(), birth[order].tolist(), death[order].tolist(),
+                                   scale[order].tolist(), simplices[order].tolist()):
+        raw, k = Cochain._of(cx, d, ring, supports[j], values[j]), kept[j]
+        pairs.append(PersistencePair(
+            dimension=d, birth=b, death=x, scale=s,
+            representative_cocycle=raw if k == len(supports[j]) else Cochain._of(
+                cx, d, ring, supports[j][:k], values[j][:k]),
+            cocycle_below_death=raw, birth_simplex=tuple(simplex),
+            death_simplex=None if died[j] is None else died[j][1]))
+    return pairs
 
 
 def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
@@ -264,11 +279,6 @@ def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
     finished.extend((0, v, death, members[lo:hi], ones[:hi - lo]) for v, death, lo, hi in zip(
         named.tolist(), died + [None] * len(alive), [0] + ends, ends))
     return merges
-
-
-def _indicator(members: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Support and values of the cochain that is 1 on ``members``."""
-    return np.array(sorted(members)), np.ones(len(members), dtype=np.int64)
 
 
 class _FaceTable:
@@ -404,9 +414,11 @@ def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,
     apparent = source.faces(tau).max(axis=1) == sigma
     sigma, tau = sigma[apparent], tau[apparent]
     shown = tau["f"] > f_d[sigma]
-    finished.extend((d, s, (f, tuple(verts)), *_indicator([s])) for s, f, verts in zip(
+    # an indicator {s: 1}: its support is a row of a column of the births
+    one = np.ones(1, dtype=np.int64)
+    finished.extend((d, s, (f, tuple(verts)), row, one) for s, f, verts, row in zip(
         sigma[shown].tolist(), tau["f"][shown].tolist(),
-        source.vertices(tau[shown]).tolist()))
+        source.vertices(tau[shown]).tolist(), sigma[shown, None]))
 
     # when a simplex enters the long cocycles: apparent ones at their tau,
     # long births at once (_FIRST), the rest never (_NEVER)
@@ -415,7 +427,8 @@ def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,
     long = np.flatnonzero(births & (arrive["c"] == _NEVER["c"]))
     # a birth with no cofacet keeps {b: 1} and never dies
     alone = earliest["c"][long] == _NEVER["c"]
-    finished.extend((d, b, None, *_indicator([b])) for b in long[alone].tolist())
+    finished.extend((d, b, None, row, one) for b, row in zip(long[alone].tolist(),
+                                                            long[alone, None]))
     long = long[~alone]
     arrive[long] = _FIRST
     if not long.size:

@@ -10,6 +10,8 @@ remains when no candidate prime divides out is a winding-1 representative.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,23 +128,82 @@ def class_vanishes_mod(alpha: Cochain, q: int) -> bool:
                   "winding.class_vanishes_mod") is not None
 
 
+# differences |x - y| multiplied together between two gcds in Pollard-Brent
+_BATCH = 128
+
+
 def candidate_primes(pairing: int) -> list[int]:
-    """Distinct prime factors of |pairing|, ascending, by trial division."""
+    """Distinct prime factors of |pairing|, ascending: trial division by 2
+    and the odd numbers below 10^4, then Pollard-Brent rho on the cofactor.
+    Each factor is proven prime, by the trial division or by `is_prime`
+    (which refuses beyond its bound)."""
     if pairing == 0:
         raise ZeroPairing("pairing is zero; pick a different cycle",
                           operation="winding.candidate_primes")
     n = abs(pairing)
     out: list[int] = []
     d = 2
-    while d * d <= n:
+    while d < 10_000 and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    large, rest = set(), [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        # no m has a prime factor below d, so m < d^2 is prime
+        if m < d * d or is_prime(m):
+            large.add(m)
+        elif root := _perfect_root(m):
+            rest.append(root)
+        else:
+            f = _pollard_brent(m)
+            rest += [f, m // f]
+    return out + sorted(large)
+
+
+def _perfect_root(m: int) -> int | None:
+    """r with r^k = m for some k >= 2, or None. Rho splits a prime power
+    p^k only after about sqrt(p) steps, so powers are taken apart first;
+    m has no prime factor below 10^4, so k < log(m) / log(10^4)."""
+    for k in range(2, m.bit_length() // 13 + 1):
+        # Newton's method from above gives floor(m^(1/k))
+        x = 1 << -(-m.bit_length() // k)
+        while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
+            x = y
+        if x ** k == m:
+            return x
+    return None
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the composite n with no prime factor below 10^4:
+    Brent's cycle finding on y -> y^2 + c mod n, with the differences
+    multiplied up between gcds (Brent, "An improved Monte Carlo
+    factorization algorithm", 1980), for c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _BATCH
+            r *= 2
+        if g == n:      # the batch overshot: step again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def divide_step(alpha: Cochain, q: int, *, route: str = "auto",

@@ -17,6 +17,12 @@ the coefficient-array kernels of ``lifting`` and ``winding`` replaced.
 ``reference_spanning_forest`` and ``reference_forest_potential`` are the
 first-in first-out search over adjacency lists and the per-edge
 integration that the level-by-level array forest replaced.
+``unchunked_distances`` is the full difference tensor that the blocked
+distance matrix replaced, ``reference_clique_rows`` the mask loop that
+neighbour-list clique growth replaced, and ``reference_complex_arrays``
+rebuilds a complex's sorted rows, face table, keys and key ranks from
+tuples and dicts. ``reference_is_prime`` and ``reference_candidate_primes``
+are the trial divisions that Miller-Rabin and Pollard-Brent replaced.
 ``boundary_faces`` is no oracle but a helper that reads the faces of one
 simplex from a complex's face table.
 """
@@ -36,7 +42,7 @@ from circlift.lifting import (CERT_IN_RANGE, CERT_PER_FACE_RANGE, CERT_SNF_REPAI
                               CERT_VERIFIED_ONLY, LiftReport, snf_repair)
 from circlift.persistence import Diagram, PersistencePair, _prefix_length
 from circlift.snf import smith_normal_form
-from circlift.winding import ROUTE_MOD_P, WindingReport, candidate_primes
+from circlift.winding import ROUTE_MOD_P, WindingReport
 
 
 def faces_with_signs(s: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
@@ -119,6 +125,65 @@ def reference_rips(points, threshold: float, max_dim: int) -> FilteredComplex:
                 expand(edge, nbrs[i][np.isin(nbrs[i], nbrs[j], assume_unique=True)], d)
 
     return FilteredComplex(table)
+
+
+def unchunked_distances(points: np.ndarray) -> np.ndarray:
+    """The full n x n x d difference tensor, as ``pairwise_distances`` built
+    it before it worked in blocks."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def reference_clique_rows(dist: np.ndarray, threshold: float, max_dim: int):
+    """The mask loop that neighbour-list clique growth replaced, without
+    its row chunks: each m-simplex is extended by the vertices set in the
+    AND of its vertices' rows of the upper adjacency matrix. Returns the
+    vertex rows and filtrations of every dimension, in lexicographic
+    order."""
+    n = len(dist)
+    above = np.triu(dist <= threshold, 1)
+    u, k = np.divmod(np.flatnonzero(above), n)
+    verts, filt = [np.arange(n)[:, None], np.column_stack([u, k])], [np.zeros(n), dist[u, k]]
+    while len(verts) <= max_dim and len(verts[-1]):
+        rows = verts[-1]
+        mask = above[rows[:, 0]]
+        for column in rows[:, 1:].T:
+            mask &= above[column]
+        r, k = np.divmod(np.flatnonzero(mask), n)
+        far = filt[-1][r]
+        for column in rows[r].T:
+            np.maximum(far, dist[column, k], out=far)
+        verts.append(np.column_stack([rows[r], k]))
+        filt.append(far)
+    return verts, filt
+
+
+def reference_complex_arrays(verts_by_dim, filt_by_dim) -> list[dict]:
+    """Per nonempty dimension, the arrays a complex holds, from tuples and
+    dicts: rows and filtrations in (filtration, lex) order, the face
+    table, the sorted keys (key rank of the face omitting the last vertex,
+    times the vertex count, plus the rank of the last vertex) and the
+    index of each key rank, found by sorting the rows again."""
+    top = max(m for m, v in enumerate(verts_by_dim) if len(v))
+    out, lex_rank = [], []
+    for m in range(top + 1):
+        order = np.argsort(filt_by_dim[m], kind="stable")
+        verts = verts_by_dim[m][order]
+        rows = [tuple(r) for r in verts.tolist()]
+        index = {s: i for i, s in enumerate(rows)}
+        lex = np.lexsort(verts.T[::-1])
+        lex_rank.append({rows[i]: rank for rank, i in enumerate(lex.tolist())})
+        vertex_rank = lex_rank[0]
+        if m:
+            faces = np.array([[out[m - 1]["index"][f] for f, _ in faces_with_signs(s)]
+                              for s in rows], dtype=np.int64).reshape(-1, m + 1)
+            key = [lex_rank[m - 1][s[:-1]] * len(vertex_rank) + vertex_rank[s[-1:]]
+                   for s in rows]
+        else:
+            faces, key = np.empty((len(rows), 0), dtype=np.int64), [s[0] for s in rows]
+        out.append({"verts": verts, "filt": filt_by_dim[m][order], "faces": faces,
+                    "keys": np.array(key, dtype=np.int64)[lex], "lex": lex, "index": index})
+    return out
 
 
 def _index(cx, m: int) -> dict[tuple[int, ...], int]:
@@ -564,7 +629,7 @@ def reference_reduce_winding(alpha: Cochain, beta: Chain) -> WindingReport:
     if pairing == 0:
         raise ZeroPairing("pairing is zero; pick a different cycle",
                           operation="winding.candidate_primes")
-    primes = candidate_primes(pairing)
+    primes = reference_candidate_primes(pairing)
     current, omega, witness = dict(alpha.entries), 1, {}
     trace = []
     for q in primes:
@@ -587,3 +652,40 @@ def reference_reduce_winding(alpha: Cochain, beta: Chain) -> WindingReport:
                          division_trace=tuple(trace), winding_number=omega,
                          reduced_cocycle=Cochain(cx, 1, ZZ, current),
                          coboundary_witness=Cochain(cx, 0, ZZ, witness))
+
+
+# -- number theory by trial division -----------------------------------------
+
+def reference_is_prime(n: int) -> bool:
+    """Trial division by 2 and the odd numbers up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def reference_candidate_primes(pairing: int) -> list[int]:
+    """Distinct prime factors of |pairing|, ascending, by trial division."""
+    if pairing == 0:
+        raise ZeroPairing("pairing is zero; pick a different cycle",
+                          operation="winding.candidate_primes")
+    n = abs(pairing)
+    out: list[int] = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out

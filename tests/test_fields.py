@@ -1,9 +1,16 @@
+import math
+import re
+import time
+
+import numpy as np
 import pytest
 
-from circlift.errors import ZeroInverse
-from circlift.fields import (FpElement, OddPrime, abs_p, inverse, is_prime,
+from circlift.errors import PrimalityUnproven, ZeroInverse
+from circlift.fields import (PRIMALITY_BOUND, FpElement, OddPrime, abs_p, inverse, is_prime,
                              lift_coeff, primes_in_range, range_bound,
                              reduce_coeff)
+from circlift.winding import candidate_primes
+from oracles import reference_candidate_primes, reference_is_prime
 
 
 def fp(v, p):
@@ -101,3 +108,61 @@ def test_fp_element_arithmetic():
     assert (-fp(2, 7)).value == 5
     with pytest.raises(ValueError):
         FpElement(7, OddPrime(7))
+
+
+class TestNumberTheory:
+    """Miller-Rabin and Pollard-Brent against trial division."""
+
+    def test_every_small_number(self):
+        for n in range(-2, 10**5):
+            assert is_prime(n) == reference_is_prime(n), n
+        for n in range(1, 10**5):
+            assert candidate_primes(n) == reference_candidate_primes(n), n
+            assert candidate_primes(-n) == candidate_primes(n)
+
+    def test_random_numbers_below_10_to_12(self):
+        rng = np.random.default_rng(11)
+        # uniform draws, and draws near 10^12 / k^2 with a square factor k^2
+        numbers = rng.integers(2, 10**12, 200).tolist()
+        numbers += [k * k * int(rng.integers(1, 10**12 // (k * k)))
+                    for k in (3, 10007, 99991)]
+        for n in numbers:
+            assert is_prime(n) == reference_is_prime(n), n
+            assert candidate_primes(n) == reference_candidate_primes(n), n
+
+    @pytest.mark.parametrize("n, factors", [
+        # a strong pseudoprime to the bases 2, 3, 5 and 7
+        (3_215_031_751, [151, 751, 28351]),
+        # Carmichael numbers
+        (561, [3, 11, 17]), (1105, [5, 13, 17]), (1729, [7, 13, 19]),
+        (41041, [7, 11, 13, 41]),
+    ])
+    def test_pseudoprimes(self, n, factors):
+        assert not is_prime(n)
+        assert candidate_primes(n) == factors
+        assert math.prod(factors) == n
+
+    def test_large_factors(self):
+        p, q = 100_000_000_003, 100_000_000_019
+        assert is_prime(p) and is_prime(q)
+        assert candidate_primes(p * q) == [p, q]
+        # a prime power far beyond trial division, and a power of a product
+        assert candidate_primes(3 * (2**61 - 1) ** 2) == [3, 2**61 - 1]
+        assert candidate_primes(10007**2 * 10009**5) == [10007, 10009]
+
+    def test_mersenne_prime_is_fast(self):
+        is_prime.cache_clear()
+        t0 = time.perf_counter()
+        assert OddPrime(2**61 - 1).p == 2**61 - 1
+        assert time.perf_counter() - t0 < 0.01
+
+    def test_refuses_above_the_bound(self):
+        # 2^89 - 1 and 2^127 - 1 are prime: no test here proves it
+        for p in (2**89 - 1, 2**127 - 1):
+            assert p > PRIMALITY_BOUND
+            with pytest.raises(PrimalityUnproven,
+                               match=re.escape(f"{PRIMALITY_BOUND:,}")):
+                is_prime(p)
+        # a witness proves a number composite at any size
+        assert not is_prime((2**61 - 1) * (2**89 - 1))
+        assert not is_prime(2**200)

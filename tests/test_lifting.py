@@ -137,8 +137,8 @@ class TestLiftClosed:
         assert rep.exact_preimage == rep.working_lift
 
     def test_each_prime_is_proven_once(self, filled_triangle):
-        # OddPrime(p) proves p prime by trial division up to sqrt(p), about
-        # 10^6 divisions at this p; lift_closed constructs it more than once
+        # lift_closed constructs OddPrime(p), which proves p prime, more
+        # than once
         p = 1_099_511_627_791
         c = Cochain.from_simplices(filled_triangle, 1, GF(p),
                                    {(1, 2): 3, (0, 2): 4, (0, 1): 1})

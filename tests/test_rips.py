@@ -1,8 +1,10 @@
-"""The array Rips builder against the recursive dict-of-tuples oracle and
-against the dict constructor, the row-chunked distance matrix, and the
-refusal of non-finite input."""
+"""The array Rips builder against the recursive dict-of-tuples oracle, the
+dict constructor and the mask-loop clique oracle, the blocked distance
+matrix against the full difference tensor, and the refusal of non-finite
+input."""
 
 import json
+import math
 import re
 import tracemalloc
 
@@ -16,15 +18,10 @@ from circlift.cli import main
 from circlift.complexes import pairwise_distances, rips_from_distances
 from circlift.experiments import sample_circle
 from circlift.pipeline import enclosing_radius
-from oracles import reference_rips
+from oracles import (reference_clique_rows, reference_complex_arrays, reference_rips,
+                     unchunked_distances)
 
 DIFFERENTIAL = settings(max_examples=200, deadline=None, database=None)
-
-
-def unchunked_distances(points: np.ndarray) -> np.ndarray:
-    """The full n x n x d difference tensor, as both callers used to build it."""
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 @st.composite
@@ -139,7 +136,7 @@ class TestDistances:
         points = np.random.default_rng(4).standard_normal((37, 5)) * 10
         want = unchunked_distances(points).tobytes()
         assert pairwise_distances(points).tobytes() == want
-        monkeypatch.setattr(complexes, "_DISTANCE_CHUNK", 7 * 37 * 5)
+        monkeypatch.setattr(complexes, "_DISTANCE_BLOCK", 7 * 7)
         assert pairwise_distances(points).tobytes() == want
 
     def test_line_cloud(self):
@@ -158,9 +155,52 @@ class TestDistances:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 64 * 2**20
+            # the n x n matrix plus a few MB of blocks and adjacency
+            assert peak < 8 * len(points) ** 2 + 4 * 2**20
         assert result.n_simplices(1) > 0
         assert pairwise_distances(points).tobytes() == want
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_bitwise_at_every_dimension(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        for block in (complexes._DISTANCE_BLOCK, 5 * 5 * (d if d >= 8 else 1)):
+            monkeypatch.setattr(complexes, "_DISTANCE_BLOCK", block)
+            side = math.isqrt(block // (d if d >= 8 else 1))
+            for n in (1, 2, side - 1, side, side + 1, 2 * side + 3):
+                # magnitudes from 1e-6 to 1e6, and repeated points
+                points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7, (n, d))
+                points[n // 2] = points[0]
+                points[n - 1] = points[n // 3]
+                dist = pairwise_distances(points)
+                assert dist.tobytes() == unchunked_distances(points).tobytes()
+                assert np.array_equal(dist, dist.T)
+                assert not np.diagonal(dist).any()
+                assert not np.signbit(np.diagonal(dist)).any()
+
+    def test_points_without_coordinates(self):
+        assert pairwise_distances(np.empty((3, 0))).tobytes() == np.zeros((3, 3)).tobytes()
+
+
+class TestAgainstMaskLoop:
+    """Neighbour-list clique growth and the complex arrays built from its
+    rows against the mask loop and arrays rebuilt from tuples."""
+
+    @DIFFERENTIAL
+    @given(rips_inputs(), st.booleans())
+    def test_same_rows_faces_keys_and_ranks(self, inputs, one_per_chunk):
+        dist, threshold, max_dim = inputs
+        with pytest.MonkeyPatch.context() as patch:
+            if one_per_chunk:
+                patch.setattr(complexes, "_CLIQUE_CHUNK", 1)
+            cx = rips_from_distances(dist, threshold, max_dim)
+        want = reference_complex_arrays(*reference_clique_rows(dist, threshold, max_dim))
+        assert cx.dimension == len(want) - 1
+        for m, ref in enumerate(want):
+            assert np.array_equal(cx.vertex_array(m), ref["verts"])
+            assert cx.filtration_values(m).tobytes() == ref["filt"].tobytes()
+            assert np.array_equal(cx.face_table(m), ref["faces"])
+            assert cx._keys[m].tobytes() == ref["keys"].tobytes()
+            assert cx._lex[m].tobytes() == ref["lex"].tobytes()
 
 
 class TestNonFiniteInput:

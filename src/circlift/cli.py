@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .complexes import Chain, Cochain, FilteredComplex, GF, ZZ
-from .errors import CircliftError, TorsionObstruction, Unliftable, ZeroPairing
+from .errors import CircliftError, TorsionObstruction, ZeroPairing
 from .experiments import sparsity_sweep, write_sparsity_csv
 from .fields import OddPrime
 from .lifting import DEFAULT_SNF_CAP, lift_closed
@@ -28,31 +27,8 @@ from .smoothing import circular_map, harmonic_smooth
 from .winding import reduce_winding
 
 EXIT_ERROR = 1
-EXIT_UNLIFTABLE = 2
 EXIT_ZERO_PAIRING = 3
 EXIT_TORSION = 4
-
-
-@dataclass
-class PipelineConfig:
-    """Validated configuration for a full pipeline run."""
-
-    input: Path
-    prime: int = 47
-    max_dim: int = 1
-    threshold: float | str = "auto"
-    class_strategy: str = "max-persistence"
-    scale_policy: str | float = "midpoint"
-    snf_cap: int = DEFAULT_SNF_CAP
-    out: Path = Path(".")
-    reduce: bool = True
-
-    def __post_init__(self):
-        OddPrime(self.prime)   # rejects p = 2 and composites before any compute
-        if self.threshold != "auto":
-            self.threshold = float(self.threshold)
-        if self.scale_policy != "midpoint":
-            self.scale_policy = float(self.scale_policy)
 
 
 def _read_points_csv(path: Path) -> np.ndarray:
@@ -86,15 +62,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def cmd_run(config: PipelineConfig) -> int:
-    points, complex_ = _load_input(config.input)
+def cmd_run(args) -> int:
+    OddPrime(args.prime)   # rejects p = 2 and composites before any compute
+    threshold = args.threshold if args.threshold == "auto" else float(args.threshold)
+    scale_policy = (args.scale_policy if args.scale_policy == "midpoint"
+                    else float(args.scale_policy))
+    points, complex_ = _load_input(args.input)
     result = run_pipeline(
-        points=points, complex=complex_, prime=config.prime,
-        max_dim=config.max_dim, threshold=config.threshold,
-        class_strategy=config.class_strategy, scale_policy=config.scale_policy,
-        reduce=config.reduce, snf_cap=config.snf_cap)
+        points=points, complex=complex_, prime=args.prime,
+        max_dim=args.max_dim, threshold=threshold,
+        class_strategy=args.class_strategy, scale_policy=scale_policy,
+        reduce=not args.no_reduce, snf_cap=args.snf_cap)
 
-    out = config.out
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     result.diagram.write_json(out / "diagram.json")
     _write_json(out / "lift_report.json", result.cocycle_lift.to_json_dict())
@@ -130,9 +110,6 @@ def cmd_reduce_winding(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.experiment != "sparsity":
-        raise CircliftError(f"unknown experiment {args.experiment!r}",
-                            operation="cli_io.cmd_experiment")
     rows = sparsity_sweep(args.n, args.pmin, args.pmax, args.samples, args.k,
                           args.seed)
     out = Path(args.out)
@@ -214,8 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _exit_code_for(err: Exception) -> int:
     if isinstance(err, TorsionObstruction):
         return EXIT_TORSION
-    if isinstance(err, Unliftable):
-        return EXIT_UNLIFTABLE
     if isinstance(err, ZeroPairing):
         return EXIT_ZERO_PAIRING
     return EXIT_ERROR
@@ -225,12 +200,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = PipelineConfig(
-                input=args.input, prime=args.prime, max_dim=args.max_dim,
-                threshold=args.threshold, class_strategy=args.class_strategy,
-                scale_policy=args.scale_policy, snf_cap=args.snf_cap,
-                out=args.out, reduce=not args.no_reduce)
-            return cmd_run(config)
+            return cmd_run(args)
         if args.command == "lift":
             return cmd_lift(args)
         if args.command == "reduce-winding":

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionOutOfRange, EmptyInput
+from .errors import DimensionMismatch, DimensionOutOfRange, EmptyInput, NotACocycle
 
 Simplex = tuple[int, ...]
 
@@ -613,16 +613,14 @@ class Forest(NamedTuple):
     """A breadth-first spanning forest of a 1-skeleton, on vertex indices.
 
     ``roots`` holds one vertex per component, in component order, and
-    ``tree`` one row (parent, child, edge index, sign) per tree edge, in
-    visit order: component by component, level by level. Sign is +1 when
-    the child is the edge's second vertex; then f(child) - f(parent) = sign
-    * (delta f)(edge) for every 0-cochain f. ``steps`` holds the same rows
-    as columns, level by level across all components: level k + 1, the
-    children of level k, is ``steps[:, levels[k]:levels[k + 1]]``.
+    ``steps`` one column (parent, child, edge index, sign) per tree edge,
+    level by level across all components: level k + 1, the children of
+    level k, is ``steps[:, levels[k]:levels[k + 1]]``. Sign is +1 when the
+    child is the edge's second vertex; then f(child) - f(parent) = sign *
+    (delta f)(edge) for every 0-cochain f.
     """
 
     roots: np.ndarray
-    tree: np.ndarray
     steps: np.ndarray
     levels: np.ndarray
 
@@ -653,8 +651,6 @@ def _breadth_first_forest(cx: FilteredComplex, root: int | None) -> Forest:
     roots = np.flatnonzero(label == np.arange(n))
     if root is not None:
         roots = np.concatenate([[root], roots[roots != label[root]]])
-    rank = np.empty(n, dtype=np.int64)
-    rank[label[roots]] = np.arange(len(roots))
     # adjacency (owner, neighbour, edge, sign), sorted by owner then edge
     owner, adj = np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()
     adj = np.stack([owner, adj, np.repeat(np.arange(len(a)), 2), np.tile([1, -1], len(a))],
@@ -670,10 +666,8 @@ def _breadth_first_forest(cx: FilteredComplex, root: int | None) -> Forest:
         steps.append(adj[at[first]])
         frontier = steps[-1][:, 1]
         seen[frontier] = True
-    rows = np.concatenate(steps)
-    visit = np.argsort(rank[label[rows[:, 1]]], kind="stable")
     levels = np.cumsum([0] + [len(step) for step in steps])
-    return Forest(roots, rows[visit], np.ascontiguousarray(rows.T), levels)
+    return Forest(roots, np.ascontiguousarray(np.concatenate(steps).T), levels)
 
 
 def concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -928,6 +922,13 @@ def apply_coboundary(c: Cochain) -> Cochain:
     values = c.to_array(ring.array_dtype((m + 2) * c.coefficient_bound()))
     return Cochain.from_array(cx, m + 1, ring,
                               ring.normalize_array(coboundary_array(cx, m, values)))
+
+
+def _require_integer_cocycle(alpha: Cochain, operation: str) -> None:
+    if alpha.ring is not ZZ:
+        raise ValueError("expected integer coefficients")
+    if not apply_coboundary(alpha).is_zero():
+        raise NotACocycle("input cochain is not a cocycle over Z", operation=operation)
 
 
 def _raise_degree(m: int):

@@ -1,8 +1,10 @@
 """Exact arithmetic in F_p for odd primes.
 
-Provides the canonical representative absolute value, multiplicative
-inverses, and the coefficient-wise lift/reduce maps between F_p and Z that
-the lifting heuristics share. Everything here is pure and immutable.
+Provides a proven primality test, odd prime moduli, elements of F_p, and
+scalar maps for the canonical representative absolute value, inverses and
+the centred lift and reduction between F_p and Z. The lift itself works on
+coefficient arrays (``lifting._centred``). Everything here is pure and
+immutable.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ class FpElement:
         return FpElement(-self.value % self.p, self.prime)
 
 
-# Integer-level twins of the FpElement operations. The sparse (co)chain code
-# stores plain ints, so the hot paths use these.
+# Integer-level twins of the FpElement operations, on plain ints. Of these,
+# only inv_mod has callers in the library: the coefficient code works on
+# arrays.
 
 def abs_mod(value: int, p: int) -> int:
     v = value % p

@@ -252,10 +252,6 @@ def lift_closed(c: Cochain | Chain, kind: Kind | None = None, *,
     kind = kind or infer_kind(c)
     p = _field_prime(c)
     prime = OddPrime(p)
-    if not _is_closed(c, kind):
-        raise NotClosed(f"input is not a {kind} over F_{p}",
-                        operation="lifting.lift_closed")
-
     system = cocycle_index_system(c, kind)
     r = scaling_search(c, system.bounds(c.index))
     if r is not None:

@@ -38,6 +38,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,17 +52,16 @@ from .fields import OddPrime, inv_mod
 class PersistencePair:
     """One interval [birth, death) with its representative data.
 
-    The representative cocycle is stored restricted to the representative
-    scale (a sublevel complex between birth and death); the unrestricted
-    cocycle, valid anywhere below the death scale, is kept alongside so the
-    scale can be revisited.
+    Only the cocycle valid anywhere below the death scale is stored;
+    ``representative_cocycle`` is its restriction to the representative
+    scale (a sublevel complex between birth and death), derived on first
+    read.
     """
 
     dimension: int
     birth: float
     death: float
     scale: float
-    representative_cocycle: Cochain
     cocycle_below_death: Cochain
     birth_simplex: tuple[int, ...]
     death_simplex: tuple[int, ...] | None
@@ -70,6 +70,10 @@ class PersistencePair:
     @property
     def persistence(self) -> float:
         return self.death - self.birth
+
+    @cached_property
+    def representative_cocycle(self) -> Cochain:
+        return self.cocycle_at(self.scale)
 
     def cocycle_at(self, scale: float) -> Cochain:
         """Restriction of the representative to the sublevel complex at
@@ -189,8 +193,8 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
 
 def _pairs(cx: FilteredComplex, d: int, finished: list, ring, scale_policy) -> list:
     """The degree-d pairs of ``finished``, most persistent first: births,
-    deaths, scales and the restriction cut of every pair are computed as
-    arrays, then each pair's cochains are built once."""
+    deaths and scales are computed as arrays, then each pair's cocycle is
+    built once."""
     born, died, supports, values = zip(*(entry[1:] for entry in finished))
     f_d, born = cx.filtration_values(d), np.array(born)
     birth = f_d[born]
@@ -199,25 +203,15 @@ def _pairs(cx: FilteredComplex, d: int, finished: list, ring, scale_policy) -> l
     if scale_policy != "midpoint":
         fixed = float(scale_policy)
         scale[(birth <= fixed) & (fixed < death)] = fixed
-    # a pair keeps the entries of its support below the cut: supports ascend
-    cut = f_d.searchsorted(scale, side="right")
-    sizes = np.array([len(x) for x in supports])
-    below = np.concatenate([[0], np.cumsum(np.concatenate(supports) < np.repeat(cut, sizes))])
-    ends = np.cumsum(sizes)
-    kept = (below[ends] - below[ends - sizes]).tolist()
     simplices = cx.vertex_array(d)[born]
     order = np.lexsort([*simplices.T[::-1], birth, birth - death])
-    pairs = []
-    for j, b, x, s, simplex in zip(order.tolist(), birth[order].tolist(), death[order].tolist(),
-                                   scale[order].tolist(), simplices[order].tolist()):
-        raw, k = Cochain._of(cx, d, ring, supports[j], values[j]), kept[j]
-        pairs.append(PersistencePair(
-            dimension=d, birth=b, death=x, scale=s,
-            representative_cocycle=raw if k == len(supports[j]) else Cochain._of(
-                cx, d, ring, supports[j][:k], values[j][:k]),
-            cocycle_below_death=raw, birth_simplex=tuple(simplex),
-            death_simplex=None if died[j] is None else died[j][1]))
-    return pairs
+    return [PersistencePair(
+        dimension=d, birth=b, death=x, scale=s,
+        cocycle_below_death=Cochain._of(cx, d, ring, supports[j], values[j]),
+        birth_simplex=tuple(simplex), death_simplex=None if died[j] is None else died[j][1])
+        for j, b, x, s, simplex in zip(order.tolist(), birth[order].tolist(),
+                                       death[order].tolist(), scale[order].tolist(),
+                                       simplices[order].tolist())]
 
 
 def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
@@ -583,8 +577,8 @@ def cycle_representative(cx: FilteredComplex, p: OddPrime,
                           operation="persistence.cycle_representative")
     e = int(wrong[0])
     up = np.full((sub.n_vertices, 3), -1, dtype=np.int64)
-    tree = spanning_forest(sub).tree
-    up[tree[:, 1]] = tree[:, [0, 2, 3]]
+    parent, child, edge, sign = spanning_forest(sub).steps
+    up[child] = np.stack([parent, edge, sign], axis=1)
     up = up.tolist()
     cycle = {e: 1}
     # b up to its root, then down to a; edges above both cancel to zero

@@ -16,6 +16,7 @@ import numpy as np
 
 from .complexes import (FilteredComplex, build_rips, pairwise_distances,
                         rips_from_distances, rips_skeleton)
+from .errors import EmptyInput
 from .fields import OddPrime
 from .lifting import DEFAULT_SNF_CAP, LiftReport, lift_closed
 from .persistence import (Diagram, PersistencePair, cycle_representative,
@@ -50,6 +51,8 @@ def enclosing_radius(points) -> float:
 
 
 def _cone_radius(dist) -> float:
+    if not len(dist):
+        raise EmptyInput("no points", operation="pipeline.enclosing_radius")
     return float(dist.max(axis=1).min())
 
 

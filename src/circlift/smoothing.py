@@ -16,9 +16,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .complexes import (Cochain, RR, ZZ, apply_coboundary, forest_potential,
+from .complexes import (Cochain, RR, _require_integer_cocycle, forest_potential,
                         spanning_forest)
-from .errors import InconsistentCocycle, NotACocycle, SolverDiverged, VertexSetMismatch
+from .errors import InconsistentCocycle, SolverDiverged, VertexSetMismatch
 
 RESIDUAL_RTOL = 1e-9
 EDGE_TOL = 1e-6
@@ -92,11 +92,7 @@ def harmonic_smooth(alpha: Cochain) -> SmoothedCocycle:
     """
     if alpha.dim != 1:
         raise ValueError("smoothing applies to 1-cochains")
-    if alpha.ring is not ZZ:
-        raise ValueError("smoothing expects integer coefficients")
-    if not apply_coboundary(alpha).is_zero():
-        raise NotACocycle("smoothing requires a cocycle",
-                          operation="smoothing_coords.harmonic_smooth")
+    _require_integer_cocycle(alpha, "smoothing_coords.harmonic_smooth")
     cx = alpha.complex
     n_v = cx.n_vertices
     head, tail = cx.face_table(1).T     # (delta0 f)(ab) = f(b) - f(a)

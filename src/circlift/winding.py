@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import snf
-from .complexes import (Chain, Cochain, ZZ, apply_boundary, apply_coboundary,
+from .complexes import (Chain, Cochain, ZZ, _require_integer_cocycle, apply_boundary,
                         coboundary_array, exact_dtype, forest_potential, kronecker_pairing)
-from .errors import NotACocycle, NotDivisible, ValidationFailed, ZeroPairing
+from .errors import NotDivisible, ValidationFailed, ZeroPairing
 from .fields import is_prime
 from .lifting import DEFAULT_SNF_CAP, _snf_guard
 
@@ -59,13 +59,6 @@ class WindingReport:
             "reduced_cocycle": self.reduced_cocycle.to_json_dict(),
             "coboundary_witness": self.coboundary_witness.to_json_dict(),
         }
-
-
-def _require_integer_cocycle(alpha: Cochain, operation: str) -> None:
-    if alpha.ring is not ZZ:
-        raise ValueError("expected integer coefficients")
-    if not apply_coboundary(alpha).is_zero():
-        raise NotACocycle("input cochain is not a cocycle over Z", operation=operation)
 
 
 def _split(alpha: Cochain, q: int, route: str, snf_cap: int,
@@ -245,7 +238,7 @@ def reduce_winding(alpha: Cochain, beta: Chain, *,
     """
     operation = "winding.reduce_winding"
     _require_integer_cocycle(alpha, operation)
-    if beta.dim > 0 and not apply_boundary(beta).is_zero():
+    if beta.ring is not ZZ or (beta.dim > 0 and not apply_boundary(beta).is_zero()):
         raise ValueError("beta must be an integer cycle")
     pairing = kronecker_pairing(alpha, beta)
     primes = candidate_primes(pairing)

@@ -449,10 +449,9 @@ def reference_persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: i
             scale = (birth + death) / 2.0
         pair = PersistencePair(
             dimension=d, birth=birth, death=death, scale=scale,
-            representative_cocycle=raw, cocycle_below_death=raw,
+            cocycle_below_death=raw,
             birth_simplex=cx.simplex(d, bidx),
             death_simplex=None if didx is None else cx.simplex(d + 1, didx))
-        pair.representative_cocycle = pair.cocycle_at(scale)
         diagram.pairs_by_dim.setdefault(d, []).append(pair)
 
     for pairs in diagram.pairs_by_dim.values():
@@ -527,8 +526,6 @@ def reference_lift_closed(c, kind: str, snf_cap: int = 1500) -> LiftReport:
     and checks."""
     p = c.ring.p
     prime = OddPrime(p)
-    if not _reference_closed(c, kind):
-        raise NotClosed(f"input is not a {kind} over F_{p}", operation="lifting.lift_closed")
     relations = reference_relations(c, kind)
     reference_check(relations, c.entries, p)
     r = reference_scaling_search(c, reference_bounds(relations, p, list(c.entries)), prime)

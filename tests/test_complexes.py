@@ -6,7 +6,7 @@ import pytest
 
 from circlift import (Chain, Cochain, FilteredComplex, GF, RR, ZZ,
                       apply_boundary, apply_coboundary, build_from_simplices,
-                      build_rips, kronecker_pairing)
+                      build_rips, kronecker_pairing, run_pipeline)
 from circlift.errors import DimensionMismatch, EmptyInput
 from conftest import hexagon_fundamental_cycle, random_complex
 from oracles import boundary_faces
@@ -52,6 +52,9 @@ class TestBuildRips:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             build_rips(np.zeros((0, 2)), 1.0, 1)
+        for threshold in ("auto", 0.9):
+            with pytest.raises(EmptyInput, match="no points"):
+                run_pipeline(points=np.zeros((0, 2)), threshold=threshold)
 
 
 class TestComplexInvariants:

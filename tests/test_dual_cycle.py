@@ -34,7 +34,7 @@ def complexes(draw):
 def with_cocycle(pair: PersistencePair, cocycle: Cochain) -> PersistencePair:
     return PersistencePair(
         dimension=1, birth=pair.birth, death=pair.death, scale=pair.scale,
-        representative_cocycle=cocycle, cocycle_below_death=cocycle,
+        cocycle_below_death=cocycle,
         birth_simplex=pair.birth_simplex, death_simplex=pair.death_simplex)
 
 
@@ -89,7 +89,7 @@ class TestAgainstReduction:
         assert cx.simplex(1, last) == (2, 3)
         alpha = Cochain(cx, 1, GF(7), {last: 3})
         pair = PersistencePair(dimension=1, birth=1.0, death=float("inf"), scale=1.0,
-                               representative_cocycle=alpha, cocycle_below_death=alpha,
+                               cocycle_below_death=alpha,
                                birth_simplex=cx.simplex(1, 0), death_simplex=None)
         cycle = cycle_representative(cx, p, pair)
         assert cycle.entries == {last: 1, cx.index((0, 3)): 6, cx.index((0, 2)): 1}

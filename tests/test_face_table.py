@@ -264,7 +264,7 @@ class TestSpanningForest:
         cx = FilteredComplex(table)
         root = data.draw(st.none() | st.integers(0, cx.n_vertices - 1))
         forest = spanning_forest(cx, root)
-        roots, tree = forest.roots.tolist(), forest.tree.tolist()
+        roots, tree = forest.roots.tolist(), forest.steps.T.tolist()
         edges = cx.simplices(1)
         vertex = cx.vertex_ids
         assert len(roots) + len(tree) == cx.n_vertices
@@ -283,14 +283,18 @@ class TestSpanningForest:
         forest = spanning_forest(cx, root)
         roots, tree = reference_spanning_forest(cx, root)
         assert forest.roots.tolist() == roots
-        assert list(map(tuple, forest.tree.tolist())) == tree
         # the level offsets split the rows by depth, parents first
         depth = np.zeros(cx.n_vertices, dtype=np.int64)
         for k, (lo, hi) in enumerate(zip(forest.levels[:-1], forest.levels[1:])):
             parent, child = forest.steps[:2, lo:hi]
             assert np.all(depth[parent] == k)
             depth[child] = k + 1
-        assert sorted(map(tuple, forest.steps.T.tolist())) == sorted(tree)
+        # the rows are those of the search, stably sorted by child depth
+        searched = np.zeros(cx.n_vertices, dtype=np.int64)
+        for parent, child, _, _ in tree:
+            searched[child] = searched[parent] + 1
+        by_level = sorted(tree, key=lambda row: searched[row[1]])
+        assert list(map(tuple, forest.steps.T.tolist())) == by_level
 
     def test_potential_on_a_deep_and_a_shallow_component(self):
         # the path 0-1-2 and the edge 3-4: visited 01, 12, 34, and level by

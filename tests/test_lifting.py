@@ -149,7 +149,7 @@ class TestLiftClosed:
 
     def test_not_closed(self, filled_triangle):
         c = Cochain.from_simplices(filled_triangle, 1, GF(7), {(0, 1): 1})
-        with pytest.raises(NotClosed):
+        with pytest.raises(NotClosed, match=r"relation \(\(0, 1\),\) does not vanish mod 7"):
             lift_closed(c)
 
     def test_polygon_cycles_always_certified(self):

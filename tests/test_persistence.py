@@ -24,7 +24,8 @@ POLICIES = st.sampled_from(["midpoint", 0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
 
 def assert_same_as_reference(cx, p: int, max_dim: int, scale_policy="midpoint"):
     """Identical diagram JSON, birth and death simplices and unrestricted
-    cocycles as the per-simplex reduction."""
+    cocycles as the per-simplex reduction; each representative keeps the
+    entries of its unrestricted cocycle up to its scale."""
     new = persistent_cohomology(cx, OddPrime(p), max_dim, scale_policy=scale_policy)
     ref = reference_persistent_cohomology(cx, OddPrime(p), max_dim,
                                           scale_policy=scale_policy)
@@ -32,6 +33,9 @@ def assert_same_as_reference(cx, p: int, max_dim: int, scale_policy="midpoint"):
     for a, b in zip(new.all_pairs(), ref.all_pairs()):
         assert (a.birth_simplex, a.death_simplex) == (b.birth_simplex, b.death_simplex)
         assert a.cocycle_below_death == b.cocycle_below_death
+        f = cx.filtration_values(a.dimension)
+        assert a.representative_cocycle.entries == {
+            i: v for i, v in a.cocycle_below_death.entries.items() if f[i] <= a.scale}
     return new
 
 
@@ -261,7 +265,6 @@ class TestRepresentatives:
     def test_fabricated_pair_has_no_dual_cycle(self, filled_triangle, triangle_cocycle_f7):
         fake = PersistencePair(
             dimension=1, birth=0.5, death=2.0, scale=1.0,
-            representative_cocycle=triangle_cocycle_f7,
             cocycle_below_death=triangle_cocycle_f7,
             birth_simplex=(0, 1), death_simplex=None)
         with pytest.raises(NoDualCycle):

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import circlift.complexes as complexes
 import circlift.winding as winding
 from circlift import (Chain, Cochain, OddPrime, ZZ,
                       apply_coboundary, build_from_simplices, build_rips, candidate_primes,
@@ -207,6 +208,15 @@ class TestReduceWinding:
         with pytest.raises(ZeroPairing):
             reduce_winding(alpha, beta)
 
+    def test_cycle_over_a_field_is_refused(self, hexagon):
+        # over F_7 the loop's -1 reads 6, so it would pair as 2 + 6 + 1 = 9;
+        # the integer loop pairs 2 and gives w = 2
+        alpha = Cochain.from_simplices(hexagon, 1, ZZ, {(0, 1): 2, (4, 5): 1, (0, 5): 1})
+        beta = hexagon_fundamental_cycle(hexagon)
+        assert reduce_winding(alpha, beta).winding_number == 2
+        with pytest.raises(ValueError, match="beta must be an integer cycle"):
+            reduce_winding(alpha, beta.reduce_mod(7))
+
     def test_own_snf_cap_reaches_the_vanishing_test(self, monkeypatch):
         # S^2 as the boundary of a tetrahedron: a degree-2 class is divided on
         # the integer route, whose 6 + 2 * 4 unknowns and equations exceed 10
@@ -230,7 +240,7 @@ class TestReduceWinding:
             degrees.append(c.dim)
             return apply_coboundary(c)
 
-        monkeypatch.setattr(winding, "apply_coboundary", counting_coboundary)
+        monkeypatch.setattr(complexes, "apply_coboundary", counting_coboundary)
         report = reduce_winding(alpha, beta)
         assert report.winding_number == 6
         assert degrees.count(1) == 1

@@ -197,19 +197,12 @@ def _exit_code_for(err: Exception) -> int:
 
 
 def main(argv=None) -> int:
+    # argparse exits with code 2 on any other command
     args = _build_parser().parse_args(argv)
+    command = {"run": cmd_run, "lift": cmd_lift, "reduce-winding": cmd_reduce_winding,
+               "experiment": cmd_experiment, "coords": cmd_coords}[args.command]
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "lift":
-            return cmd_lift(args)
-        if args.command == "reduce-winding":
-            return cmd_reduce_winding(args)
-        if args.command == "experiment":
-            return cmd_experiment(args)
-        if args.command == "coords":
-            return cmd_coords(args)
-        raise CircliftError(f"unknown command {args.command}")
+        return command(args)
     except (CircliftError, ValueError, OSError, KeyError) as err:
         operation = getattr(err, "operation", None) or type(err).__name__
         diagnostic = {

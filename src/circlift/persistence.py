@@ -15,17 +15,22 @@ visited one by one:
   degree d-1. A birth and its earliest cofacet form an apparent pair (Bauer,
   "Ripser", 2021) when the birth is that cofacet's latest facet; its
   cocycle is the birth alone until the cofacet kills it.
-- Every other birth carries a long cocycle. One pass over the apparent
-  simplices extends all of them at once, since a cocycle's coboundary
-  vanishes on each apparent cofacet, and absorptions combine the extended
-  vectors linearly. A long cocycle dies at the first non-apparent
-  (d+1)-simplex on which it, or an older one, is nonzero, found by
-  evaluating coboundaries in bounded chunks.
+- Every other birth carries a long cocycle. One pass per level over the
+  apparent simplices extends all of them at once, since a cocycle's
+  coboundary vanishes on each apparent cofacet, and absorptions combine the
+  extended vectors linearly. A long cocycle dies at the first non-apparent
+  (d+1)-simplex on which it, or an older one, is nonzero.
 
 The (d+1)-simplices are read through a cofacet source: the complex's face
 table, or on a Rips 1-skeleton the distance matrix, which gives the
 triangles without building them. Both name a simplex by its key,
-(filtration, a code that orders ties lexicographically).
+(filtration, a code that orders ties lexicographically), and give the
+non-apparent ones as one stream in key order, read once per degree in
+cache-sized windows. A window keeps the simplices with a face in the live
+supports, which a count per d-simplex tracks: a death changes it only on
+the victim's support. Coboundaries are evaluated in slices that start small
+after each death and double until a cocycle is nonzero, so the search
+evaluates little past each death.
 
 Diagrams and representatives are exactly those of the per-simplex loop,
 which the tests keep as their oracle. The dual 1-cycle of a class is a
@@ -136,8 +141,12 @@ def _prefix_length(cx: FilteredComplex, m: int, scale: float) -> int:
     return int(cx.filtration_values(m).searchsorted(scale, side="right"))
 
 
-# cofacet values evaluated at once while searching for long deaths
-_EVAL_CHUNK = 1 << 18
+# cells (cofacet rows times faces, or edges times vertices) one window of
+# a cofacet stream holds: its temporaries stay in a core's cache
+_BLOCK = 1 << 16
+# cofacets evaluated first after a long death; the slice doubles while no
+# column hits
+_SLICE = 1 << 10
 
 # A (d+1)-simplex is found by its key: the filtration, then a code that
 # orders ties lexicographically (its index in a complex, or the vertex code
@@ -304,17 +313,21 @@ class _FaceTable:
     def vertices(self, keys: np.ndarray) -> np.ndarray:
         return self.verts[keys["c"]]
 
-    def cofacets(self, support: np.ndarray, after, arrive: np.ndarray, step: int):
-        """Chunks (keys, face rows), in key order, of the (d+1)-simplices
-        after ``after`` with a face in ``support``, skipping the apparent
-        ones (an apparent simplex is the key in ``arrive`` of its latest
-        face)."""
-        for lo in range(int(after["c"]) + 1, len(self.up), step):
-            chunk = np.arange(lo, min(lo + step, len(self.up)))
-            faces = self.up[chunk]
-            keep = support[faces].any(axis=1) & (arrive["c"][faces.max(axis=1)] != chunk)
-            if keep.any():
-                yield self._keys(chunk[keep]), faces[keep]
+    def cofacets(self, count: np.ndarray, arrive: np.ndarray):
+        """Windows (keys, face rows), in key order, of the (d+1)-simplices
+        with a face of nonzero ``count``, skipping the apparent ones (an
+        apparent simplex is the key in ``arrive`` of its latest face). Each
+        window reads ``count`` as it is when the window is made."""
+        step = max(1, _BLOCK // (self.d + 2))
+        for lo in range(0, len(self.up), step):
+            faces = self.up[lo:lo + step]
+            # face by face: reductions across a short row are slow
+            live, latest = count[faces[:, 0]] > 0, faces[:, 0]
+            for face in faces.T[1:]:
+                live, latest = live | (count[face] > 0), np.maximum(latest, face)
+            keep = np.flatnonzero(live & (arrive["c"][latest] != np.arange(lo, lo + len(faces))))
+            if keep.size:
+                yield self._keys(lo + keep), faces[keep]
 
 
 class _RipsTriangles:
@@ -333,13 +346,17 @@ class _RipsTriangles:
 
     def earliest(self, n_d: int) -> np.ndarray:
         """Key of each edge's earliest cofacet: the first c of least
-        filtration; _NEVER for an edge in no triangle."""
-        keys, width = np.full(n_d, _NEVER), max(1, _EVAL_CHUNK // self.n)
+        filtration; _NEVER for an edge in no triangle. The edges are all
+        the pairs within the skeleton's scale, so a c not joined to both a
+        and b lies beyond it and comes after every cofacet; only a and b
+        themselves, at distance 0, need excluding."""
+        keys, width = np.full(n_d, _NEVER), max(1, _BLOCK // self.n)
         for lo in range(0, n_d, width):
             a, b = self.edges[lo:lo + width].T
             g = np.maximum(self.dist[a], self.dist[b])
             np.maximum(g, self.filt[lo:lo + len(a), None], out=g)
-            g[~(self.adjacent[a] & self.adjacent[b])] = np.inf
+            rows = np.arange(len(a))
+            g[rows, a] = g[rows, b] = np.inf
             c = g.argmin(axis=1)
             has = np.flatnonzero(self.adjacent[a, c] & self.adjacent[b, c])
             keys["f"][lo + has] = g[has, c[has]]
@@ -359,35 +376,43 @@ class _RipsTriangles:
         x, y, z = self.vertices(keys).T
         return np.stack([self.edge[y, z], self.edge[x, z], self.edge[x, y]], axis=1)
 
-    def cofacets(self, support: np.ndarray, after, arrive: np.ndarray, step: int):
-        """Chunks (keys, face rows), in key order, of the triangles after
-        ``after`` with an edge in ``support``, skipping the apparent ones
-        (an apparent triangle is the key in ``arrive`` of its latest edge).
-        Triangles are found by their latest edge j, a window of edges at a
-        time: the c whose edges to a and b both come before j."""
+    def cofacets(self, count: np.ndarray, arrive: np.ndarray):
+        """Windows (keys, face rows), in key order, of the triangles with an
+        edge of nonzero ``count``, skipping the apparent ones (an apparent
+        triangle is the key in ``arrive`` of its latest edge). Triangles are
+        found by their latest edge j: the c whose edges to a and b both come
+        before j. Each window reads ``count`` as it is when the window is
+        made."""
         n, n_e = self.n, len(self.edges)
-        width = max(1, _EVAL_CHUNK // n)
-        near = support[self.edge]          # whether u and v share a support edge
-        lo = int(np.searchsorted(self.filt, after["f"]))
+        width, lo = max(1, _BLOCK // n), 0
         while lo < n_e:
             # a window ends after a filtration value, so windows are in key order
             hi = int(np.searchsorted(self.filt, self.filt[min(lo + width, n_e) - 1],
                                      side="right"))
             a, b = self.edges[lo:hi].T
-            j = np.arange(lo, hi)[:, None]
-            found = (self.edge[a] < j) & (self.edge[b] < j)
-            found &= near[a] | near[b] | support[lo:hi, None]
-            r, c = np.divmod(np.flatnonzero(found), n)
+            j = np.arange(lo, hi, dtype=self.edge.dtype)[:, None]
+            ac, bc = self.edge[a], self.edge[b]
+            flat = np.flatnonzero(np.maximum(ac, bc) < j)
+            r = flat // n
+            c, ac, bc, ab = flat - r * n, ac.ravel().take(flat), bc.ravel().take(flat), lo + r
+            live = count[:hi] > 0          # every face found comes before hi
+            keep = live.take(ac) | live.take(bc) | live.take(ab)
+            r, c, ac, bc, ab = r[keep], c[keep], ac[keep], bc[keep], ab[keep]
             keys = np.empty(len(r), dtype=_KEY)
-            keys["f"], keys["c"] = self.filt[lo + r], self._code(a[r], b[r], c)
-            keep = (arrive["c"][lo + r] != keys["c"]) & _before(after, keys)
-            r, keys = r[keep], keys[keep]
+            keys["f"], keys["c"] = self.filt[ab], self._code(a[r], b[r], c)
+            keep = arrive["c"][ab] != keys["c"]
             # rows come by j, and one row's triangles in the order of c, so
             # only ties of filtration between rows need sorting
             tie = np.concatenate([[0], np.cumsum(np.diff(self.filt[lo:hi]) != 0)])
-            keys = keys[np.argsort(tie[r] * n ** 3 + keys["c"])]
-            for at in range(0, len(keys), step):
-                yield keys[at:at + step], self.faces(keys[at:at + step])
+            order = np.flatnonzero(keep)
+            order = order[np.argsort(tie[r[order]] * n ** 3 + keys["c"][order])]
+            if order.size:
+                # the faces omit x, y and z of x < y < z
+                c, a, b = c[order], a[r[order]], b[r[order]]
+                ac, bc, ab = ac[order], bc[order], ab[order]
+                yield keys[order], np.stack([np.where(c < a, ab, bc),
+                                             np.where(c < a, bc, np.where(c < b, ab, ac)),
+                                             np.where(c < b, ac, ab)], axis=1)
             lo = hi
 
 
@@ -442,68 +467,66 @@ def _replay(source, d: int, f_d: np.ndarray, q: int, long: np.ndarray,
     Between long deaths a live long cocycle equals its column of E
     restricted to the simplices that have arrived, and it is nonzero on a
     non-apparent (d+1)-simplex exactly when the coboundary of its column
-    is. Absorptions are linear, so they combine columns, and the values of
-    a chunk of simplices are updated with them rather than evaluated again.
+    is. Absorptions are linear, so they combine columns; a dead column is
+    zeroed. ``count`` holds, per d-simplex, the live columns nonzero on it,
+    and the one stream of cofacets reads it window by window. A death
+    changes E and ``count`` only on the victim's support, and evaluation
+    resumes after the dead simplex with a small slice that doubles until a
+    column hits.
+
+    A column is zero below the simplex it was born at: extension and
+    absorption only add later simplices. So a slice is evaluated on the
+    live columns born at or before its latest face.
     """
     signs = np.array(face_signs(d + 1))
-    # row n_d stays zero; int64 holds every q^2 below 2^62 exactly
-    E = np.zeros((len(arrive) + 1, len(long)), dtype=np.int64 if q < 1 << 31 else object)
+    # row n_d stays zero. Entries are below q: a sum over d+2 faces is
+    # exact in E's dtype, and an absorption's products below q^2 in ``wide``
+    E = np.zeros((len(arrive) + 1, len(long)), dtype=exact_dtype((d + 2) * q))
+    wide = exact_dtype(q * q + q)
     E[long, np.arange(len(long))] = 1
     _extend(E, source.faces(tau), sigma, signs, q)
+    count = (E != 0).sum(axis=1)
 
-    live, deaths, after = np.ones(len(long), dtype=bool), [], _FIRST
-    step = max(1, _EVAL_CHUNK // len(long))
-    while after is not None and live.any():
-        cols = np.flatnonzero(live)
-        values = E[:, cols]
-        # the zero row n_d stays out of the support
-        keys, at, after = _nonzero_cofacets(source, (values != 0).any(axis=1), after,
-                                            arrive, values, long[cols], signs, q, step)
-        r = 0
-        while (hits := np.flatnonzero((at[r:] != 0).any(axis=1))).size:
-            r += int(hits[0])
-            row = at[r].copy()
-            nonzero = np.flatnonzero(row)
+    live, deaths, size = np.ones(len(long), dtype=bool), [], _SLICE
+    cap = max(1, _BLOCK // len(long))       # a slice's values fill one block
+    for keys, faces in source.cofacets(count, arrive):
+        lo = 0
+        while lo < len(keys):
+            rows = faces[lo:lo + min(size, cap)]
+            cols = np.flatnonzero(live[:np.searchsorted(long, rows.max(), side="right")])
+            at = sum(int(s) * E.take(rows[:, i], axis=0)[:, cols]
+                     for i, s in enumerate(signs)) % q
+            hits = np.flatnonzero((at != 0).any(axis=1))
+            if not hits.size:
+                lo, size = lo + len(rows), 2 * size
+                continue
+            r = lo + int(hits[0])
+            nonzero = np.flatnonzero(at[hits[0]])
+            row, rho = at[hits[0], nonzero], keys[r]
             # the youngest dies; the older ones absorb it
-            victim, rho = nonzero[-1], keys[r]
-            col, birth = int(cols[victim]), int(long[cols[victim]])
+            col, older = int(cols[nonzero[-1]]), cols[nonzero[:-1]]
+            birth = int(long[col])
+            support = np.flatnonzero(E[:-1, col])
+            values = E[support, col]
             live[col] = False
             deaths.append(keys[r:r + 1])
             if rho["f"] > f_d[birth]:
-                simplex = tuple(source.vertices(keys[r:r + 1])[0].tolist())
-                finished.append((d, birth, (float(rho["f"]), simplex),
-                                 *_column(E, col, _before(arrive, rho))))
-            inv = inv_mod(int(row[victim]), q)
-            for k in nonzero[:-1]:
-                factor = int(row[k]) * inv % q
-                E[:, cols[k]] = (E[:, cols[k]] - factor * E[:, col]) % q
-                at[:, k] = (at[:, k] - factor * at[:, victim]) % q
-            at[:, victim] = 0
+                arrived = _before(arrive[support], rho)
+                finished.append((d, birth, (float(rho["f"]), tuple(
+                    source.vertices(keys[r:r + 1])[0].tolist())),
+                    support[arrived], values[arrived]))
+            factors = row[:-1].astype(wide) * inv_mod(int(row[-1]), q) % q
+            block = np.ix_(support, older)
+            E[block] = (E[block] - values.astype(wide)[:, None] * factors) % q
+            E[support, col] = 0
+            count[support] = (E[support] != 0).sum(axis=1)
+            if not live.any():
+                return np.concatenate(deaths)
+            lo, size = r + 1, _SLICE
     for col in np.flatnonzero(live).tolist():
-        finished.append((d, int(long[col]), None,
-                         *_column(E, col, arrive["c"] != _NEVER["c"])))
+        kept = np.flatnonzero((E[:-1, col] != 0) & (arrive["c"] != _NEVER["c"]))
+        finished.append((d, int(long[col]), None, kept, E[kept, col]))
     return np.concatenate(deaths or [np.empty(0, dtype=_KEY)])
-
-
-def _nonzero_cofacets(source, support: np.ndarray, after, arrive: np.ndarray,
-                      values: np.ndarray, born: np.ndarray, signs: np.ndarray, q: int,
-                      step: int):
-    """The first chunk of non-apparent (d+1)-simplices after ``after`` in
-    which some column of ``values`` has a nonzero coboundary: the keys of
-    those simplices, their coboundary values, and the last key of the
-    chunk; None for it when no simplex is left.
-
-    A column is zero below the simplex it was born at (ascending ``born``):
-    extension and absorption only add later simplices. So a chunk whose
-    faces all come before a column's birth is evaluated without it."""
-    for keys, faces in source.cofacets(support, after, arrive, step):
-        k = int(np.searchsorted(born, faces.max(), side="right"))
-        at = np.zeros((len(keys), values.shape[1]), dtype=values.dtype)
-        at[:, :k] = sum(int(s) * values[faces[:, i], :k] for i, s in enumerate(signs)) % q
-        hit = (at[:, :k] != 0).any(axis=1)
-        if hit.any():
-            return keys[hit], at[hit], keys[-1]
-    return np.empty(0, dtype=_KEY), np.empty((0, values.shape[1]), values.dtype), None
 
 
 def _extend(E: np.ndarray, rows: np.ndarray, sigma: np.ndarray, signs: np.ndarray,
@@ -511,34 +534,30 @@ def _extend(E: np.ndarray, rows: np.ndarray, sigma: np.ndarray, signs: np.ndarra
     """Set every column of E on each apparent sigma so that its coboundary
     vanishes on sigma's tau (face rows ``rows``): E(sigma) = -sign_sigma *
     the sum of sign_i E(face_i) over tau's other faces, which all come
-    earlier in index order. Rows go level by level: a simplex's level is
-    one more than the deepest level among those faces, 0 for a simplex
-    that is not apparent. The levels are the fixed point of that rule,
-    reached from all 0 in one array pass per level."""
-    if not sigma.size:
-        return
+    earlier in index order. One pass per level: each pass writes the rows
+    of the sigma whose other faces are all resolved (not apparent, or
+    written by an earlier pass), and the next pass looks only at the sigma
+    that wait on those."""
+    m = len(sigma)
     pos = rows.argmax(axis=1)
     rows = rows.copy()
-    rows[np.arange(len(rows)), pos] = len(E) - 1      # sigma reads the zero row
-    level, columns = np.zeros(len(E), dtype=np.int64), rows.T.copy()
-    while True:
-        depth = level[columns[0]]
-        for column in columns[1:]:
-            np.maximum(depth, level[column], out=depth)
-        depth += 1
-        if np.array_equal(depth, level[sigma]):
-            break
-        level[sigma] = depth
-    order = np.argsort(depth, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
-        total = sum(int(s) * E[rows[group, i]] for i, s in enumerate(signs))
+    rows[np.arange(m), pos] = len(E) - 1      # sigma reads the zero row
+    # the sigma that wait on each sigma: the apparent faces of their tau
+    position = np.full(len(E), m)
+    position[sigma] = np.arange(m)
+    on = position[rows].ravel()
+    waiter, on = np.flatnonzero(on < m) // rows.shape[1], on[on < m]
+    order = np.argsort(on)
+    waiter, start = waiter[order], np.searchsorted(on[order], np.arange(m + 1))
+    waiting = np.bincount(waiter, minlength=m)
+    group = np.flatnonzero(waiting == 0)
+    while group.size:
+        total = sum(int(s) * E.take(rows[group, i], axis=0) for i, s in enumerate(signs))
         E[sigma[group]] = -signs[pos[group], None] * total % q
-
-
-def _column(E: np.ndarray, col: int, arrived: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support and values of column ``col`` of E on the simplices in ``arrived``."""
-    kept = np.flatnonzero((E[:-1, col] != 0) & arrived)
-    return kept, E[kept, col]
+        woken = waiter[concat_ranges(start[group], start[group + 1] - start[group])]
+        woken, times = np.unique(woken, return_counts=True)
+        waiting[woken] -= times
+        group = woken[waiting[woken] == 0]
 
 
 def cycle_representative(cx: FilteredComplex, p: OddPrime,

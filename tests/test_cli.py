@@ -85,6 +85,12 @@ class TestRun:
         assert err["operation"] == "persistence.select_class"
         assert json.loads((out / "error.json").read_text()) == err
 
+    def test_unknown_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bogus"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 class TestLift:
     def test_triangle_fixture(self, tmp_path, filled_triangle, triangle_cocycle_f7):

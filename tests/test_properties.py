@@ -1,13 +1,16 @@
 """Properties of whole fits that need no oracle: relabelling the points
 rotates or reflects the coordinates, scaling the cloud by a power of two
-scales the diagram and changes nothing else, and every prime that lifts
-gives the same coordinates. Noisy circles run at threshold="auto" and
-trefoils at a fixed threshold."""
+scales the diagram and changes nothing else, every prime that lifts gives
+the same coordinates, and a multiple of the fitted class, as external
+persistence software may emit it, reduces back to the fitted coordinates.
+Noisy circles run at threshold="auto" and trefoils at a fixed threshold."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from circlift import run_pipeline
+from circlift import (GF, ZZ, Chain, Cochain, apply_coboundary, circular_map,
+                      harmonic_smooth, kronecker_pairing, lift_closed, reduce_winding,
+                      run_pipeline)
 from circlift.experiments import sample_circle, sample_trefoil
 
 # derandomized, so a run is repeatable; together well under 10 s
@@ -36,10 +39,14 @@ def test_relabelling_rotates_or_reflects(cloud, seed):
     perm = np.random.default_rng(seed).permutation(len(points))
     relabelled = np.empty_like(theta)
     relabelled[perm] = fit(points[perm], threshold).coordinate_array()
-    # theta' = sign * theta + shift on the circle R/Z
+    assert_rotated_or_reflected(relabelled, theta)
+
+
+def assert_rotated_or_reflected(theta, want) -> None:
+    """theta = sign * want + shift on the circle R/Z, to 1e-9."""
     misfit = []
     for sign in (1, -1):
-        turn = (relabelled - sign * theta) % 1.0
+        turn = (theta - sign * want) % 1.0
         misfit.append(np.abs((turn - turn[0] + 0.5) % 1.0 - 0.5).max())
     assert min(misfit) < 1e-9
 
@@ -70,3 +77,27 @@ def test_every_prime_gives_the_same_coordinates(cloud):
     want = fit(points, threshold).coordinate_array().tobytes()
     for prime in (3, 5, 1009, 2_147_483_659):
         assert fit(points, threshold, prime).coordinate_array().tobytes() == want
+
+
+@PROPERTY
+@given(clouds(), st.sampled_from([2, 3, 6]), st.integers(0, 2**32 - 1))
+def test_a_multiple_of_the_class_reduces_to_the_fitted_coordinates(cloud, k, seed):
+    # u * (k * alpha + delta h) mod p and u' * z mod p from the fit's reduced
+    # cocycle alpha and its cycle z; the lift of the cocycle need not pair
+    # to k with z, but it is a multiple of the class
+    points, threshold = cloud
+    base, p = fit(points, threshold), 47
+    cx, alpha, z = base.working_complex, base.winding_report.reduced_cocycle, \
+        base.cycle_lift.working_lift
+    rng = np.random.default_rng(seed)
+    u, u_z = (int(x) for x in rng.integers(1, p, size=2))
+    h = Cochain.from_array(cx, 0, ZZ, rng.integers(-2, 3, cx.n_vertices))
+    cocycle = u * (k * alpha.to_array(np.int64) + apply_coboundary(h).to_array(np.int64)) % p
+    lift_a = lift_closed(Cochain.from_array(cx, 1, GF(p), cocycle), "cocycle")
+    lift_z = lift_closed(Chain.from_array(cx, 1, GF(p), u_z * z.to_array(np.int64) % p), "cycle")
+    report = reduce_winding(lift_a.working_lift, lift_z.working_lift)
+    assert report.division_trace and abs(report.winding_number) != 1
+    assert abs(kronecker_pairing(report.reduced_cocycle, z)) == 1
+    coords = circular_map(harmonic_smooth(report.reduced_cocycle)).values
+    assert_rotated_or_reflected(np.array([coords[v] for v in sorted(coords)]),
+                                base.coordinate_array())

@@ -17,7 +17,8 @@ from circlift.pipeline import enclosing_radius
 from oracles import reference_persistent_cohomology
 
 DIFFERENTIAL = settings(max_examples=150, deadline=None, database=None)
-BIG_PRIME = 2_147_483_659          # above 2^31: columns hold Python ints
+BIG_PRIME = 2_147_483_659          # above 2^31: absorption products are Python ints
+HUGE_PRIME = 2**61 - 1             # three entries sum past 2^62: columns hold Python ints
 
 
 @st.composite
@@ -76,20 +77,14 @@ class TestCofacetSources:
             arrive["table"][up[i].max()] = (cone.filtration_values(2)[i], i)
             arrive["rips"][up[i].max()] = (cone.filtration_values(2)[i], code[i])
         apparent = np.isin(np.arange(len(tri)), arrive["table"]["c"])
-        support = np.append(rng.random(n_e) < 0.5, False)
-        start = int(rng.integers(-1, len(tri)))        # -1: from the first triangle
-        after = {"table": persistence._FIRST, "rips": persistence._FIRST}
-        if start >= 0:
-            after = {"table": np.array((tri_f := cone.filtration_values(2)[start], start),
-                                       dtype=persistence._KEY)[()],
-                     "rips": np.array((tri_f, code[start]), dtype=persistence._KEY)[()]}
-        with mock.patch.object(persistence, "_EVAL_CHUNK", chunk):
+        count = np.append(rng.integers(0, 3, n_e) * (rng.random(n_e) < 0.5), 0)
+        with mock.patch.multiple(persistence, _BLOCK=chunk, _SLICE=chunk):
             sources = {"table": persistence._FaceTable(cone, 1),
                        "rips": persistence._RipsTriangles(
                            rips_skeleton(pairwise_distances(points), t))}
             found = {}
             for name, source in sources.items():
-                chunks = list(source.cofacets(support, after[name], arrive[name], chunk))
+                chunks = list(source.cofacets(count, arrive[name]))
                 keys = np.concatenate([k for k, _ in chunks] or [np.empty(0, persistence._KEY)])
                 faces = np.concatenate([f for _, f in chunks] or [np.empty((0, 3), int)])
                 earliest = source.earliest(n_e)
@@ -98,23 +93,40 @@ class TestCofacetSources:
                                faces.tolist(), has.tolist(),
                                source.vertices(earliest[has]).tolist(),
                                earliest["f"][has].tolist())
-        want = np.flatnonzero(~apparent & support[up].any(axis=1) & (np.arange(len(tri)) > start))
+        want = np.flatnonzero(~apparent & (count[up] > 0).any(axis=1))
         assert found["rips"] == found["table"]
         assert found["table"][:3] == (tri[want].tolist(), cone.filtration_values(2)[want].tolist(),
                                       up[want].tolist())
 
+    def test_each_window_reads_the_count_as_it_is_then(self):
+        # a stream whose counts fall to zero after its first window yields
+        # nothing more
+        pts, _ = sample_circle(12, 0.0, 2, seed=0)
+        t = enclosing_radius(pts)
+        cone = build_rips(pts, t, 2)
+        n_e = cone.n_simplices(1)
+        for source in (persistence._FaceTable(cone, 1),
+                       persistence._RipsTriangles(rips_skeleton(pairwise_distances(pts), t))):
+            count = np.append(np.ones(n_e, dtype=np.int64), 0)
+            with mock.patch.multiple(persistence, _BLOCK=7, _SLICE=7):
+                windows = source.cofacets(count, np.full(n_e, persistence._NEVER))
+                assert len(next(windows)[0])
+                count[:] = 0
+                assert list(windows) == []
+
 
 class TestSkeletonPersistence:
     @DIFFERENTIAL
-    @given(clouds(), st.sampled_from([3, 47, BIG_PRIME]), st.sampled_from([1, 7, 1 << 18]))
+    @given(clouds(), st.sampled_from([3, 47, BIG_PRIME, HUGE_PRIME]),
+           st.sampled_from([1, 7, 1 << 18]))
     def test_same_diagram_as_the_face_table(self, cloud, p, chunk):
-        # small chunks cut the windows of edges and the evaluated cofacets
+        # small blocks and slices cut the windows and the evaluated cofacets
         points, t = cloud
         cx = build_rips(points, t, 2)
         if cx.dimension == 0:
             return
         skeleton = rips_skeleton(pairwise_distances(points), t)
-        with mock.patch.object(persistence, "_EVAL_CHUNK", chunk):
+        with mock.patch.multiple(persistence, _BLOCK=chunk, _SLICE=chunk):
             new = persistent_cohomology(skeleton, OddPrime(p), 1)
             old = persistent_cohomology(cx, OddPrime(p), 1)
         assert new.complex is skeleton and skeleton.dimension == 1
@@ -124,13 +136,13 @@ class TestSkeletonPersistence:
 
     def test_long_birth_that_is_the_latest_face_of_a_tied_triangle(self):
         # a grid cloud where a long cocycle's birth edge is the latest face
-        # of a later triangle of the same filtration: with one cofacet per
-        # chunk that triangle is evaluated on the column born at its face
+        # of a later triangle of the same filtration: with three cofacets per
+        # slice that triangle is evaluated on the column born at its face
         points = np.array([[2, 2, 2], [2, 0, 2], [1, 2, 1], [2, 0, 0], [2, 1, 1],
                            [2, 1, 2], [1, 0, 0], [1, 0, 2]], dtype=float)
         t = 3 ** 0.5
         cx = build_rips(points, t, 2)
-        with mock.patch.object(persistence, "_EVAL_CHUNK", 3):
+        with mock.patch.multiple(persistence, _BLOCK=3, _SLICE=3):
             for source in (rips_skeleton(pairwise_distances(points), t), cx):
                 assert_same_diagrams(persistent_cohomology(source, OddPrime(3), 1),
                                      reference_persistent_cohomology(cx, OddPrime(3), 1))
@@ -139,10 +151,42 @@ class TestSkeletonPersistence:
     def test_circle_cone(self, seed):
         pts, _ = sample_circle(40, 0.0, 3, seed=seed)
         t = enclosing_radius(pts)
-        for p in (47, BIG_PRIME):
+        for p in (47, BIG_PRIME, HUGE_PRIME):
             assert_same_diagrams(
                 persistent_cohomology(rips_skeleton(pairwise_distances(pts), t), OddPrime(p), 1),
                 persistent_cohomology(build_rips(pts, t, 2), OddPrime(p), 1))
+
+    @pytest.mark.parametrize("n", [10, 36])
+    @pytest.mark.parametrize("p", [3, 47])
+    def test_deaths_inside_one_slice_and_a_support_emptied_mid_window(self, n, p):
+        # on a noise-free circle cone two long cocycles die within one slice,
+        # and the last death empties the live support with cofacets of its
+        # window still unread
+        pts, _ = sample_circle(n, 0.0, 2, seed=0)
+        t = enclosing_radius(pts)
+        windows, deaths = [], []
+        stream, replay = persistence._RipsTriangles.cofacets, persistence._replay
+
+        def recorded(source, count, arrive):
+            for keys, faces in stream(source, count, arrive):
+                windows.append((keys, count))
+                yield keys, faces
+
+        def spied(*args):
+            deaths.append(replay(*args))
+            return deaths[-1]
+
+        with mock.patch.object(persistence._RipsTriangles, "cofacets", recorded), \
+                mock.patch.object(persistence, "_replay", spied):
+            new = persistent_cohomology(rips_skeleton(pairwise_distances(pts), t), OddPrime(p), 1)
+        (keys, count), = windows
+        at = np.flatnonzero(np.isin(keys, np.concatenate(deaths)))
+        assert len(at) >= 2 and np.diff(at).min() < persistence._SLICE
+        assert not count.any() and at[-1] < len(keys) - 1
+        cx = build_rips(pts, t, 2)
+        assert_same_diagrams(new, persistent_cohomology(cx, OddPrime(p), 1))
+        if n <= 12:
+            assert_same_diagrams(new, reference_persistent_cohomology(cx, OddPrime(p), 1))
 
     def test_restricted_skeleton_keeps_its_distances(self):
         pts, _ = sample_circle(30, 0.1, 2, seed=4)

@@ -95,7 +95,7 @@ def cmd_lift(args) -> int:
     cx = FilteredComplex.from_json_dict(_read_json(args.complex))
     cls = Chain if args.kind == "cycle" else Cochain
     vec = cls.from_json_dict(cx, _read_json(args.input), ring=GF(args.prime))
-    report = lift_closed(vec, args.kind, snf_cap=args.snf_cap)
+    report = lift_closed(vec, snf_cap=args.snf_cap)
     _write_json(Path(args.out) / "lift_report.json", report.to_json_dict())
     return 0
 

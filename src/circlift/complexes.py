@@ -228,8 +228,7 @@ class FilteredComplex:
         self.dimension = max(m for m, n in enumerate(counts) if n)
         self._verts, self._filt, self._faces = [], [], []
         self._keys, self._lex = [], []      # sorted keys; key rank -> index
-        self._prefixes, self._forests = {}, {}
-        self.distances = None
+        self._forests, self.distances = {}, None
         for m in range(self.dimension + 1):
             order = np.argsort(filt_by_dim[m], kind="stable")
             verts, filt = verts_by_dim[m][order], filt_by_dim[m][order]
@@ -303,8 +302,14 @@ class FilteredComplex:
 
     def face_table(self, m: int) -> np.ndarray:
         """N_m x (m+1) face indices of the m-simplices: column i holds the
-        face omitting vertex i, with sign (-1)^i; empty above the top."""
-        return self._faces[m] if 0 <= m <= self.dimension else np.empty((0, m + 1), int)
+        face omitting vertex i, with sign (-1)^i; empty above the top, except
+        on a Rips skeleton, whose triangles are implied, not stored."""
+        if 0 <= m <= self.dimension:
+            return self._faces[m]
+        if m >= 2 and self.distances is not None:
+            raise DimensionOutOfRange(f"a Rips skeleton stores no {m}-simplices",
+                                      operation="complex.face_table")
+        return np.empty((0, m + 1), int)
 
     def n_simplices(self, m: int) -> int:
         return len(self.vertex_array(m))
@@ -353,19 +358,17 @@ class FilteredComplex:
 
     def restrict(self, max_filtration: float) -> "FilteredComplex":
         """Sublevel subcomplex of all simplices with filtration <= value: a
-        prefix of every dimension, sharing these arrays and lookup keys.
-        Scales that keep the same prefix give the same object, and one that
-        keeps everything gives this complex, so what is built on it (its
-        spanning forest) is built once. A skeleton's restriction keeps its
-        distances, and its implied triangles are those among its edges."""
+        prefix of every dimension, sharing these arrays and lookup keys. A
+        scale that keeps everything gives this complex, so what is built on
+        it (its spanning forest) is built once. A skeleton's restriction
+        keeps its distances, and its implied triangles are those among its
+        edges."""
         counts = [int(np.searchsorted(f, max_filtration, side="right")) for f in self._filt]
         if not any(counts):
             raise EmptyInput(f"no simplices at scale {max_filtration}",
                              operation="complex.restrict")
         if counts == [len(f) for f in self._filt]:
             return self
-        if tuple(counts) in self._prefixes:
-            return self._prefixes[tuple(counts)]
         top = max(m for m, n in enumerate(counts) if n)
         for m in range(1, top + 1):
             # a face may sit up to 1e-12 above its coface, beyond the cut
@@ -378,8 +381,7 @@ class FilteredComplex:
         sub._verts, sub._filt, sub._faces = (
             [arr[:n] for arr, n in zip(store, counts[:top + 1])]
             for store in (self._verts, self._filt, self._faces))
-        sub._prefixes, sub._forests, sub.distances = {}, {}, self.distances
-        self._prefixes[tuple(counts)] = sub
+        sub._forests, sub.distances = {}, self.distances
         return sub
 
     def boundary_matrix(self, m: int) -> np.ndarray:
@@ -809,7 +811,7 @@ class _SimplexVector:
         return self._sparse(self.complex, self.dim, r, self.index, r.normalize_array(values * c))
 
     def __add__(self, other):
-        self._check_compatible(other)
+        _check_compatible(self, other, (type(self), type(self)), "complex.vector")
         r, n = self.ring, len(self.index)
         index, at = np.unique(np.concatenate([self.index, other.index]), return_inverse=True)
         dtype = r.array_dtype(self.coefficient_bound() + other.coefficient_bound())
@@ -823,11 +825,6 @@ class _SimplexVector:
 
     def __neg__(self):
         return self.scale(-1)
-
-    def _check_compatible(self, other) -> None:
-        if self.complex is not other.complex or self.dim != other.dim:
-            raise DimensionMismatch("operands on different complexes or degrees",
-                                    operation="complex.vector")
 
     # -- views --
 
@@ -891,6 +888,18 @@ class _SimplexVector:
         return cls.from_simplices(complex, int(data["dim"]), ring, assignment)
 
 
+def _check_compatible(a, b, types: tuple[type, type], operation: str) -> None:
+    """Refuse operands of other ``types``, over different rings, or on
+    different complexes or degrees."""
+    if (type(a), type(b)) != types or a.ring != b.ring:
+        raise TypeError(f"{operation} takes a {types[0].__name__} and a {types[1].__name__} "
+                        f"over one ring, got a {type(a).__name__} over {a.ring.name} "
+                        f"and a {type(b).__name__} over {b.ring.name}")
+    if a.complex is not b.complex or a.dim != b.dim:
+        raise DimensionMismatch("operands on different complexes or degrees",
+                                operation=operation)
+
+
 def _check_degree(complex: FilteredComplex, dim: int) -> None:
     # degree dimension+1 is allowed as the (always empty) target of the
     # top-degree coboundary
@@ -924,10 +933,18 @@ def apply_coboundary(c: Cochain) -> Cochain:
                               ring.normalize_array(coboundary_array(cx, m, values)))
 
 
+def is_closed(c: Cochain | Chain) -> bool:
+    """Whether a cochain is a cocycle, or a chain a cycle, over its ring:
+    its coboundary, or its boundary, vanishes. Every 0-chain is a cycle."""
+    if isinstance(c, Chain):
+        return c.dim == 0 or apply_boundary(c).is_zero()
+    return apply_coboundary(c).is_zero()
+
+
 def _require_integer_cocycle(alpha: Cochain, operation: str) -> None:
     if alpha.ring is not ZZ:
         raise ValueError("expected integer coefficients")
-    if not apply_coboundary(alpha).is_zero():
+    if not is_closed(alpha):
         raise NotACocycle("input cochain is not a cocycle over Z", operation=operation)
 
 
@@ -951,9 +968,7 @@ def apply_boundary(c: Chain) -> Chain:
 def kronecker_pairing(alpha: Cochain, beta: Chain):
     """Evaluation sum_s alpha(s) * beta_s of a cochain on a chain, using the
     canonical ascending-vertex orientations."""
-    if alpha.complex is not beta.complex or alpha.dim != beta.dim:
-        raise DimensionMismatch("pairing needs matching complex and degree",
-                                operation="complex.kronecker_pairing")
+    _check_compatible(alpha, beta, (Cochain, Chain), "complex.kronecker_pairing")
     _, a, b = np.intersect1d(alpha.index, beta.index, assume_unique=True, return_indices=True)
     return alpha.ring.normalize((alpha.values[a].astype(object)
                                  * beta.values[b].astype(object)).sum())

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import snf
 from .complexes import (Chain, Cochain, ZZ, apply_boundary, apply_coboundary, exact_dtype,
-                        face_signs)
+                        face_signs, is_closed)
 from .errors import (ComplexTooLargeForSnf, NotClosed, TorsionObstruction,
                      ValidationFailed)
 from .fields import FpElement, OddPrime, inv_mod
@@ -28,8 +28,6 @@ from .fields import FpElement, OddPrime, inv_mod
 DEFAULT_SNF_CAP = 1500
 # a scan block of scalars times support entries holds at most this many values
 _SCAN_CHUNK = 1 << 18
-
-Kind = Literal["cocycle", "cycle"]
 
 CERT_IN_RANGE = "InRange"
 CERT_PER_FACE_RANGE = "PerFaceRange"
@@ -150,17 +148,7 @@ def _centred(values: np.ndarray, p: int) -> np.ndarray:
     return np.where(values > (p - 1) // 2, values - p, values)
 
 
-def _is_closed(c: Cochain | Chain, kind: Kind) -> bool:
-    if kind == "cocycle":
-        return apply_coboundary(c).is_zero()
-    return c.dim == 0 or apply_boundary(c).is_zero()
-
-
-def infer_kind(c: Cochain | Chain) -> Kind:
-    return "cycle" if isinstance(c, Chain) else "cocycle"
-
-
-def cocycle_index_system(c: Cochain | Chain, kind: Kind | None = None) -> IndexSystem:
+def cocycle_index_system(c: Cochain | Chain) -> IndexSystem:
     """Vanishing relations certifying closedness of an F_p (co)chain.
 
     For an m-cocycle there is one relation per (m+1)-simplex, listing its
@@ -168,10 +156,9 @@ def cocycle_index_system(c: Cochain | Chain, kind: Kind | None = None) -> IndexS
     that is a face of a support simplex (none for m = 0). Raises NotClosed
     when any relation sum fails to vanish mod p.
     """
-    kind = kind or infer_kind(c)
     p = _field_prime(c)
     cx, support = c.complex, c.index
-    if kind == "cocycle":
+    if isinstance(c, Cochain):
         faces = cx.face_table(c.dim + 1)
         in_support = np.zeros(cx.n_simplices(c.dim), dtype=bool)
         in_support[support] = True
@@ -236,7 +223,7 @@ def _verified_scalar(c: Cochain | Chain, system: IndexSystem) -> Optional[int]:
                          lambda scaled: ~system.sums(_centred(scaled, p)[:, at]).any(axis=1))
 
 
-def lift_closed(c: Cochain | Chain, kind: Kind | None = None, *,
+def lift_closed(c: Cochain | Chain, kind: Literal["cocycle", "cycle"] | None = None, *,
                 snf_cap: int = DEFAULT_SNF_CAP) -> LiftReport:
     """Lift a closed F_p (co)chain to a closed integer one.
 
@@ -247,30 +234,29 @@ def lift_closed(c: Cochain | Chain, kind: Kind | None = None, *,
          closed over Z (VerifiedOnly);
       3. integer repair of the r=1 lift through a Smith-normal-form solve
          (SnfRepaired), capped by ``snf_cap``.
-    Whatever the route, the lift returned is checked closed directly.
+    Whatever the route, the lift returned is checked closed directly. The
+    type of c says cocycle or cycle; ``kind``, when given, must agree.
     """
-    kind = kind or infer_kind(c)
-    p = _field_prime(c)
-    prime = OddPrime(p)
-    system = cocycle_index_system(c, kind)
+    if kind is not None and kind != ("cycle" if isinstance(c, Chain) else "cocycle"):
+        raise ValueError(f"a {type(c).__name__} does not lift as a {kind}")
+    prime = OddPrime(_field_prime(c))
+    system = cocycle_index_system(c)
     r = scaling_search(c, system.bounds(c.index))
     if r is not None:
-        working = naive_lift(c.scale(r.value))
-        cert = CERT_IN_RANGE if kind == "cocycle" else CERT_PER_FACE_RANGE
-        return _finish_report(c, r, working, cert, kind)
+        cert = CERT_PER_FACE_RANGE if isinstance(c, Chain) else CERT_IN_RANGE
+        return _finish_report(c, r, naive_lift(c.scale(r.value)), cert)
 
     rv = _verified_scalar(c, system)
     if rv is not None:
         return _finish_report(c, FpElement(rv, prime), naive_lift(c.scale(rv)),
-                              CERT_VERIFIED_ONLY, kind)
+                              CERT_VERIFIED_ONLY)
 
-    repaired = snf_repair(naive_lift(c), prime, kind=kind, snf_cap=snf_cap)
-    return _finish_report(c, FpElement(1, prime), repaired,
-                          CERT_SNF_REPAIRED, kind)
+    repaired = snf_repair(naive_lift(c), prime, snf_cap=snf_cap)
+    return _finish_report(c, FpElement(1, prime), repaired, CERT_SNF_REPAIRED)
 
 
-def _finish_report(c, r: FpElement, working, certificate: str, kind: Kind) -> LiftReport:
-    if not _is_closed(working, kind):
+def _finish_report(c, r: FpElement, working, certificate: str) -> LiftReport:
+    if not is_closed(working):
         raise ValidationFailed("certified lift failed the direct closedness check",
                                operation="lifting.lift_closed")
     preimage = working.scale(inv_mod(r.value, r.p))
@@ -289,7 +275,7 @@ def _snf_guard(n_unknowns: int, n_equations: int, snf_cap: int, operation: str) 
             operation=operation)
 
 
-def snf_repair(alpha: Cochain | Chain, p: OddPrime, kind: Kind | None = None, *,
+def snf_repair(alpha: Cochain | Chain, p: OddPrime, *,
                snf_cap: int = DEFAULT_SNF_CAP) -> Cochain | Chain:
     """Repair an integer cochain that is closed mod p into one closed over Z.
 
@@ -298,9 +284,8 @@ def snf_repair(alpha: Cochain | Chain, p: OddPrime, kind: Kind | None = None, *,
     reduction. Unsolvability of the system means the obstruction class is
     genuine p-torsion: TorsionObstruction.
     """
-    kind = kind or infer_kind(alpha)
-    cx = alpha.complex
-    defect = (apply_coboundary(alpha) if kind == "cocycle" else apply_boundary(alpha))
+    cx, cocycle = alpha.complex, isinstance(alpha, Cochain)
+    defect = apply_coboundary(alpha) if cocycle else apply_boundary(alpha)
     if not defect.reduce_mod(p.p).is_zero():
         raise NotClosed(f"input is not closed mod {p.p}", operation="lifting.snf_repair")
     if defect.is_zero():
@@ -308,8 +293,7 @@ def snf_repair(alpha: Cochain | Chain, p: OddPrime, kind: Kind | None = None, *,
 
     _snf_guard(cx.n_simplices(alpha.dim), cx.n_simplices(defect.dim), snf_cap,
                "lifting.snf_repair")
-    op = (cx.coboundary_matrix(alpha.dim) if kind == "cocycle"
-          else cx.boundary_matrix(alpha.dim))
+    op = cx.coboundary_matrix(alpha.dim) if cocycle else cx.boundary_matrix(alpha.dim)
     eta = (defect.to_array(object) // p.p).tolist()
     xi = snf.solve_integer(op, eta)
     if xi is None:

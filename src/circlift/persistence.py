@@ -47,8 +47,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import (Chain, Cochain, FilteredComplex, GF, concat_ranges, edge_index,
-                        exact_dtype, face_signs, forest_potential, spanning_forest)
+from .complexes import (Chain, Cochain, FilteredComplex, GF, _rips_faces, concat_ranges,
+                        edge_index, exact_dtype, face_signs, forest_potential,
+                        spanning_forest)
 from .errors import DimensionOutOfRange, EmptyDiagram, NoDualCycle
 from .fields import OddPrime, inv_mod
 
@@ -342,14 +343,14 @@ class _RipsTriangles:
         self.dist, self.n = cx.distances, cx.n_vertices
         self.edges, self.filt = cx.vertex_array(1), cx.filtration_values(1)
         self.edge = edge_index(self.n, self.edges)
-        self.adjacent = self.edge < len(self.edges)
 
     def earliest(self, n_d: int) -> np.ndarray:
         """Key of each edge's earliest cofacet: the first c of least
         filtration; _NEVER for an edge in no triangle. The edges are all
-        the pairs within the skeleton's scale, so a c not joined to both a
-        and b lies beyond it and comes after every cofacet; only a and b
-        themselves, at distance 0, need excluding."""
+        the pairs within the skeleton's scale, its last edge's filtration,
+        so a c not joined to both a and b lies beyond it and comes after
+        every cofacet; only a and b themselves, at distance 0, need
+        excluding."""
         keys, width = np.full(n_d, _NEVER), max(1, _BLOCK // self.n)
         for lo in range(0, n_d, width):
             a, b = self.edges[lo:lo + width].T
@@ -358,7 +359,7 @@ class _RipsTriangles:
             rows = np.arange(len(a))
             g[rows, a] = g[rows, b] = np.inf
             c = g.argmin(axis=1)
-            has = np.flatnonzero(self.adjacent[a, c] & self.adjacent[b, c])
+            has = np.flatnonzero(g[rows, c] <= self.filt[-1])
             keys["f"][lo + has] = g[has, c[has]]
             keys["c"][lo + has] = self._code(a[has], b[has], c[has])
         return keys
@@ -373,8 +374,7 @@ class _RipsTriangles:
         return np.stack([code // (n * n), code // n % n, code % n], axis=1)
 
     def faces(self, keys: np.ndarray) -> np.ndarray:
-        x, y, z = self.vertices(keys).T
-        return np.stack([self.edge[y, z], self.edge[x, z], self.edge[x, y]], axis=1)
+        return _rips_faces(self.vertices(keys), self.edge)
 
     def cofacets(self, count: np.ndarray, arrive: np.ndarray):
         """Windows (keys, face rows), in key order, of the triangles with an

@@ -94,8 +94,8 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
     pair.representative_cycle = cycle
 
     cocycle_p = pair.representative_cocycle.push_to(sub)
-    cocycle_lift = lift_closed(cocycle_p, "cocycle", snf_cap=snf_cap)
-    cycle_lift = lift_closed(cycle, "cycle", snf_cap=snf_cap)
+    cocycle_lift = lift_closed(cocycle_p, snf_cap=snf_cap)
+    cycle_lift = lift_closed(cycle, snf_cap=snf_cap)
 
     alpha = cocycle_lift.working_lift
     winding_report = None

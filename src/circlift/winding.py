@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import snf
-from .complexes import (Chain, Cochain, ZZ, _require_integer_cocycle, apply_boundary,
-                        coboundary_array, exact_dtype, forest_potential, kronecker_pairing)
+from .complexes import (Chain, Cochain, ZZ, _require_integer_cocycle, coboundary_array,
+                        exact_dtype, forest_potential, is_closed, kronecker_pairing)
 from .errors import NotDivisible, ValidationFailed, ZeroPairing
 from .fields import is_prime
-from .lifting import DEFAULT_SNF_CAP, _snf_guard
+from .lifting import DEFAULT_SNF_CAP, _centred, _snf_guard
 
 ROUTE_MOD_P = "ModPSolve"
 ROUTE_SNF = "IntegerSnf"
@@ -68,6 +68,8 @@ def _split(alpha: Cochain, q: int, route: str, snf_cap: int,
     the split is the vanishing test. "auto" integrates along the spanning
     forest in degree 1 ("modp") and solves [delta | q I] (f, gamma) = alpha
     over Z above it ("snf")."""
+    if route not in ("auto", "modp", "snf"):
+        raise ValueError(f"unknown division route {route!r}")
     cx, m = alpha.complex, alpha.dim
     if route == "modp" or (route == "auto" and m == 1):
         if m != 1:
@@ -77,8 +79,7 @@ def _split(alpha: Cochain, q: int, route: str, snf_cap: int,
         # and on every edge exactly when alpha mod q is an F_q coboundary.
         # |delta f| < q, so every intermediate is below |alpha| + 2q.
         a = alpha.to_array(exact_dtype(alpha.coefficient_bound() + 2 * q))
-        phi = forest_potential(cx, a, q)
-        f = np.where(phi > (q - 1) // 2, phi - q, phi)
+        f = _centred(forest_potential(cx, a, q), q)
         residue = a - coboundary_array(cx, 0, f)
         if (residue % q != 0).any():
             return None
@@ -238,7 +239,7 @@ def reduce_winding(alpha: Cochain, beta: Chain, *,
     """
     operation = "winding.reduce_winding"
     _require_integer_cocycle(alpha, operation)
-    if beta.ring is not ZZ or (beta.dim > 0 and not apply_boundary(beta).is_zero()):
+    if beta.ring is not ZZ or not is_closed(beta):
         raise ValueError("beta must be an integer cycle")
     pairing = kronecker_pairing(alpha, beta)
     primes = candidate_primes(pairing)

@@ -537,7 +537,7 @@ def reference_lift_closed(c, kind: str, snf_cap: int = 1500) -> LiftReport:
         if _reference_closed(type(c)(c.complex, c.dim, ZZ, working), kind):
             return _reference_report(c, FpElement(rv, prime), working, CERT_VERIFIED_ONLY, kind)
     repaired = snf_repair(type(c)(c.complex, c.dim, ZZ, _reference_lift(c, 1)), prime,
-                          kind=kind, snf_cap=snf_cap)
+                          snf_cap=snf_cap)
     return _reference_report(c, FpElement(1, prime), dict(repaired.entries),
                              CERT_SNF_REPAIRED, kind)
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from circlift import (Chain, Cochain, FilteredComplex, GF, RR, ZZ, apply_boundary,
                       apply_coboundary, build_from_simplices, build_rips,
                       cocycle_index_system)
-from circlift.complexes import face_signs, forest_potential, spanning_forest
+from circlift.complexes import face_signs, forest_potential, is_closed, spanning_forest
 from oracles import (ReferenceComplex, faces_with_signs, reference_boundary,
                      reference_coboundary, reference_forest_potential,
                      reference_spanning_forest)
@@ -217,6 +217,25 @@ class TestOperators:
                 assert apply_boundary(ch).entries == reference_boundary(ch)
 
     @FAST
+    @given(tables(), st.sampled_from([ZZ, GF(7)]), st.integers(0, 2**32))
+    def test_is_closed_matches_reference(self, table, ring, seed):
+        # random (co)chains beside (co)boundaries, which are closed; in the
+        # top degree every cochain is a cocycle, in degree 0 every chain a cycle
+        rng = np.random.default_rng(seed)
+        cx = FilteredComplex(table)
+        for m in range(cx.dimension + 1):
+            cochains = [random_vector(Cochain, cx, m, ring, rng)]
+            chains = [random_vector(Chain, cx, m, ring, rng)]
+            if m:
+                cochains.append(apply_coboundary(random_vector(Cochain, cx, m - 1, ring, rng)))
+            if m < cx.dimension:
+                chains.append(apply_boundary(random_vector(Chain, cx, m + 1, ring, rng)))
+            for c in cochains:
+                assert is_closed(c) == (not reference_coboundary(c))
+            for z in chains:
+                assert is_closed(z) == (m == 0 or not reference_boundary(z))
+
+    @FAST
     @given(tables())
     def test_matrices_are_signed_face_incidences(self, table):
         cx = FilteredComplex(table)
@@ -243,7 +262,7 @@ class TestOperators:
             simp, up = cx.simplices(m), cx.simplices(m + 1)
             want = [tuple((simp.index(face), sign) for face, sign in faces_with_signs(s)
                           if simp.index(face) in c.entries) for s in up]
-            assert cocycle_index_system(c, "cocycle").relations == \
+            assert cocycle_index_system(c).relations == \
                 tuple(rel for rel in want if rel)
             if m:
                 z = apply_boundary(random_vector(Chain, cx, m + 1, GF(p), rng)) \
@@ -253,7 +272,7 @@ class TestOperators:
                 for i in sorted(z.entries):
                     for face, sign in faces_with_signs(simp[i]):
                         by_face.setdefault(below.index(face), []).append((i, sign))
-                assert cocycle_index_system(z, "cycle").relations == \
+                assert cocycle_index_system(z).relations == \
                     tuple(tuple(v) for _, v in sorted(by_face.items()))
 
 

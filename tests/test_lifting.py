@@ -130,7 +130,7 @@ class TestLiftClosed:
     def test_degree_zero_cycle_lifts_at_one(self, filled_triangle):
         # every 0-chain is a cycle, and it has no face relations
         z = Chain(filled_triangle, 0, GF(7), {0: 3, 1: 5, 2: 6})
-        assert cocycle_index_system(z, "cycle").relations == ()
+        assert cocycle_index_system(z).relations == ()
         rep = lift_closed(z)
         assert (rep.r, rep.certificate) == (1, CERT_PER_FACE_RANGE)
         assert rep.working_lift == Chain(filled_triangle, 0, ZZ, {0: 3, 1: -2, 2: -1})
@@ -146,6 +146,20 @@ class TestLiftClosed:
         for _ in range(2):
             assert lift_closed(c).certificate == CERT_IN_RANGE
         assert is_prime.cache_info().misses == 1
+
+    def test_kind_contradicting_the_type_is_refused(self, filled_triangle,
+                                                    triangle_cocycle_f7):
+        # the type decides: a 1-chain with the values of a cocycle is not a
+        # cocycle to certify InRange, and not a cycle either
+        c = Chain(filled_triangle, 1, GF(7), triangle_cocycle_f7.entries)
+        with pytest.raises(ValueError, match="Chain does not lift as a cocycle"):
+            lift_closed(c, "cocycle")
+        with pytest.raises(NotClosed):
+            lift_closed(c)
+        with pytest.raises(ValueError, match="Cochain does not lift as a cycle"):
+            lift_closed(triangle_cocycle_f7, "cycle")
+        z = Chain.from_simplices(filled_triangle, 1, GF(7), {(0, 1): 1, (1, 2): 1, (0, 2): 6})
+        assert lift_closed(z, "cycle").to_json_dict() == lift_closed(z).to_json_dict()
 
     def test_not_closed(self, filled_triangle):
         c = Cochain.from_simplices(filled_triangle, 1, GF(7), {(0, 1): 1})

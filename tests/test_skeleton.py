@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlift import OddPrime, build_rips, persistent_cohomology, run_pipeline
+from circlift import (Chain, Cochain, GF, OddPrime, ZZ, apply_coboundary, build_rips,
+                      cocycle_index_system, harmonic_smooth, lift_closed,
+                      persistent_cohomology, reduce_winding, run_pipeline)
 from circlift import complexes, persistence
-from circlift.complexes import pairwise_distances, rips_skeleton
+from circlift.complexes import pairwise_distances, rips_from_distances, rips_skeleton
+from circlift.errors import DimensionOutOfRange, NotACocycle, NotClosed
 from circlift.experiments import sample_circle
 from circlift.pipeline import enclosing_radius
 from oracles import reference_persistent_cohomology
@@ -264,3 +267,27 @@ def test_refuses_a_skeleton_above_degree_one():
     skeleton = rips_skeleton(pairwise_distances(pts), 2.0)
     with pytest.raises(ValueError, match="exceeds complex dimension"):
         persistent_cohomology(skeleton, OddPrime(47), 2)
+
+
+def test_skeleton_refuses_what_reads_its_triangles():
+    # a skeleton stores no triangles; read as none, every 1-cochain on it
+    # would be a cocycle. The complex with its triangles refuses the same
+    # indicator as not closed.
+    pts, _ = sample_circle(30, 0.0, 2, seed=7)
+    skeleton = run_pipeline(pts).complex
+    full = rips_from_distances(skeleton.distances, enclosing_radius(pts), 2)
+    for cx, error, integer_error in ((skeleton, DimensionOutOfRange, DimensionOutOfRange),
+                                     (full, NotClosed, NotACocycle)):
+        with pytest.raises(error):
+            lift_closed(Cochain(cx, 1, GF(47), {0: 1}))
+        with pytest.raises(integer_error):
+            harmonic_smooth(Cochain(cx, 1, ZZ, {0: 1}))
+    alpha = Cochain(skeleton, 1, ZZ, {0: 1})
+    half = skeleton.restrict(np.median(skeleton.filtration_values(1)))
+    for refused in (lambda: apply_coboundary(alpha),
+                    lambda: cocycle_index_system(alpha.reduce_mod(47)),
+                    lambda: skeleton.coboundary_matrix(1),
+                    lambda: half.face_table(2),
+                    lambda: reduce_winding(alpha, Chain(skeleton, 1, ZZ, {}))):
+        with pytest.raises(DimensionOutOfRange):
+            refused()

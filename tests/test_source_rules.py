@@ -30,26 +30,67 @@ def test_no_nonzero_or_argwhere():
     assert not found, f"np.nonzero or np.argwhere in circlift: {found}"
 
 
-def test_every_private_definition_is_used():
-    # a private helper that nothing else in the library names is dead code
-    # left behind by a rewrite; a reference inside its own body does not count
-    root = Path(circlift.__file__).parent
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(root.rglob("*.py"))}
-    defined, names = [], []
+def _names(trees) -> list[tuple[Path, int, str]]:
+    """(file, line, name) of every name, attribute and imported name."""
+    names = []
     for path, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defined.append((path, node))
-            elif isinstance(node, ast.Name):
+            if isinstance(node, ast.Name):
                 names.append((path, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
                 names.append((path, node.lineno, node.attr))
             elif isinstance(node, ast.alias):
                 names.append((path, node.lineno, node.name))
-    unused = [f"{path.relative_to(root)}:{node.lineno} {node.name}" for path, node in defined
-              if not any(name == node.name and not (at == path and
-                                                    node.lineno <= line <= node.end_lineno)
-                         for at, line, name in names)]
+    return names
+
+
+def _unreferenced(defined, trees) -> list[str]:
+    """The definitions that nothing else in the library names; a reference
+    inside a definition's own body does not count."""
+    root = Path(circlift.__file__).parent
+    names = _names(trees)
+    return [f"{path.relative_to(root)}:{node.lineno} {node.name}" for path, node in defined
+            if not any(name == node.name and not (at == path and
+                                                  node.lineno <= line <= node.end_lineno)
+                       for at, line, name in names)]
+
+
+def _trees() -> dict[Path, ast.Module]:
+    root = Path(circlift.__file__).parent
+    return {path: ast.parse(path.read_text(), str(path)) for path in sorted(root.rglob("*.py"))}
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def test_every_private_definition_is_used():
+    # a private helper that nothing else in the library names is dead code
+    # left behind by a rewrite
+    trees = _trees()
+    defined = [(path, node) for path, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, DEFINITIONS)
+               and node.name.startswith("_") and not node.name.endswith("__")]
     assert defined, "no private definitions found"
+    unused = _unreferenced(defined, trees)
     assert not unused, f"private definitions never referenced in circlift: {unused}"
+
+
+# public names that only users name, each with the reason it is kept
+USER_ENTRY_POINTS = {
+    "enclosing_radius": "the benchmark times it as a stage of its own",
+    "sample_circle": "the README quickstart and acceptance criterion 8 draw points from it",
+    "sample_trefoil": "acceptance criterion 9 draws its points from it",
+    "trend_slope": "acceptance criterion 4 measures the sparsity sweep's trend with it",
+}
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a public function or class that is neither exported nor named
+    # elsewhere in the library is dead code, or an export left out
+    trees = _trees()
+    defined = [(path, node) for path, tree in trees.items() for node in tree.body
+               if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
+               and node.name not in circlift.__all__ and node.name not in USER_ENTRY_POINTS]
+    assert defined, "no public definitions found"
+    unused = _unreferenced(defined, trees)
+    assert not unused, f"public definitions neither exported nor used in circlift: {unused}"

@@ -156,6 +156,21 @@ class TestAgainstDicts:
                     if other.has_simplex(simplices[i])}
             assert got.complex is other and dict(got.entries) == want
 
+    def test_operands_over_other_rings_or_types_are_refused(self):
+        cx = FilteredComplex({(0,): 0.0, (1,): 0.0, (0, 1): 1.0})
+        z, f7 = Cochain(cx, 1, ZZ, {0: -3}), Cochain(cx, 1, GF(7), {0: 4})
+        for a, b in ((z, f7), (f7, z), (f7, Chain(cx, 1, GF(7), {0: 4})),
+                     (Chain(cx, 1, GF(7), {0: 4}), f7)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+        for alpha, beta in ((z, Chain(cx, 1, GF(7), {0: 6})), (z, z),
+                            (Chain(cx, 1, ZZ, {0: 6}), z)):
+            with pytest.raises(TypeError):
+                kronecker_pairing(alpha, beta)
+        assert kronecker_pairing(z, Chain(cx, 1, ZZ, {0: 6})) == -18
+
     @ALGEBRA
     @given(cases())
     def test_kronecker_pairing(self, case):

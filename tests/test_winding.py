@@ -113,6 +113,10 @@ class TestDivideStep:
         with pytest.raises(NotDivisible):
             divide_step(hexagon_generator(hexagon), 3)
 
+    def test_unknown_route_is_refused(self, hexagon):
+        with pytest.raises(ValueError, match="unknown division route 'bogus'"):
+            divide_step(hexagon_generator(hexagon).scale(2), 2, route="bogus")
+
     def test_integer_route_names_its_budget(self, hexagon):
         with pytest.raises(ComplexTooLargeForSnf):
             divide_step(hexagon_generator(hexagon).scale(2), 2, route="snf", snf_cap=17)

@@ -65,13 +65,11 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_run(args) -> int:
     OddPrime(args.prime)   # rejects p = 2 and composites before any compute
     threshold = args.threshold if args.threshold == "auto" else float(args.threshold)
-    scale_policy = (args.scale_policy if args.scale_policy == "midpoint"
-                    else float(args.scale_policy))
     points, complex_ = _load_input(args.input)
     result = run_pipeline(
         points=points, complex=complex_, prime=args.prime,
         max_dim=args.max_dim, threshold=threshold,
-        class_strategy=args.class_strategy, scale_policy=scale_policy,
+        class_strategy=args.class_strategy, scale_policy=args.scale_policy,
         reduce=not args.no_reduce, snf_cap=args.snf_cap)
 
     out = args.out

@@ -232,6 +232,10 @@ class FilteredComplex:
         for m in range(self.dimension + 1):
             order = np.argsort(filt_by_dim[m], kind="stable")
             verts, filt = verts_by_dim[m][order], filt_by_dim[m][order]
+            # NaN sorts last and fails every comparison, so no order check sees it
+            if np.isnan(filt[-1:]).any():
+                raise ValueError("filtration is NaN at "
+                                 f"{tuple(verts[np.isnan(filt)][0].tolist())}")
             if not m:
                 key, faces = verts[:, 0], np.empty((len(verts), 0), dtype=np.int64)
             else:
@@ -290,26 +294,27 @@ class FilteredComplex:
 
     # -- plain accessors -----------------------------------------------------
 
+    def _stores(self, m: int) -> bool:
+        """Whether 0 <= m <= dimension; a Rips skeleton refuses m >= 2."""
+        if m >= 2 and self.distances is not None:
+            raise DimensionOutOfRange(f"a Rips skeleton stores no {m}-simplices",
+                                      operation="complex.degree")
+        return 0 <= m <= self.dimension
+
     def simplices(self, m: int) -> list[Simplex]:
         return [tuple(row) for row in self.vertex_array(m).tolist()]
 
     def simplex(self, m: int, i: int) -> Simplex:
-        return tuple(self._verts[m][i].tolist())
+        return tuple(self.vertex_array(m)[i].tolist())
 
     def vertex_array(self, m: int) -> np.ndarray:
-        """N_m x (m+1) vertex ids of the m-simplices; empty outside 0..dim."""
-        return self._verts[m] if 0 <= m <= self.dimension else np.empty((0, m + 1), int)
+        """N_m x (m+1) vertex ids of the m-simplices."""
+        return self._verts[m] if self._stores(m) else np.empty((0, m + 1), int)
 
     def face_table(self, m: int) -> np.ndarray:
         """N_m x (m+1) face indices of the m-simplices: column i holds the
-        face omitting vertex i, with sign (-1)^i; empty above the top, except
-        on a Rips skeleton, whose triangles are implied, not stored."""
-        if 0 <= m <= self.dimension:
-            return self._faces[m]
-        if m >= 2 and self.distances is not None:
-            raise DimensionOutOfRange(f"a Rips skeleton stores no {m}-simplices",
-                                      operation="complex.face_table")
-        return np.empty((0, m + 1), int)
+        face omitting vertex i, with sign (-1)^i."""
+        return self._faces[m] if self._stores(m) else np.empty((0, m + 1), int)
 
     def n_simplices(self, m: int) -> int:
         return len(self.vertex_array(m))
@@ -326,7 +331,7 @@ class FilteredComplex:
         """Index of each row of vertex ids among the m-simplices, -1 where
         the row is not a simplex of this complex."""
         rows = np.asarray(rows, dtype=np.int64)
-        if not 0 <= m <= self.dimension:
+        if not self._stores(m):
             return np.full(len(rows), -1)
         code, found = self._codes(rows.reshape(-1, m + 1))
         idx = self._lex[m][code]
@@ -345,7 +350,7 @@ class FilteredComplex:
         return float(self._filt[len(s) - 1][self.index(s)])
 
     def filtration_values(self, m: int) -> np.ndarray:
-        return self._filt[m] if 0 <= m <= self.dimension else np.empty(0)
+        return self._filt[m] if self._stores(m) else np.empty(0)
 
     def max_filtration(self) -> float:
         return max(float(f[-1]) for f in self._filt if f.size)
@@ -383,6 +388,12 @@ class FilteredComplex:
             for store in (self._verts, self._filt, self._faces))
         sub._forests, sub.distances = {}, self.distances
         return sub
+
+    def cofacet_source(self, d: int):
+        """The (d+1)-simplices as cofacets of the d-simplices, in key order:
+        from the face table, or for a Rips skeleton's top degree its distances."""
+        skeleton_top = self.distances is not None and d == self.dimension
+        return _RipsTriangles(self) if skeleton_top else _FaceTable(self, d)
 
     def boundary_matrix(self, m: int) -> np.ndarray:
         """Dense N_{m-1} x N_m integer matrix of the boundary C_m -> C_{m-1}:
@@ -449,7 +460,10 @@ def build_from_simplices(entries: Iterable[tuple[Iterable[int], float]]) -> Filt
 
     got_any = False
     for vertices, f in entries:
-        visit(as_simplex(sorted(vertices)), float(f))
+        s, f = as_simplex(sorted(vertices)), float(f)
+        if math.isnan(f):
+            raise ValueError(f"filtration is NaN at {s}")
+        visit(s, f)
         got_any = True
     if not got_any:
         raise EmptyInput("no simplices supplied", operation="complex.build")
@@ -601,14 +615,161 @@ def _rips_faces(triangles: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def rips_skeleton(dist: np.ndarray, threshold: float) -> FilteredComplex:
     """The 1-skeleton of the Rips complex of ``dist`` at ``threshold``,
-    keeping the matrix as ``distances``. Its triangles are implied rather
-    than stored: persistence reads the cofacets of an edge from the matrix,
-    so the skeleton's diagram up to degree 1 is that of
-    ``rips_from_distances(dist, threshold, 2)``, and that call at a smaller
-    scale builds any of its sublevel complexes."""
+    keeping the matrix as ``distances``. Its triangles are implied, not
+    stored: `cofacet_source` streams them from the matrix, so its diagram up
+    to degree 1 is that of ``rips_from_distances(dist, threshold, 2)``."""
     cx = rips_from_distances(dist, threshold, 1)
     cx.distances = dist
     return cx
+
+
+def stored_sublevel(cx: FilteredComplex, scale: float) -> FilteredComplex:
+    """The sublevel complex at ``scale``; a Rips skeleton's is built with its triangles."""
+    return (cx.restrict(scale) if cx.distances is None
+            else rips_from_distances(cx.distances, scale, 2))
+
+
+# cells (cofacet rows times faces, or edges times vertices) one window of
+# a cofacet stream holds: its temporaries stay in a core's cache
+_BLOCK = 1 << 16
+
+# A (d+1)-simplex is found by its key: the filtration, then a code that
+# orders ties lexicographically (its index in a complex, or the vertex code
+# of an implied triangle). _FIRST precedes every key and _NEVER follows it.
+_KEY = np.dtype([("f", float), ("c", np.int64)])
+_FIRST = np.array((-np.inf, -1), dtype=_KEY)[()]
+_NEVER = np.array((np.inf, np.iinfo(np.int64).max), dtype=_KEY)[()]
+
+
+class _FaceTable:
+    """The (d+1)-simplices of a complex as cofacets of its d-simplices,
+    read from the face table; a key's code is the simplex's index."""
+
+    def __init__(self, cx: FilteredComplex, d: int):
+        self.d, self.up = d, cx.face_table(d + 1)
+        self.filt, self.verts = cx.filtration_values(d + 1), cx.vertex_array(d + 1)
+
+    def _keys(self, index: np.ndarray) -> np.ndarray:
+        keys = np.empty(len(index), dtype=_KEY)
+        keys["f"], keys["c"] = self.filt[index], index
+        return keys
+
+    def earliest(self, n_d: int) -> np.ndarray:
+        """Key of each d-simplex's earliest cofacet, _NEVER for none."""
+        n_up = len(self.up)
+        first = np.full(n_d, n_up)
+        np.minimum.at(first, self.up.ravel(), np.repeat(np.arange(n_up), self.d + 2))
+        keys = np.full(n_d, _NEVER)
+        has = first < n_up
+        keys[has] = self._keys(first[has])
+        return keys
+
+    def faces(self, keys: np.ndarray) -> np.ndarray:
+        return self.up[keys["c"]]
+
+    def vertices(self, keys: np.ndarray) -> np.ndarray:
+        return self.verts[keys["c"]]
+
+    def cofacets(self, count: np.ndarray, arrive: np.ndarray):
+        """Windows (keys, face rows), in key order, of the (d+1)-simplices
+        with a face of nonzero ``count``, skipping the apparent ones (an
+        apparent simplex is the key in ``arrive`` of its latest face). Each
+        window reads ``count`` as it is when the window is made."""
+        step = max(1, _BLOCK // (self.d + 2))
+        for lo in range(0, len(self.up), step):
+            faces = self.up[lo:lo + step]
+            # face by face: reductions across a short row are slow
+            live, latest = count[faces[:, 0]] > 0, faces[:, 0]
+            for face in faces.T[1:]:
+                live, latest = live | (count[face] > 0), np.maximum(latest, face)
+            keep = np.flatnonzero(live & (arrive["c"][latest] != np.arange(lo, lo + len(faces))))
+            if keep.size:
+                yield self._keys(lo + keep), faces[keep]
+
+
+class _RipsTriangles:
+    """The triangles of a Rips 1-skeleton as cofacets of its edges, read
+    from its distance matrix. The cofacets of edge (a, b) are the common
+    neighbours c; the filtration of {a, b, c} is its largest distance, the
+    filtration of its latest edge; its code (x*n + y)*n + z over its sorted
+    vertices x < y < z orders ties lexicographically, so for one edge the
+    cofacets come in the order of c."""
+
+    def __init__(self, cx: FilteredComplex):
+        self.dist, self.n = cx.distances, cx.n_vertices
+        self.edges, self.filt = cx.vertex_array(1), cx.filtration_values(1)
+        self.edge = edge_index(self.n, self.edges)
+
+    def earliest(self, n_d: int) -> np.ndarray:
+        """Key of each edge's earliest cofacet: the first c of least
+        filtration; _NEVER for an edge in no triangle. The edges are all
+        the pairs within the skeleton's scale, its last edge's filtration,
+        so a c not joined to both a and b lies beyond it and comes after
+        every cofacet; only a and b themselves, at distance 0, need
+        excluding."""
+        keys, width = np.full(n_d, _NEVER), max(1, _BLOCK // self.n)
+        for lo in range(0, n_d, width):
+            a, b = self.edges[lo:lo + width].T
+            g = np.maximum(self.dist[a], self.dist[b])
+            np.maximum(g, self.filt[lo:lo + len(a), None], out=g)
+            rows = np.arange(len(a))
+            g[rows, a] = g[rows, b] = np.inf
+            c = g.argmin(axis=1)
+            has = np.flatnonzero(g[rows, c] <= self.filt[-1])
+            keys["f"][lo + has] = g[has, c[has]]
+            keys["c"][lo + has] = self._code(a[has], b[has], c[has])
+        return keys
+
+    def _code(self, a, b, c) -> np.ndarray:
+        """Code of each triangle {a, b, c} with a < b."""
+        x, z = np.minimum(a, c), np.maximum(b, c)
+        return (x * self.n + (a + b + c - x - z)) * self.n + z
+
+    def vertices(self, keys: np.ndarray) -> np.ndarray:
+        n, code = self.n, keys["c"]
+        return np.stack([code // (n * n), code // n % n, code % n], axis=1)
+
+    def faces(self, keys: np.ndarray) -> np.ndarray:
+        return _rips_faces(self.vertices(keys), self.edge)
+
+    def cofacets(self, count: np.ndarray, arrive: np.ndarray):
+        """Windows (keys, face rows), in key order, of the triangles with an
+        edge of nonzero ``count``, skipping the apparent ones (an apparent
+        triangle is the key in ``arrive`` of its latest edge). Triangles are
+        found by their latest edge j: the c whose edges to a and b both come
+        before j. Each window reads ``count`` as it is when the window is
+        made."""
+        n, n_e = self.n, len(self.edges)
+        width, lo = max(1, _BLOCK // n), 0
+        while lo < n_e:
+            # a window ends after a filtration value, so windows are in key order
+            hi = int(np.searchsorted(self.filt, self.filt[min(lo + width, n_e) - 1],
+                                     side="right"))
+            a, b = self.edges[lo:hi].T
+            j = np.arange(lo, hi, dtype=self.edge.dtype)[:, None]
+            ac, bc = self.edge[a], self.edge[b]
+            flat = np.flatnonzero(np.maximum(ac, bc) < j)
+            r = flat // n
+            c, ac, bc, ab = flat - r * n, ac.ravel().take(flat), bc.ravel().take(flat), lo + r
+            live = count[:hi] > 0          # every face found comes before hi
+            keep = live.take(ac) | live.take(bc) | live.take(ab)
+            r, c, ac, bc, ab = r[keep], c[keep], ac[keep], bc[keep], ab[keep]
+            keys = np.empty(len(r), dtype=_KEY)
+            keys["f"], keys["c"] = self.filt[ab], self._code(a[r], b[r], c)
+            keep = arrive["c"][ab] != keys["c"]
+            # rows come by j, and one row's triangles in the order of c, so
+            # only ties of filtration between rows need sorting
+            tie = np.concatenate([[0], np.cumsum(np.diff(self.filt[lo:hi]) != 0)])
+            order = np.flatnonzero(keep)
+            order = order[np.argsort(tie[r[order]] * n ** 3 + keys["c"][order])]
+            if order.size:
+                # the faces omit x, y and z of x < y < z
+                c, a, b = c[order], a[r[order]], b[r[order]]
+                ac, bc, ab = ac[order], bc[order], ab[order]
+                yield keys[order], np.stack([np.where(c < a, ab, bc),
+                                             np.where(c < a, bc, np.where(c < b, ab, ac)),
+                                             np.where(c < b, ac, ab)], axis=1)
+            lo = hi
 
 
 class Forest(NamedTuple):

@@ -21,16 +21,14 @@ visited one by one:
   extended vectors linearly. A long cocycle dies at the first non-apparent
   (d+1)-simplex on which it, or an older one, is nonzero.
 
-The (d+1)-simplices are read through a cofacet source: the complex's face
-table, or on a Rips 1-skeleton the distance matrix, which gives the
-triangles without building them. Both name a simplex by its key,
-(filtration, a code that orders ties lexicographically), and give the
-non-apparent ones as one stream in key order, read once per degree in
-cache-sized windows. A window keeps the simplices with a face in the live
-supports, which a count per d-simplex tracks: a death changes it only on
-the victim's support. Coboundaries are evaluated in slices that start small
-after each death and double until a cocycle is nonzero, so the search
-evaluates little past each death.
+The (d+1)-simplices are read through the complex's cofacet source
+(`FilteredComplex.cofacet_source`), which names a simplex by its key and
+gives the non-apparent ones as one stream in key order, read once per
+degree in cache-sized windows. A window keeps the simplices with a face
+in the live supports, which a count per d-simplex tracks: a death changes
+it only on the victim's support. Coboundaries are evaluated in slices that
+start small after each death and double until a cocycle is nonzero, so the
+search evaluates little past each death.
 
 Diagrams and representatives are exactly those of the per-simplex loop,
 which the tests keep as their oracle. The dual 1-cycle of a class is a
@@ -47,8 +45,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import (Chain, Cochain, FilteredComplex, GF, _rips_faces, concat_ranges,
-                        edge_index, exact_dtype, face_signs, forest_potential,
+from .complexes import (Chain, Cochain, FilteredComplex, GF, _BLOCK, _FIRST, _KEY, _NEVER,
+                        concat_ranges, exact_dtype, face_signs, forest_potential,
                         spanning_forest)
 from .errors import DimensionOutOfRange, EmptyDiagram, NoDualCycle
 from .fields import OddPrime, inv_mod
@@ -142,19 +140,9 @@ def _prefix_length(cx: FilteredComplex, m: int, scale: float) -> int:
     return int(cx.filtration_values(m).searchsorted(scale, side="right"))
 
 
-# cells (cofacet rows times faces, or edges times vertices) one window of
-# a cofacet stream holds: its temporaries stay in a core's cache
-_BLOCK = 1 << 16
 # cofacets evaluated first after a long death; the slice doubles while no
 # column hits
 _SLICE = 1 << 10
-
-# A (d+1)-simplex is found by its key: the filtration, then a code that
-# orders ties lexicographically (its index in a complex, or the vertex code
-# of an implied triangle). _FIRST precedes every key and _NEVER follows it.
-_KEY = np.dtype([("f", float), ("c", np.int64)])
-_FIRST = np.array((-np.inf, -1), dtype=_KEY)[()]
-_NEVER = np.array((np.inf, np.iinfo(np.int64).max), dtype=_KEY)[()]
 
 
 def _before(a, b) -> np.ndarray:
@@ -167,17 +155,13 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     """Persistence diagram over F_p with representative cocycles in
     dimensions 0..max_dim.
 
-    On a Rips 1-skeleton (see `complexes.rips_skeleton`) the triangles are
-    read from its distance matrix: the diagram is that of the Rips complex
-    with its triangles, and death simplices are triangles the skeleton does
-    not store.
-
-    ``scale_policy`` fixes where representatives are restricted. A float s
-    is used for every pair with birth <= s < death, essential pairs
+    ``scale_policy`` fixes where representatives are restricted. A finite
+    float s is used for every pair with birth <= s < death, essential pairs
     included. Otherwise, and always under "midpoint" (the default), a finite
     interval uses (birth+death)/2 and an essential one the final scale of
     the complex.
     """
+    fixed = parse_scale_policy(scale_policy)
     if max_dim > cx.dimension:
         raise ValueError(f"max_dim {max_dim} exceeds complex dimension {cx.dimension}")
     q = p.p
@@ -186,10 +170,8 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     finished: list[tuple[int, int, tuple | None, np.ndarray, np.ndarray]] = []
     births = ~_components(cx, finished)
     for d in range(1, max_dim + 1):
-        # a skeleton's top-degree cofacets are implied by its distances
-        source = (_RipsTriangles(cx) if cx.distances is not None and d == cx.dimension
-                  else _FaceTable(cx, d))
-        deaths = _reduce(source, d, births, cx.filtration_values(d), q, finished)
+        deaths = _reduce(cx.cofacet_source(d), d, births, cx.filtration_values(d), q,
+                         finished)
         if d < max_dim:
             births = np.ones(cx.n_simplices(d + 1), dtype=bool)
             births[deaths["c"]] = False
@@ -197,11 +179,23 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     diagram = Diagram(prime=q, complex=cx)
     for d in sorted({entry[0] for entry in finished}):
         diagram.pairs_by_dim[d] = _pairs(cx, d, [e for e in finished if e[0] == d],
-                                         GF(q), scale_policy)
+                                         GF(q), fixed)
     return diagram
 
 
-def _pairs(cx: FilteredComplex, d: int, finished: list, ring, scale_policy) -> list:
+def parse_scale_policy(scale_policy: str | float) -> float | None:
+    """None for "midpoint", else the finite scale ``scale_policy`` names."""
+    if scale_policy == "midpoint":
+        return None
+    try:
+        if math.isfinite(fixed := float(scale_policy)):
+            return fixed
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f'scale_policy must be "midpoint" or a finite number, got {scale_policy!r}')
+
+
+def _pairs(cx: FilteredComplex, d: int, finished: list, ring, fixed: float | None) -> list:
     """The degree-d pairs of ``finished``, most persistent first: births,
     deaths and scales are computed as arrays, then each pair's cocycle is
     built once."""
@@ -210,8 +204,7 @@ def _pairs(cx: FilteredComplex, d: int, finished: list, ring, scale_policy) -> l
     birth = f_d[born]
     death = np.array([math.inf if x is None else x[0] for x in died])
     scale = np.where(np.isinf(death), cx.max_filtration(), (birth + death) / 2.0)
-    if scale_policy != "midpoint":
-        fixed = float(scale_policy)
+    if fixed is not None:
         scale[(birth <= fixed) & (fixed < death)] = fixed
     simplices = cx.vertex_array(d)[born]
     order = np.lexsort([*simplices.T[::-1], birth, birth - death])
@@ -283,137 +276,6 @@ def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
     finished.extend((0, v, death, members[lo:hi], ones[:hi - lo]) for v, death, lo, hi in zip(
         named.tolist(), died + [None] * len(alive), [0] + ends, ends))
     return merges
-
-
-class _FaceTable:
-    """The (d+1)-simplices of a complex as cofacets of its d-simplices,
-    read from the face table; a key's code is the simplex's index."""
-
-    def __init__(self, cx: FilteredComplex, d: int):
-        self.d, self.up = d, cx.face_table(d + 1)
-        self.filt, self.verts = cx.filtration_values(d + 1), cx.vertex_array(d + 1)
-
-    def _keys(self, index: np.ndarray) -> np.ndarray:
-        keys = np.empty(len(index), dtype=_KEY)
-        keys["f"], keys["c"] = self.filt[index], index
-        return keys
-
-    def earliest(self, n_d: int) -> np.ndarray:
-        """Key of each d-simplex's earliest cofacet, _NEVER for none."""
-        n_up = len(self.up)
-        first = np.full(n_d, n_up)
-        np.minimum.at(first, self.up.ravel(), np.repeat(np.arange(n_up), self.d + 2))
-        keys = np.full(n_d, _NEVER)
-        has = first < n_up
-        keys[has] = self._keys(first[has])
-        return keys
-
-    def faces(self, keys: np.ndarray) -> np.ndarray:
-        return self.up[keys["c"]]
-
-    def vertices(self, keys: np.ndarray) -> np.ndarray:
-        return self.verts[keys["c"]]
-
-    def cofacets(self, count: np.ndarray, arrive: np.ndarray):
-        """Windows (keys, face rows), in key order, of the (d+1)-simplices
-        with a face of nonzero ``count``, skipping the apparent ones (an
-        apparent simplex is the key in ``arrive`` of its latest face). Each
-        window reads ``count`` as it is when the window is made."""
-        step = max(1, _BLOCK // (self.d + 2))
-        for lo in range(0, len(self.up), step):
-            faces = self.up[lo:lo + step]
-            # face by face: reductions across a short row are slow
-            live, latest = count[faces[:, 0]] > 0, faces[:, 0]
-            for face in faces.T[1:]:
-                live, latest = live | (count[face] > 0), np.maximum(latest, face)
-            keep = np.flatnonzero(live & (arrive["c"][latest] != np.arange(lo, lo + len(faces))))
-            if keep.size:
-                yield self._keys(lo + keep), faces[keep]
-
-
-class _RipsTriangles:
-    """The triangles of a Rips 1-skeleton as cofacets of its edges, read
-    from its distance matrix. The cofacets of edge (a, b) are the common
-    neighbours c; the filtration of {a, b, c} is its largest distance, the
-    filtration of its latest edge; its code (x*n + y)*n + z over its sorted
-    vertices x < y < z orders ties lexicographically, so for one edge the
-    cofacets come in the order of c."""
-
-    def __init__(self, cx: FilteredComplex):
-        self.dist, self.n = cx.distances, cx.n_vertices
-        self.edges, self.filt = cx.vertex_array(1), cx.filtration_values(1)
-        self.edge = edge_index(self.n, self.edges)
-
-    def earliest(self, n_d: int) -> np.ndarray:
-        """Key of each edge's earliest cofacet: the first c of least
-        filtration; _NEVER for an edge in no triangle. The edges are all
-        the pairs within the skeleton's scale, its last edge's filtration,
-        so a c not joined to both a and b lies beyond it and comes after
-        every cofacet; only a and b themselves, at distance 0, need
-        excluding."""
-        keys, width = np.full(n_d, _NEVER), max(1, _BLOCK // self.n)
-        for lo in range(0, n_d, width):
-            a, b = self.edges[lo:lo + width].T
-            g = np.maximum(self.dist[a], self.dist[b])
-            np.maximum(g, self.filt[lo:lo + len(a), None], out=g)
-            rows = np.arange(len(a))
-            g[rows, a] = g[rows, b] = np.inf
-            c = g.argmin(axis=1)
-            has = np.flatnonzero(g[rows, c] <= self.filt[-1])
-            keys["f"][lo + has] = g[has, c[has]]
-            keys["c"][lo + has] = self._code(a[has], b[has], c[has])
-        return keys
-
-    def _code(self, a, b, c) -> np.ndarray:
-        """Code of each triangle {a, b, c} with a < b."""
-        x, z = np.minimum(a, c), np.maximum(b, c)
-        return (x * self.n + (a + b + c - x - z)) * self.n + z
-
-    def vertices(self, keys: np.ndarray) -> np.ndarray:
-        n, code = self.n, keys["c"]
-        return np.stack([code // (n * n), code // n % n, code % n], axis=1)
-
-    def faces(self, keys: np.ndarray) -> np.ndarray:
-        return _rips_faces(self.vertices(keys), self.edge)
-
-    def cofacets(self, count: np.ndarray, arrive: np.ndarray):
-        """Windows (keys, face rows), in key order, of the triangles with an
-        edge of nonzero ``count``, skipping the apparent ones (an apparent
-        triangle is the key in ``arrive`` of its latest edge). Triangles are
-        found by their latest edge j: the c whose edges to a and b both come
-        before j. Each window reads ``count`` as it is when the window is
-        made."""
-        n, n_e = self.n, len(self.edges)
-        width, lo = max(1, _BLOCK // n), 0
-        while lo < n_e:
-            # a window ends after a filtration value, so windows are in key order
-            hi = int(np.searchsorted(self.filt, self.filt[min(lo + width, n_e) - 1],
-                                     side="right"))
-            a, b = self.edges[lo:hi].T
-            j = np.arange(lo, hi, dtype=self.edge.dtype)[:, None]
-            ac, bc = self.edge[a], self.edge[b]
-            flat = np.flatnonzero(np.maximum(ac, bc) < j)
-            r = flat // n
-            c, ac, bc, ab = flat - r * n, ac.ravel().take(flat), bc.ravel().take(flat), lo + r
-            live = count[:hi] > 0          # every face found comes before hi
-            keep = live.take(ac) | live.take(bc) | live.take(ab)
-            r, c, ac, bc, ab = r[keep], c[keep], ac[keep], bc[keep], ab[keep]
-            keys = np.empty(len(r), dtype=_KEY)
-            keys["f"], keys["c"] = self.filt[ab], self._code(a[r], b[r], c)
-            keep = arrive["c"][ab] != keys["c"]
-            # rows come by j, and one row's triangles in the order of c, so
-            # only ties of filtration between rows need sorting
-            tie = np.concatenate([[0], np.cumsum(np.diff(self.filt[lo:hi]) != 0)])
-            order = np.flatnonzero(keep)
-            order = order[np.argsort(tie[r[order]] * n ** 3 + keys["c"][order])]
-            if order.size:
-                # the faces omit x, y and z of x < y < z
-                c, a, b = c[order], a[r[order]], b[r[order]]
-                ac, bc, ab = ac[order], bc[order], ab[order]
-                yield keys[order], np.stack([np.where(c < a, ab, bc),
-                                             np.where(c < a, bc, np.where(c < b, ab, ac)),
-                                             np.where(c < b, ac, ab)], axis=1)
-            lo = hi
 
 
 def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,

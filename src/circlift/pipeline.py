@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import (FilteredComplex, build_rips, pairwise_distances,
-                        rips_from_distances, rips_skeleton)
+                        rips_from_distances, rips_skeleton, stored_sublevel)
 from .errors import EmptyInput
 from .fields import OddPrime
 from .lifting import DEFAULT_SNF_CAP, LiftReport, lift_closed
 from .persistence import (Diagram, PersistencePair, cycle_representative,
-                          persistent_cohomology, select_class)
+                          parse_scale_policy, persistent_cohomology, select_class)
 from .smoothing import (CircularCoords, SmoothedCocycle, circular_map,
                         harmonic_smooth)
 from .winding import WindingReport, reduce_winding
@@ -65,14 +65,14 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
                  snf_cap: int = DEFAULT_SNF_CAP) -> PipelineResult:
     """Run the full pipeline on a point cloud or a prebuilt complex.
 
-    ``threshold="auto"`` builds the initial complex at the enclosing radius
-    and then works at the selected class's representative scale. With
-    ``max_dim == 1`` the initial complex is the Rips 1-skeleton
-    (`rips_skeleton`), whose triangles persistence reads from the distance
-    matrix, and the working complex is the Rips complex at that scale, built
-    from the same matrix: bitwise the sublevel complex of the full one. The
-    matrix is computed once.
+    ``threshold="auto"`` builds the initial complex at the enclosing radius,
+    a Rips 1-skeleton when ``max_dim == 1``, then works at the selected
+    class's representative scale. The options are checked before any
+    distance is computed.
     """
+    if not max_dim >= 1:
+        raise ValueError(f"max_dim must be >= 1 to find a circle class, got {max_dim!r}")
+    parse_scale_policy(scale_policy)
     p = OddPrime(prime)
     if complex is None:
         if points is None:
@@ -85,11 +85,12 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
         else:
             complex = build_rips(points, float(threshold), max_dim + 1)
 
-    diagram = persistent_cohomology(complex, p, max_dim, scale_policy=scale_policy)
+    # the degrees above a complex's dimension are empty and have no pairs
+    diagram = persistent_cohomology(complex, p, min(max_dim, complex.dimension),
+                                    scale_policy=scale_policy)
     pair = select_class(diagram, class_strategy, dim=1)
     scale = pair.scale
-    sub = (complex.restrict(scale) if complex.distances is None
-           else rips_from_distances(complex.distances, scale, 2))
+    sub = stored_sublevel(complex, scale)
     cycle = cycle_representative(sub, p, pair)
     pair.representative_cycle = cycle
 

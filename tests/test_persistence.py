@@ -305,6 +305,11 @@ class TestScalePolicy:
         assert pairs[(2.0, 3.0)].scale == 2.5
         assert diagram(4.0)[(1.0, math.inf)].scale == 4.0
 
+    @pytest.mark.parametrize("policy", [math.nan, math.inf, -math.inf, "max", None])
+    def test_neither_midpoint_nor_finite_is_refused(self, hexagon, policy):
+        with pytest.raises(ValueError, match="scale_policy"):
+            persistent_cohomology(hexagon, OddPrime(7), 1, scale_policy=policy)
+
 
 class TestDiagramExports:
     def test_json_and_csv(self, hexagon, tmp_path):

@@ -1,7 +1,7 @@
 """The array Rips builder against the recursive dict-of-tuples oracle, the
 dict constructor and the mask-loop clique oracle, the blocked distance
 matrix against the full difference tensor, and the refusal of non-finite
-input."""
+input and of fit options that mean nothing."""
 
 import json
 import math
@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlift import FilteredComplex, build_rips, run_pipeline
-from circlift import complexes
+from circlift import FilteredComplex, build_from_simplices, build_rips, run_pipeline
+from circlift import complexes, pipeline
 from circlift.cli import main
 from circlift.complexes import pairwise_distances, rips_from_distances
 from circlift.experiments import sample_circle
@@ -249,6 +249,54 @@ class TestNonFiniteInput:
         assert err["error"] == "ValueError"
         assert "NaN or inf" in err["message"] and "row 3" in err["message"]
         assert json.loads(capsys.readouterr().err.strip()) == err
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: FilteredComplex({(0,): 0.0, (1,): 0.0, (0, 1): np.nan}), (0, 1)),
+        (lambda: build_from_simplices([((0, 1), 1.0), ((1, 2), 1.0), ((0, 2), np.nan)]),
+         (0, 2)),
+        # the minimum over the two values would drop the NaN
+        (lambda: build_from_simplices([((0, 1), np.nan), ((0, 1), 2.0)]), (0, 1)),
+        (lambda: FilteredComplex.from_json_dict(json.loads(
+            '{"simplices": [{"vertices": [0, 1], "filtration": NaN}]}')), (0, 1)),
+    ], ids=["dict", "build", "merged", "json"])
+    def test_nan_filtration_is_named(self, build, named):
+        with pytest.raises(ValueError, match=re.escape(f"filtration is NaN at {named}")):
+            build()
+
+    def test_cli_refuses_a_nan_filtration(self, tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({"simplices": [
+            {"vertices": [0, 1], "filtration": 1.0}, {"vertices": [1, 2], "filtration": 1.0},
+            {"vertices": [0, 2], "filtration": math.nan}]}))
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(path), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValueError" and "NaN at (0, 2)" in err["message"]
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("option", [
+        {"max_dim": 0}, {"max_dim": -1}, {"scale_policy": math.nan},
+        {"scale_policy": math.inf}, {"scale_policy": -math.inf}, {"scale_policy": "max"}])
+    def test_pipeline_refuses_options_before_any_distance(self, option, monkeypatch):
+        def computed(points):
+            raise AssertionError("distances computed before the options were checked")
+
+        monkeypatch.setattr(complexes, "pairwise_distances", computed)
+        monkeypatch.setattr(pipeline, "pairwise_distances", computed)
+        points, _ = sample_circle(20, 0.0, 2, seed=1)
+        for threshold in ("auto", 0.9):
+            with pytest.raises(ValueError, match=next(iter(option))):
+                run_pipeline(points=points, threshold=threshold, **option)
+
+    def test_max_dim_above_the_rips_dimension(self):
+        # at 0.6 no three of these points are pairwise within the threshold:
+        # degree 2 is empty, and the fit is the one at max_dim 1
+        points, _ = sample_circle(20, 0.0, 2, seed=1)
+        low, high = (run_pipeline(points=points, threshold=0.6, max_dim=m) for m in (1, 2))
+        assert high.complex.dimension == 1
+        assert high.diagram.to_json_dict() == low.diagram.to_json_dict()
+        assert high.coordinate_array().tobytes() == low.coordinate_array().tobytes()
 
 
 class TestDictConstructor:

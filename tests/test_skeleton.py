@@ -3,6 +3,7 @@ matrix, against the face table of the Rips complex with its triangles; the
 working complex built at a scale against the sublevel complex of the full
 one; and a threshold="auto" fit against the same fit on the full complex."""
 
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,15 @@ def clouds(draw):
     return points, t
 
 
+def small_blocks(size: int) -> ExitStack:
+    """Windows of the cofacet sources, slices of the long-death search and
+    their cap, all of ``size`` cells."""
+    stack = ExitStack()
+    stack.enter_context(mock.patch.object(complexes, "_BLOCK", size))
+    stack.enter_context(mock.patch.multiple(persistence, _BLOCK=size, _SLICE=size))
+    return stack
+
+
 def vertex_map(cochain) -> dict:
     """A cochain as simplex vertex tuple -> coefficient."""
     return {cochain.complex.simplex(cochain.dim, i): v for i, v in cochain.entries.items()}
@@ -74,24 +84,24 @@ class TestCofacetSources:
         code = (tri[:, 0] * n + tri[:, 1]) * n + tri[:, 2]
         # the same triangles are apparent to both sources: at most one per
         # latest face, the key it arrives at
-        arrive = {"table": np.full(n_e, persistence._NEVER),
-                  "rips": np.full(n_e, persistence._NEVER)}
+        arrive = {"table": np.full(n_e, complexes._NEVER),
+                  "rips": np.full(n_e, complexes._NEVER)}
         for i in np.flatnonzero(rng.random(len(tri)) < 0.3):
             arrive["table"][up[i].max()] = (cone.filtration_values(2)[i], i)
             arrive["rips"][up[i].max()] = (cone.filtration_values(2)[i], code[i])
         apparent = np.isin(np.arange(len(tri)), arrive["table"]["c"])
         count = np.append(rng.integers(0, 3, n_e) * (rng.random(n_e) < 0.5), 0)
-        with mock.patch.multiple(persistence, _BLOCK=chunk, _SLICE=chunk):
-            sources = {"table": persistence._FaceTable(cone, 1),
-                       "rips": persistence._RipsTriangles(
+        with small_blocks(chunk):
+            sources = {"table": complexes._FaceTable(cone, 1),
+                       "rips": complexes._RipsTriangles(
                            rips_skeleton(pairwise_distances(points), t))}
             found = {}
             for name, source in sources.items():
                 chunks = list(source.cofacets(count, arrive[name]))
-                keys = np.concatenate([k for k, _ in chunks] or [np.empty(0, persistence._KEY)])
+                keys = np.concatenate([k for k, _ in chunks] or [np.empty(0, complexes._KEY)])
                 faces = np.concatenate([f for _, f in chunks] or [np.empty((0, 3), int)])
                 earliest = source.earliest(n_e)
-                has = earliest["c"] != persistence._NEVER["c"]
+                has = earliest["c"] != complexes._NEVER["c"]
                 found[name] = (source.vertices(keys).tolist(), keys["f"].tolist(),
                                faces.tolist(), has.tolist(),
                                source.vertices(earliest[has]).tolist(),
@@ -108,11 +118,11 @@ class TestCofacetSources:
         t = enclosing_radius(pts)
         cone = build_rips(pts, t, 2)
         n_e = cone.n_simplices(1)
-        for source in (persistence._FaceTable(cone, 1),
-                       persistence._RipsTriangles(rips_skeleton(pairwise_distances(pts), t))):
+        for source in (complexes._FaceTable(cone, 1),
+                       complexes._RipsTriangles(rips_skeleton(pairwise_distances(pts), t))):
             count = np.append(np.ones(n_e, dtype=np.int64), 0)
-            with mock.patch.multiple(persistence, _BLOCK=7, _SLICE=7):
-                windows = source.cofacets(count, np.full(n_e, persistence._NEVER))
+            with small_blocks(7):
+                windows = source.cofacets(count, np.full(n_e, complexes._NEVER))
                 assert len(next(windows)[0])
                 count[:] = 0
                 assert list(windows) == []
@@ -129,7 +139,7 @@ class TestSkeletonPersistence:
         if cx.dimension == 0:
             return
         skeleton = rips_skeleton(pairwise_distances(points), t)
-        with mock.patch.multiple(persistence, _BLOCK=chunk, _SLICE=chunk):
+        with small_blocks(chunk):
             new = persistent_cohomology(skeleton, OddPrime(p), 1)
             old = persistent_cohomology(cx, OddPrime(p), 1)
         assert new.complex is skeleton and skeleton.dimension == 1
@@ -145,7 +155,7 @@ class TestSkeletonPersistence:
                            [2, 1, 2], [1, 0, 0], [1, 0, 2]], dtype=float)
         t = 3 ** 0.5
         cx = build_rips(points, t, 2)
-        with mock.patch.multiple(persistence, _BLOCK=3, _SLICE=3):
+        with small_blocks(3):
             for source in (rips_skeleton(pairwise_distances(points), t), cx):
                 assert_same_diagrams(persistent_cohomology(source, OddPrime(3), 1),
                                      reference_persistent_cohomology(cx, OddPrime(3), 1))
@@ -168,7 +178,7 @@ class TestSkeletonPersistence:
         pts, _ = sample_circle(n, 0.0, 2, seed=0)
         t = enclosing_radius(pts)
         windows, deaths = [], []
-        stream, replay = persistence._RipsTriangles.cofacets, persistence._replay
+        stream, replay = complexes._RipsTriangles.cofacets, persistence._replay
 
         def recorded(source, count, arrive):
             for keys, faces in stream(source, count, arrive):
@@ -179,7 +189,7 @@ class TestSkeletonPersistence:
             deaths.append(replay(*args))
             return deaths[-1]
 
-        with mock.patch.object(persistence._RipsTriangles, "cofacets", recorded), \
+        with mock.patch.object(complexes._RipsTriangles, "cofacets", recorded), \
                 mock.patch.object(persistence, "_replay", spied):
             new = persistent_cohomology(rips_skeleton(pairwise_distances(pts), t), OddPrime(p), 1)
         (keys, count), = windows
@@ -291,3 +301,11 @@ def test_skeleton_refuses_what_reads_its_triangles():
                     lambda: reduce_winding(alpha, Chain(skeleton, 1, ZZ, {}))):
         with pytest.raises(DimensionOutOfRange):
             refused()
+    # every read of degree 2, on the skeleton and on a restriction of it
+    for cx in (skeleton, half):
+        for read in (lambda: cx.vertex_array(2), lambda: cx.simplices(2),
+                     lambda: cx.n_simplices(2), lambda: cx.filtration_values(2),
+                     lambda: cx.indices(2, [[0, 1, 2]]), lambda: cx.has_simplex((0, 1, 2)),
+                     lambda: cx.simplex(2, 0), lambda: Cochain(cx, 2, GF(47), {})):
+            with pytest.raises(DimensionOutOfRange):
+                read()

@@ -30,6 +30,16 @@ def test_no_nonzero_or_argwhere():
     assert not found, f"np.nonzero or np.argwhere in circlift: {found}"
 
 
+def test_only_complexes_reads_a_skeletons_distances():
+    # what each degree of a Rips skeleton holds is decided in complexes: it
+    # gives the cofacet source and the working complex, so no other module
+    # needs the distance matrix
+    found = [at for at in _offending(lambda node: isinstance(node, ast.Attribute)
+                                     and node.attr == "distances")
+             if not at.startswith("complexes.py:")]
+    assert not found, f"distances named outside complexes.py: {found}"
+
+
 def _names(trees) -> list[tuple[Path, int, str]]:
     """(file, line, name) of every name, attribute and imported name."""
     names = []

@@ -184,7 +184,7 @@ class FilteredComplex:
     Those keys sort like the rows, lexicographically.
 
     ``distances`` is None, except on a Rips 1-skeleton from `rips_skeleton`:
-    there it is the distance matrix, and the triangles are implied by it.
+    there it is the distance matrix, and the triangles are implied.
     """
 
     def __init__(self, simplices_with_filtration: Mapping[Simplex, float]):
@@ -391,7 +391,7 @@ class FilteredComplex:
 
     def cofacet_source(self, d: int):
         """The (d+1)-simplices as cofacets of the d-simplices, in key order:
-        from the face table, or for a Rips skeleton's top degree its distances."""
+        from the face table, or for a Rips skeleton's top degree its edge index."""
         skeleton_top = self.distances is not None and d == self.dimension
         return _RipsTriangles(self) if skeleton_top else _FaceTable(self, d)
 
@@ -489,7 +489,9 @@ def pairwise_distances(points) -> np.ndarray:
     is sequential, and by ``sum(axis=-1)`` over each block of differences
     from 8 on, where it is pairwise. The result is bitwise that of the
     full n x n x d difference tensor. Points with no coordinates are all at
-    distance 0.
+    distance 0. A cloud whose largest |coordinate| lies outside
+    [2^-200, 2^200] is scaled by a power of two to below 1 and the matrix
+    scaled back, so squares neither overflow nor underflow.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -500,6 +502,9 @@ def pairwise_distances(points) -> np.ndarray:
         row, col = divmod(int(np.flatnonzero(bad)[0]), d)
         raise ValueError(f"points must be finite, got {pts[row, col]} "
                          f"(NaN or inf) in row {row}")
+    top = float(np.abs(pts).max(initial=0.0))
+    k = 0 if 2.0 ** -200 <= top <= 2.0 ** 200 else math.frexp(top)[1]
+    pts = np.ldexp(pts, -k) if k else pts
     dist = np.empty((n, n))
     side = max(1, math.isqrt(_DISTANCE_BLOCK // (d if d >= 8 else 1)))
     coords = np.ascontiguousarray(pts.T) if d < 8 else None
@@ -521,7 +526,7 @@ def pairwise_distances(points) -> np.ndarray:
             np.sqrt(block, out=block)
             dist[rows, cols] = block
             dist[cols, rows] = block.T
-    return dist
+    return np.ldexp(dist, k, out=dist) if k else dist
 
 
 def build_rips(points, threshold: float, max_dim: int) -> FilteredComplex:
@@ -616,7 +621,7 @@ def _rips_faces(triangles: np.ndarray, index: np.ndarray) -> np.ndarray:
 def rips_skeleton(dist: np.ndarray, threshold: float) -> FilteredComplex:
     """The 1-skeleton of the Rips complex of ``dist`` at ``threshold``,
     keeping the matrix as ``distances``. Its triangles are implied, not
-    stored: `cofacet_source` streams them from the matrix, so its diagram up
+    stored: `cofacet_source` streams them from its edges, so its diagram up
     to degree 1 is that of ``rips_from_distances(dist, threshold, 2)``."""
     cx = rips_from_distances(dist, threshold, 1)
     cx.distances = dist
@@ -689,34 +694,40 @@ class _FaceTable:
 
 class _RipsTriangles:
     """The triangles of a Rips 1-skeleton as cofacets of its edges, read
-    from its distance matrix. The cofacets of edge (a, b) are the common
-    neighbours c; the filtration of {a, b, c} is its largest distance, the
-    filtration of its latest edge; its code (x*n + y)*n + z over its sorted
-    vertices x < y < z orders ties lexicographically, so for one edge the
-    cofacets come in the order of c."""
+    from its `edge_index`: those of edge j = (a, b) are the common
+    neighbours c, and {a, b, c} has the filtration of edge max(j, ac, bc).
+    Its code (x*n + y)*n + z over its sorted vertices x < y < z orders ties
+    lexicographically, so for one edge the cofacets come in the order of c."""
 
     def __init__(self, cx: FilteredComplex):
-        self.dist, self.n = cx.distances, cx.n_vertices
         self.edges, self.filt = cx.vertex_array(1), cx.filtration_values(1)
-        self.edge = edge_index(self.n, self.edges)
+        self.n, self.edge = cx.n_vertices, edge_index(cx.n_vertices, self.edges)
+        # tie_end[j]: one past the last edge of edge j's filtration value
+        self.tie_end = np.searchsorted(self.filt, self.filt, side="right")
+
+    def _windows(self):
+        """Windows (lo, a, b, ac, bc), in key order: edges lo.. (a, b) and their
+        `edge_index` rows, about ``_BLOCK`` cells ending after a filtration value."""
+        n_e, width, lo = len(self.edges), max(1, _BLOCK // self.n), 0
+        while lo < n_e:
+            hi = int(self.tie_end[min(lo + width, n_e) - 1])
+            a, b = self.edges[lo:hi].T
+            yield lo, a, b, self.edge[a], self.edge[b]
+            lo = hi
 
     def earliest(self, n_d: int) -> np.ndarray:
-        """Key of each edge's earliest cofacet: the first c of least
-        filtration; _NEVER for an edge in no triangle. The edges are all
-        the pairs within the skeleton's scale, its last edge's filtration,
-        so a c not joined to both a and b lies beyond it and comes after
-        every cofacet; only a and b themselves, at distance 0, need
-        excluding."""
-        keys, width = np.full(n_d, _NEVER), max(1, _BLOCK // self.n)
-        for lo in range(0, n_d, width):
-            a, b = self.edges[lo:lo + width].T
-            g = np.maximum(self.dist[a], self.dist[b])
-            np.maximum(g, self.filt[lo:lo + len(a), None], out=g)
-            rows = np.arange(len(a))
-            g[rows, a] = g[rows, b] = np.inf
-            c = g.argmin(axis=1)
-            has = np.flatnonzero(g[rows, c] <= self.filt[-1])
-            keys["f"][lo + has] = g[has, c[has]]
+        """Key of each edge's earliest cofacet, _NEVER for none. With m =
+        max(ac, bc) per c (n_d where c misses a or b), the least filtration
+        is that of edge late = max(min m, j), and the earliest cofacet is the
+        first c whose m comes before the end of late's filtration value."""
+        keys = np.full(n_d, _NEVER)
+        for lo, a, b, ac, bc in self._windows():
+            m = np.maximum(ac, bc, out=ac)
+            late = np.maximum(m.min(axis=1), np.arange(lo, lo + len(a)))
+            # all rows, in m's dtype: copying rows or widening m costs more
+            c = (m < self.tie_end[late.clip(max=n_d - 1), None].astype(m.dtype)).argmax(axis=1)
+            has = np.flatnonzero(late < n_d)
+            keys["f"][lo + has] = self.filt[late[has]]
             keys["c"][lo + has] = self._code(a[has], b[has], c[has])
         return keys
 
@@ -739,15 +750,10 @@ class _RipsTriangles:
         found by their latest edge j: the c whose edges to a and b both come
         before j. Each window reads ``count`` as it is when the window is
         made."""
-        n, n_e = self.n, len(self.edges)
-        width, lo = max(1, _BLOCK // n), 0
-        while lo < n_e:
-            # a window ends after a filtration value, so windows are in key order
-            hi = int(np.searchsorted(self.filt, self.filt[min(lo + width, n_e) - 1],
-                                     side="right"))
-            a, b = self.edges[lo:hi].T
-            j = np.arange(lo, hi, dtype=self.edge.dtype)[:, None]
-            ac, bc = self.edge[a], self.edge[b]
+        n = self.n
+        for lo, a, b, ac, bc in self._windows():
+            hi = lo + len(a)
+            j = np.arange(lo, hi, dtype=ac.dtype)[:, None]
             flat = np.flatnonzero(np.maximum(ac, bc) < j)
             r = flat // n
             c, ac, bc, ab = flat - r * n, ac.ravel().take(flat), bc.ravel().take(flat), lo + r
@@ -759,9 +765,8 @@ class _RipsTriangles:
             keep = arrive["c"][ab] != keys["c"]
             # rows come by j, and one row's triangles in the order of c, so
             # only ties of filtration between rows need sorting
-            tie = np.concatenate([[0], np.cumsum(np.diff(self.filt[lo:hi]) != 0)])
             order = np.flatnonzero(keep)
-            order = order[np.argsort(tie[r[order]] * n ** 3 + keys["c"][order])]
+            order = order[np.argsort((self.tie_end[ab[order]] - lo) * n ** 3 + keys["c"][order])]
             if order.size:
                 # the faces omit x, y and z of x < y < z
                 c, a, b = c[order], a[r[order]], b[r[order]]
@@ -769,7 +774,6 @@ class _RipsTriangles:
                 yield keys[order], np.stack([np.where(c < a, ab, bc),
                                              np.where(c < a, bc, np.where(c < b, ab, ac)),
                                              np.where(c < b, ac, ab)], axis=1)
-            lo = hi
 
 
 class Forest(NamedTuple):

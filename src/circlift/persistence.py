@@ -286,14 +286,15 @@ def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,
 
     A birth sigma whose earliest cofacet tau has sigma as its latest facet
     is an apparent pair: {sigma: 1} is untouched until tau, where sigma is
-    the youngest live cocycle nonzero on tau.
+    the youngest live cocycle nonzero on tau. Each tau's faces are read once.
     """
     n_d = len(births)
     earliest = source.earliest(n_d)
     sigma = np.flatnonzero(births & (earliest["c"] != _NEVER["c"]))
     tau = earliest[sigma]
-    apparent = source.faces(tau).max(axis=1) == sigma
-    sigma, tau = sigma[apparent], tau[apparent]
+    tau_faces = source.faces(tau)
+    apparent = tau_faces.max(axis=1) == sigma
+    sigma, tau, tau_faces = sigma[apparent], tau[apparent], tau_faces[apparent]
     shown = tau["f"] > f_d[sigma]
     # an indicator {s: 1}: its support is a row of a column of the births
     one = np.ones(1, dtype=np.int64)
@@ -314,17 +315,17 @@ def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,
     arrive[long] = _FIRST
     if not long.size:
         return tau
-    return np.concatenate([tau, _replay(source, d, f_d, q, long, sigma, tau, arrive,
+    return np.concatenate([tau, _replay(source, d, f_d, q, long, sigma, tau_faces, arrive,
                                         finished)])
 
 
 def _replay(source, d: int, f_d: np.ndarray, q: int, long: np.ndarray,
-            sigma: np.ndarray, tau: np.ndarray, arrive: np.ndarray,
+            sigma: np.ndarray, tau_faces: np.ndarray, arrive: np.ndarray,
             finished: list) -> np.ndarray:
     """Run the long cocycles of degree d, one column of E each, born at the
-    ``long`` simplices (ascending): extend them over the apparent simplices,
-    then find their deaths among the other (d+1)-simplices, whose keys it
-    returns.
+    ``long`` simplices (ascending): extend them over the apparent simplices
+    ``sigma``, whose taus have the face rows ``tau_faces``, then find their
+    deaths among the other (d+1)-simplices, whose keys it returns.
 
     Between long deaths a live long cocycle equals its column of E
     restricted to the simplices that have arrived, and it is nonzero on a
@@ -346,7 +347,7 @@ def _replay(source, d: int, f_d: np.ndarray, q: int, long: np.ndarray,
     E = np.zeros((len(arrive) + 1, len(long)), dtype=exact_dtype((d + 2) * q))
     wide = exact_dtype(q * q + q)
     E[long, np.arange(len(long))] = 1
-    _extend(E, source.faces(tau), sigma, signs, q)
+    _extend(E, tau_faces, sigma, signs, q)
     count = (E != 0).sum(axis=1)
 
     live, deaths, size = np.ones(len(long), dtype=bool), [], _SLICE

@@ -70,13 +70,15 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
     class's representative scale. The options are checked before any
     distance is computed.
     """
-    if not max_dim >= 1:
-        raise ValueError(f"max_dim must be >= 1 to find a circle class, got {max_dim!r}")
+    if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
+        raise ValueError(f"max_dim must be an integer >= 1 to find a circle class, "
+                         f"got {max_dim!r}")
+    if (points is None) == (complex is None):
+        raise ValueError("need points or a complex" if points is None
+                         else "got both points and a complex; give one")
     parse_scale_policy(scale_policy)
     p = OddPrime(prime)
     if complex is None:
-        if points is None:
-            raise ValueError("need points or a complex")
         if threshold == "auto":
             dist = pairwise_distances(points)
             t = _cone_radius(dist)

@@ -19,7 +19,9 @@ first-in first-out search over adjacency lists and the per-edge
 integration that the level-by-level array forest replaced.
 ``unchunked_distances`` is the full difference tensor that the blocked
 distance matrix replaced, ``reference_clique_rows`` the mask loop that
-neighbour-list clique growth replaced, and ``reference_complex_arrays``
+neighbour-list clique growth replaced, ``reference_rips_earliest`` the float
+argmin over distance-matrix rows that the edge-index scan of a Rips
+skeleton's earliest cofacets replaced, and ``reference_complex_arrays``
 rebuilds a complex's sorted rows, face table, keys and key ranks from
 tuples and dicts. ``reference_is_prime`` and ``reference_candidate_primes``
 are the trial divisions that Miller-Rabin and Pollard-Brent replaced.
@@ -34,7 +36,8 @@ from collections import deque
 
 import numpy as np
 
-from circlift.complexes import Chain, Cochain, FilteredComplex, GF, Simplex, ZZ, face_signs
+from circlift.complexes import (_NEVER, Chain, Cochain, FilteredComplex, GF, Simplex, ZZ,
+                                face_signs)
 from circlift.errors import (EmptyInput, NoDualCycle, NotACocycle, NotClosed, ValidationFailed,
                              ZeroPairing)
 from circlift.fields import FpElement, OddPrime, abs_mod, inv_mod, lift_mod
@@ -156,6 +159,28 @@ def reference_clique_rows(dist: np.ndarray, threshold: float, max_dim: int):
         verts.append(np.column_stack([rows[r], k]))
         filt.append(far)
     return verts, filt
+
+
+def reference_rips_earliest(skeleton: FilteredComplex) -> np.ndarray:
+    """Key of each edge's earliest implied triangle on a Rips 1-skeleton,
+    by the float argmin over distance-matrix rows, without its row windows:
+    the first c of least max(d(a, c), d(b, c), f(ab)); _NEVER for an edge in
+    no triangle. Every pair within the last edge's filtration is an edge,
+    so a c not joined to both a and b lies beyond it; only a and b
+    themselves, at distance 0, need excluding."""
+    dist, n, filt = skeleton.distances, skeleton.n_vertices, skeleton.filtration_values(1)
+    a, b = skeleton.vertex_array(1).T
+    g = np.maximum(np.maximum(dist[a], dist[b]), filt[:, None])
+    rows = np.arange(len(a))
+    g[rows, a] = g[rows, b] = np.inf
+    c = g.argmin(axis=1)
+    has = np.flatnonzero(g[rows, c] <= filt[-1])
+    a, b, c = a[has], b[has], c[has]
+    x, z = np.minimum(a, c), np.maximum(b, c)
+    keys = np.full(len(rows), _NEVER)
+    keys["f"][has] = g[has, c]
+    keys["c"][has] = (x * n + (a + b + c - x - z)) * n + z
+    return keys
 
 
 def reference_complex_arrays(verts_by_dim, filt_by_dim) -> list[dict]:

@@ -1,12 +1,13 @@
 """Properties of whole fits that need no oracle: relabelling the points
-rotates or reflects the coordinates, scaling the cloud by a power of two
-scales the diagram and changes nothing else, every prime that lifts gives
-the same coordinates, and a multiple of the fitted class, as external
-persistence software may emit it, reduces back to the fitted coordinates.
+rotates or reflects the coordinates, scaling the cloud by a power of two,
+even one whose squares leave the float range, scales the diagram and
+changes nothing else, every prime that lifts gives the same coordinates,
+and a multiple of the fitted class, as external persistence software may
+emit it, reduces back to the fitted coordinates.
 Noisy circles run at threshold="auto" and trefoils at a fixed threshold."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from circlift import (GF, ZZ, Chain, Cochain, apply_coboundary, circular_map,
                       harmonic_smooth, kronecker_pairing, lift_closed, reduce_winding,
@@ -68,6 +69,16 @@ def test_scaling_by_a_power_of_two(cloud, k):
         assert (lift.certificate, lift.r) == (other.certificate, other.r)
     assert base.winding_report.winding_number == scaled.winding_report.winding_number
     assert base.coordinate_array().tobytes() == scaled.coordinate_array().tobytes()
+
+
+@PROPERTY
+@given(clouds(), st.sampled_from([-1000, -600, 600, 1000]))
+def test_scaling_beyond_the_range_of_the_squares(cloud, k):
+    # the squared distances of the scaled cloud would overflow to inf or
+    # underflow to 0; a scaled coordinate that would be subnormal is inexact
+    s = 2.0 ** k
+    assume(np.array_equal(cloud[0] * s / s, cloud[0]))
+    test_scaling_by_a_power_of_two.hypothesis.inner_test(cloud, k)
 
 
 @PROPERTY

@@ -276,8 +276,10 @@ class TestNonFiniteInput:
 
 class TestFitOptions:
     @pytest.mark.parametrize("option", [
-        {"max_dim": 0}, {"max_dim": -1}, {"scale_policy": math.nan},
-        {"scale_policy": math.inf}, {"scale_policy": -math.inf}, {"scale_policy": "max"}])
+        {"max_dim": 0}, {"max_dim": -1}, {"max_dim": 1.5}, {"max_dim": "2"},
+        {"scale_policy": math.nan}, {"scale_policy": math.inf}, {"scale_policy": -math.inf},
+        {"scale_policy": "max"},
+        {"complex": FilteredComplex({(0,): 0.0, (1,): 0.0, (0, 1): 1.0})}])
     def test_pipeline_refuses_options_before_any_distance(self, option, monkeypatch):
         def computed(points):
             raise AssertionError("distances computed before the options were checked")
@@ -286,8 +288,11 @@ class TestFitOptions:
         monkeypatch.setattr(pipeline, "pairwise_distances", computed)
         points, _ = sample_circle(20, 0.0, 2, seed=1)
         for threshold in ("auto", 0.9):
-            with pytest.raises(ValueError, match=next(iter(option))):
+            # the message names the option, and the caller's value
+            with pytest.raises(ValueError, match=next(iter(option))) as refused:
                 run_pipeline(points=points, threshold=threshold, **option)
+            if "max_dim" in option:
+                assert str(refused.value).endswith(f"got {option['max_dim']!r}")
 
     def test_max_dim_above_the_rips_dimension(self):
         # at 0.6 no three of these points are pairwise within the threshold:

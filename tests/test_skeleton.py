@@ -1,5 +1,5 @@
-"""Persistence on a Rips 1-skeleton, whose triangles come from the distance
-matrix, against the face table of the Rips complex with its triangles; the
+"""Persistence on a Rips 1-skeleton, whose triangles come from its edge
+index, against the face table of the Rips complex with its triangles; the
 working complex built at a scale against the sublevel complex of the full
 one; and a threshold="auto" fit against the same fit on the full complex."""
 
@@ -18,7 +18,7 @@ from circlift.complexes import pairwise_distances, rips_from_distances, rips_ske
 from circlift.errors import DimensionOutOfRange, NotACocycle, NotClosed
 from circlift.experiments import sample_circle
 from circlift.pipeline import enclosing_radius
-from oracles import reference_persistent_cohomology
+from oracles import reference_persistent_cohomology, reference_rips_earliest
 
 DIFFERENTIAL = settings(max_examples=150, deadline=None, database=None)
 BIG_PRIME = 2_147_483_659          # above 2^31: absorption products are Python ints
@@ -67,7 +67,7 @@ def assert_same_diagrams(a, b) -> None:
 
 
 class TestCofacetSources:
-    """The triangles a skeleton reads from its distances against the face
+    """The triangles a skeleton reads from its edge index against the face
     table of the complex with its triangles: the same simplices, faces and
     filtrations, in the same order."""
 
@@ -110,6 +110,21 @@ class TestCofacetSources:
         assert found["rips"] == found["table"]
         assert found["table"][:3] == (tri[want].tolist(), cone.filtration_values(2)[want].tolist(),
                                       up[want].tolist())
+
+    @DIFFERENTIAL
+    @given(clouds())
+    def test_earliest_keys_are_those_of_the_distance_argmin(self, cloud):
+        # bitwise, whatever the window: on tied grid clouds the earliest
+        # cofacet may have a later edge than j of the same filtration
+        points, t = cloud
+        skeleton = rips_skeleton(pairwise_distances(points), t)
+        if skeleton.dimension == 0:
+            return
+        want = reference_rips_earliest(skeleton).tobytes()
+        for chunk in (1, 7, 1 << 18):
+            with small_blocks(chunk):
+                keys = complexes._RipsTriangles(skeleton).earliest(skeleton.n_simplices(1))
+            assert keys.tobytes() == want
 
     def test_each_window_reads_the_count_as_it_is_then(self):
         # a stream whose counts fall to zero after its first window yields

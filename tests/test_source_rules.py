@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import circlift
+from circlift import complexes
 
 
 def _offending(rule) -> list[str]:
@@ -38,6 +39,17 @@ def test_only_complexes_reads_a_skeletons_distances():
                                      and node.attr == "distances")
              if not at.startswith("complexes.py:")]
     assert not found, f"distances named outside complexes.py: {found}"
+
+
+def test_cofacet_sources_read_no_distances():
+    # the sources read a skeleton's edges, whose indices follow the
+    # (filtration, lex) order; the matrix only builds the working complex
+    found = [f"complexes.py:{node.lineno}"
+             for cls in ast.walk(ast.parse(Path(complexes.__file__).read_text()))
+             if isinstance(cls, ast.ClassDef) and cls.name in ("_FaceTable", "_RipsTriangles")
+             for node in ast.walk(cls)
+             if "distances" in (getattr(node, name, None) for name in ("attr", "id", "arg"))]
+    assert not found, f"distances named in a cofacet source: {found}"
 
 
 def _names(trees) -> list[tuple[Path, int, str]]:

@@ -215,60 +215,59 @@ class FilteredComplex:
         within a row) and their filtration values; trailing empty dimensions
         are dropped. The rows of each dimension must come in lexicographic
         order: one stable sort on the filtration then gives the (filtration,
-        lex) order, and since keys sort like the rows, the inverse of that
-        permutation takes each key rank to its index. Finding every face by
-        its key checks closure; the filtration is checked to be monotone.
-        With ``rips`` the vertices are 0..n-1, so a vertex id is its key
-        rank, edges take their vertex faces directly and triangles find
-        theirs in the `edge_index` matrix, where a missing edge reads as the
-        number of edges."""
+        lex) order. Finding every face by its key checks closure; the
+        filtration is checked to be monotone. With ``rips`` the vertices are
+        0..n-1, so a vertex id is its key rank and edges take their vertex
+        faces directly. `rips_from_distances` stores its triangles with
+        `_store`, from the clique growth, and passes none here."""
         counts = [len(v) for v in verts_by_dim]
         if not any(counts):
             raise EmptyInput("complex has no simplices", operation="complex.build")
-        self.dimension = max(m for m, n in enumerate(counts) if n)
         self._verts, self._filt, self._faces = [], [], []
         self._keys, self._lex = [], []      # sorted keys; key rank -> index
         self._forests, self.distances = {}, None
-        for m in range(self.dimension + 1):
-            order = np.argsort(filt_by_dim[m], kind="stable")
-            verts, filt = verts_by_dim[m][order], filt_by_dim[m][order]
-            # NaN sorts last and fails every comparison, so no order check sees it
-            if np.isnan(filt[-1:]).any():
-                raise ValueError("filtration is NaN at "
-                                 f"{tuple(verts[np.isnan(filt)][0].tolist())}")
-            if not m:
-                key, faces = verts[:, 0], np.empty((len(verts), 0), dtype=np.int64)
-            else:
-                if rips and m <= 2:
-                    faces = (verts[:, ::-1] if m == 1 else
-                             _rips_faces(verts, edge_index(self.n_vertices, self._verts[1])))
-                    self._check_closed(verts, faces)
-                    # the key rank of each face omitting the last vertex
-                    last = rank[faces[:, m]]
-                else:
-                    faces, last = self._find_faces(verts)
-                late = self._filt[m - 1][faces] > filt[:, None] + 1e-12
-                if late.any():
-                    j, i = divmod(int(np.flatnonzero(late)[0]), m + 1)
-                    raise ValueError(f"filtration not monotone at {tuple(verts[j].tolist())}"
-                                     f" / {self.simplex(m - 1, faces[j, i])}")
-                tail = verts[:, m] if rips else np.searchsorted(self._keys[0], verts[:, m])
-                key = last * len(self._keys[0]) + tail
-            keys, lex = np.empty_like(key), np.empty_like(order)
-            keys[order], lex[order] = key, np.arange(len(order))
-            for store, arr in ((self._verts, verts), (self._filt, filt),
-                               (self._faces, faces), (self._keys, keys), (self._lex, lex)):
-                store.append(arr)
-            rank = order                    # index -> key rank
+        for m in range(max(m for m, n in enumerate(counts) if n) + 1):
+            self._add_dimension(verts_by_dim[m], filt_by_dim[m], rips)
 
-    def _check_closed(self, verts: np.ndarray, faces: np.ndarray) -> None:
-        """Raise naming the first face that reads as missing: the count of
-        simplices one dimension down."""
-        missing = faces.T == len(self._verts[verts.shape[1] - 2])
-        if missing.any():
-            i, j = divmod(int(np.flatnonzero(missing)[0]), len(verts))
-            face = np.delete(verts[j], i).tolist()
-            raise ValueError(f"complex not closed under faces: {tuple(face)} missing")
+    def _add_dimension(self, verts: np.ndarray, filt: np.ndarray, rips: bool) -> None:
+        """Store the next dimension m from its rows in lexicographic order:
+        since keys sort like the rows, the inverse of the stable sort on the
+        filtration takes each key rank to its index."""
+        m = len(self._verts)
+        order = np.argsort(filt, kind="stable")
+        verts, filt = verts[order], filt[order]
+        # NaN sorts last and fails every comparison, so no order check sees it
+        if np.isnan(filt[-1:]).any():
+            raise ValueError("filtration is NaN at "
+                             f"{tuple(verts[np.isnan(filt)][0].tolist())}")
+        if not m:
+            key, faces = verts[:, 0], np.empty((len(verts), 0), dtype=np.int64)
+        else:
+            # the key rank of each face omitting the last vertex
+            faces, last = (verts[:, ::-1], verts[:, 0]) if rips and m == 1 else \
+                self._find_faces(verts)
+            late = self._filt[m - 1][faces] > filt[:, None] + 1e-12
+            if late.any():
+                j, i = divmod(int(np.flatnonzero(late)[0]), m + 1)
+                raise ValueError(f"filtration not monotone at {tuple(verts[j].tolist())}"
+                                 f" / {self.simplex(m - 1, faces[j, i])}")
+            tail = verts[:, m] if rips else np.searchsorted(self._keys[0], verts[:, m])
+            key = last * len(self._keys[0]) + tail
+        keys = np.empty_like(key)
+        keys[order] = key
+        self._store(verts, filt, faces, keys, order)
+
+    def _store(self, verts: np.ndarray, filt: np.ndarray, faces: np.ndarray,
+               keys: np.ndarray, order: np.ndarray) -> None:
+        """Append the next dimension: its rows, filtration values and face
+        table by index, its sorted keys, and ``order``, which takes each
+        index to its key rank."""
+        lex = np.empty_like(order)
+        lex[order] = np.arange(len(order))
+        for store, arr in ((self._verts, verts), (self._filt, filt),
+                           (self._faces, faces), (self._keys, keys), (self._lex, lex)):
+            store.append(arr)
+        self.dimension = len(self._verts) - 1
 
     def _find_faces(self, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Face table of rows of m-simplices found by key search, and the
@@ -481,31 +480,49 @@ def pairwise_distances(points) -> np.ndarray:
 
     The exact pairwise-difference formula (a Gram-matrix shortcut would
     round equal distances apart). Each unordered pair is computed once, in
-    square blocks of the upper triangle of about 32k floats, and mirrored,
-    so the matrix is exactly symmetric with an exactly zero diagonal, and
-    memory stays n^2 plus a bounded buffer whatever the dimension d. The
-    squared differences are summed in numpy's own order for a length-d
-    axis: coordinate by coordinate below 8 coordinates, where numpy's sum
-    is sequential, and by ``sum(axis=-1)`` over each block of differences
-    from 8 on, where it is pairwise. The result is bitwise that of the
-    full n x n x d difference tensor. Points with no coordinates are all at
-    distance 0. A cloud whose largest |coordinate| lies outside
-    [2^-200, 2^200] is scaled by a power of two to below 1 and the matrix
-    scaled back, so squares neither overflow nor underflow.
+    square blocks of the upper triangle of about 32k floats
+    (`_distance_blocks`), and mirrored, so the matrix is exactly symmetric
+    with an exactly zero diagonal, and memory stays n^2 plus a bounded
+    buffer whatever the dimension d. The squared differences are summed in
+    numpy's own order for a length-d axis: coordinate by coordinate below 8
+    coordinates, where numpy's sum is sequential, and by ``sum(axis=-1)``
+    over each block of differences from 8 on, where it is pairwise. The
+    result is bitwise that of the full n x n x d difference tensor. Points
+    with no coordinates are all at distance 0. A cloud whose largest
+    |coordinate| lies outside [2^-200, 2^200] is scaled by a power of two
+    to below 1 and the matrix scaled back, so squares neither overflow nor
+    underflow.
     """
+    pts, k = _finite_points(points)
+    dist = np.empty((len(pts), len(pts)))
+    for rows, cols, block in _distance_blocks(pts, k):
+        dist[rows, cols] = block
+        dist[cols, rows] = block.T
+    return dist
+
+
+def _finite_points(points) -> tuple[np.ndarray, int]:
+    """A point cloud as an n x d float array, refusing NaN and infinite
+    coordinates, scaled by 2^-k, and k: 0 unless the largest |coordinate|
+    lies outside [2^-200, 2^200], else the exponent that scales it below 1."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    n, d = pts.shape
     bad = ~np.isfinite(pts)
     if bad.any():
-        row, col = divmod(int(np.flatnonzero(bad)[0]), d)
+        row, col = divmod(int(np.flatnonzero(bad)[0]), pts.shape[1])
         raise ValueError(f"points must be finite, got {pts[row, col]} "
                          f"(NaN or inf) in row {row}")
     top = float(np.abs(pts).max(initial=0.0))
     k = 0 if 2.0 ** -200 <= top <= 2.0 ** 200 else math.frexp(top)[1]
-    pts = np.ldexp(pts, -k) if k else pts
-    dist = np.empty((n, n))
+    return (np.ldexp(pts, -k) if k else pts), k
+
+
+def _distance_blocks(pts: np.ndarray, k: int):
+    """Square blocks (rows, cols, block) of the upper triangle of the
+    distance matrix of the points ``pts`` scaled by 2^k, rows by rows: see
+    `pairwise_distances`. A block on the diagonal is exactly symmetric."""
+    n, d = pts.shape
     side = max(1, math.isqrt(_DISTANCE_BLOCK // (d if d >= 8 else 1)))
     coords = np.ascontiguousarray(pts.T) if d < 8 else None
     for lo in range(0, n, side):
@@ -524,15 +541,36 @@ def pairwise_distances(points) -> np.ndarray:
                     term *= term
                     block += term
             np.sqrt(block, out=block)
-            dist[rows, cols] = block
-            dist[cols, rows] = block.T
-    return np.ldexp(dist, k, out=dist) if k else dist
+            yield rows, cols, np.ldexp(block, k, out=block) if k else block
 
 
 def build_rips(points, threshold: float, max_dim: int) -> FilteredComplex:
     """Vietoris-Rips complex of a point cloud under the Euclidean metric:
-    `rips_from_distances` of its `pairwise_distances`."""
-    return rips_from_distances(pairwise_distances(points), threshold, max_dim)
+    bitwise `rips_from_distances` of its `pairwise_distances`, but the
+    edges are read from the blocks of the matrix, which is never stored."""
+    pts, k = _finite_points(points)
+    n = len(pts)
+    _check_rips(threshold, max_dim, n)
+    pairs, lengths = [], []
+    for rows, cols, block in _distance_blocks(pts, k):
+        i, j = np.divmod(np.flatnonzero(block <= threshold), block.shape[1])
+        upper = i + rows.start < j + cols.start
+        i, j = i[upper], j[upper]
+        pairs.append((i + rows.start) * n + j + cols.start)
+        lengths.append(block[i, j])
+    pairs = np.concatenate(pairs)
+    order = np.argsort(pairs)
+    return _rips_from_edges(n, pairs[order], np.concatenate(lengths)[order], max_dim)
+
+
+def _check_rips(threshold: float, max_dim: int, n: int) -> None:
+    """Refuse a Rips complex of no points, or with options that mean nothing."""
+    if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
+        raise ValueError(f"max_dim must be an integer >= 1, got {max_dim!r}")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be >= 0 and not NaN, got {threshold}")
+    if n == 0:
+        raise EmptyInput("no points", operation="complex.build_rips")
 
 
 def rips_from_distances(dist: np.ndarray, threshold: float, max_dim: int) -> FilteredComplex:
@@ -547,65 +585,122 @@ def rips_from_distances(dist: np.ndarray, threshold: float, max_dim: int) -> Fil
     of a vertex, the larger vertices within the threshold, form one sorted
     list per vertex, and each m-simplex is extended by every upper
     neighbour of its last vertex that is within the threshold of all its
-    other vertices. Those pairs u < k, and the new distances, are read from
-    the flattened matrix at u * n + k. Each dimension's rows come out in
-    lexicographic order. At most ``_CLIQUE_CHUNK`` candidates are held at
-    once, or the candidates of one simplex if it has more. Edges take their
-    vertex faces directly, triangles find theirs in the `edge_index` matrix
-    of the edges, higher simplices by their keys. The complex at a scale
-    s <= t is bitwise the sublevel complex at s of the one at t.
+    other vertices. Each dimension's rows come out in lexicographic order.
+    At most ``_CLIQUE_CHUNK`` candidates are held at once, or the
+    candidates of one simplex if it has more.
+
+    Edges take their vertex faces directly. A triangle takes its faces and
+    its place from the growth (`_rips_triangles`). Higher simplices find
+    their faces by key search, and the lengths of their new pairs are the
+    filtration values of those edges. The complex at a scale s <= t is
+    bitwise the sublevel complex at s of the one at t.
     """
-    if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
-        raise ValueError(f"max_dim must be an integer >= 1, got {max_dim!r}")
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0 and not NaN, got {threshold}")
     n = len(dist)
-    if n == 0:
-        raise EmptyInput("no points", operation="complex.build_rips")
-    # within[u * n + k]: the pair is within the threshold; read only at u < k
+    _check_rips(threshold, max_dim, n)
     flat = np.asarray(dist).ravel()
-    within = flat <= threshold
-    pairs = np.flatnonzero(within)
+    pairs = np.flatnonzero(flat <= threshold)
     owner, neighbour = np.divmod(pairs, n)
-    upper = neighbour > owner
-    pairs, owner, neighbour = pairs[upper], owner[upper], neighbour[upper]
+    pairs = pairs[neighbour > owner]
+    return _rips_from_edges(n, pairs, flat[pairs], max_dim)
+
+
+def _rips_from_edges(n: int, pairs: np.ndarray, lengths: np.ndarray,
+                     max_dim: int) -> FilteredComplex:
+    """The Rips complex on n points whose edges within the threshold are
+    the ascending pairs u * n + k, u < k, of lengths ``lengths``."""
+    owner, neighbour = np.divmod(pairs, n)
+    cx = object.__new__(FilteredComplex)
+    cx._init_arrays([np.arange(n)[:, None], np.column_stack([owner, neighbour])],
+                    [np.zeros(n), lengths], rips=True)
+    if max_dim < 2 or not len(pairs):
+        return cx
     # upper neighbours of v: neighbour[start[v]:start[v + 1]], ascending
     start = np.searchsorted(owner, np.arange(n + 1))
-    verts = [np.arange(n)[:, None], np.column_stack([owner, neighbour])]
-    filt = [np.zeros(n), flat[pairs]]
-    while len(verts) <= max_dim and len(verts[-1]):
-        rows, grown, grown_filt = verts[-1], [], []
-        first, count = start[rows[:, -1]], np.diff(start)[rows[:, -1]]
-        ends = np.cumsum(count)
-        lo = 0
-        while lo < len(rows):
-            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + _CLIQUE_CHUNK,
-                                                 side="right")))
-            r = np.repeat(np.arange(lo, hi), count[lo:hi])
-            at = concat_ranges(first[lo:hi], count[lo:hi])
+    index = edge_index(n, cx._verts[1]).ravel()
+    _rips_triangles(cx, owner, neighbour, start, index)
+    while 2 <= cx.dimension < max_dim:
+        # the rows of the top dimension, in key order, grow by one vertex
+        rows, filt = cx._verts[-1][cx._lex[-1]], cx._filt[-1][cx._lex[-1]]
+        grown, grown_filt = [], []
+        for r, at in _extensions(rows[:, -1], start):
             k = neighbour[at]
-            # flat positions of the pairs (v, k) for the other vertices v
-            other = rows[r, :-1] * n + k[:, None]
-            keep = within[other].all(axis=1)
+            # the edges (v, k) for the other vertices v
+            other = index[rows[r, :-1] * n + k[:, None]]
+            keep = (other < len(pairs)).all(axis=1)
             r, k, other = r[keep], k[keep], other[keep]
-            far = np.maximum(filt[-1][r], filt[1][at[keep]])
+            far = np.maximum(filt[r], lengths[at[keep]])
             for column in other.T:
-                np.maximum(far, flat[column], out=far)
+                np.maximum(far, cx._filt[1][column], out=far)
             grown.append(np.column_stack([rows[r], k]))
             grown_filt.append(far)
-            lo = hi
-        verts.append(np.concatenate(grown))
-        filt.append(np.concatenate(grown_filt))
-    cx = object.__new__(FilteredComplex)
-    cx._init_arrays(verts, filt, rips=True)
+        rows = np.concatenate(grown)
+        if not len(rows):
+            break
+        cx._add_dimension(rows, np.concatenate(grown_filt), rips=True)
     return cx
+
+
+def _extensions(last: np.ndarray, start: np.ndarray):
+    """Chunks (r, at) of the candidate extensions of rows whose last
+    vertices are ``last``: row r with the upper neighbour at position at,
+    for at most ``_CLIQUE_CHUNK`` candidates, or one row's if it has more."""
+    first, count = start[last], np.diff(start)[last]
+    ends, lo = np.cumsum(count), 0
+    while lo < len(last):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + _CLIQUE_CHUNK,
+                                             side="right")))
+        yield np.repeat(np.arange(lo, hi), count[lo:hi]), concat_ranges(first[lo:hi],
+                                                                         count[lo:hi])
+        lo = hi
+
+
+def _rips_triangles(cx: FilteredComplex, owner: np.ndarray, neighbour: np.ndarray,
+                    start: np.ndarray, index: np.ndarray) -> None:
+    """Store the triangles of a Rips complex whose edges (owner, neighbour),
+    in lexicographic order, ``cx`` holds.
+
+    Edge r = (u, v) grows by each upper neighbour k of v, at position at;
+    the lexicographic rank of an edge is its key rank, so the faces (v, k)
+    and (u, v) are the indices of ranks at and r. The face (u, k) is read
+    from the flattened `edge_index` ``index``, where a missing edge, the
+    edge count, means no triangle. A triangle's filtration is that of its
+    latest face, and `_order_by_faces` places it. Its key is r * n + k."""
+    n, n_e, lex, f_e = cx.n_vertices, len(owner), cx._lex[1], cx._filt[1]
+    grown = []
+    for r, at in _extensions(neighbour, start):
+        xz = index.take(owner[r] * n + neighbour[at])
+        keep = np.flatnonzero(xz < n_e)
+        grown.append((r[keep], at[keep], xz[keep]))
+    r, at, xz = (np.concatenate(column) for column in zip(*grown))
+    del grown       # the triangles are held once from here on
+    if not len(r):
+        return
+    latest = np.maximum(lex[at], xz)
+    np.maximum(latest, lex[r], out=latest)
+    order = _order_by_faces(f_e, latest)
+    keys = r * n + neighbour[at]
+    r, at, xz, latest = r[order], at[order], xz[order], latest[order]
+    cx._store(np.stack([owner[r], neighbour[r], neighbour[at]], axis=1), f_e[latest],
+              np.stack([lex[at], xz, lex[r]], axis=1, dtype=np.int64), keys, order)
+
+
+def _order_by_faces(f_e: np.ndarray, latest: np.ndarray) -> np.ndarray:
+    """The stable sort of ``f_e[latest]``, for ascending ``f_e``: the stable
+    sort of the tie ranks of the faces ``latest``, one past the last index
+    of each one's value. Tie ranks are monotone in the value and equal
+    exactly on its ties, so the permutations agree. They are held in the
+    least unsigned dtype that holds len(f_e): 16 bits below 65,536 values,
+    which numpy sorts by radix."""
+    tie_end = np.searchsorted(f_e, f_e, side="right").astype(np.min_scalar_type(len(f_e)))
+    return np.argsort(tie_end[latest], kind="stable")
 
 
 def edge_index(n: int, edges: np.ndarray) -> np.ndarray:
     """n x n matrix of the index of the edge on each pair of the vertices
     0..n-1, in either order; len(edges) where there is none. ``edges``
-    holds the vertex pairs, one edge per row."""
-    index = np.full((n, n), len(edges), dtype=np.int32 if len(edges) < 1 << 31 else np.int64)
+    holds the vertex pairs, one edge per row. The dtype is the least
+    unsigned one that holds len(edges): 2 bytes a cell below 65,536 edges."""
+    index = np.full((n, n), len(edges), dtype=np.min_scalar_type(len(edges)))
     a, b = edges.T
     index[a, b] = index[b, a] = np.arange(len(edges))
     return index
@@ -810,7 +905,9 @@ def _breadth_first_forest(cx: FilteredComplex, root: int | None) -> Forest:
     """All components at once, one level per step. A vertex's parent is the
     first vertex of the frontier, in frontier order, with an edge to it,
     and children come in the order of (parent, edge): within a component
-    that is the order of a first-in first-out search."""
+    that is the order of a first-in first-out search. The adjacency is
+    held as 1-D columns, and each level keeps the first occurrence of each
+    new neighbour, marked by ``np.minimum.at``; nothing is sorted per level."""
     n = cx.n_vertices
     # column 0 of an edge's face row omits its first vertex a, so holds b
     b, a = cx.face_table(1).T
@@ -818,23 +915,28 @@ def _breadth_first_forest(cx: FilteredComplex, root: int | None) -> Forest:
     roots = np.flatnonzero(label == np.arange(n))
     if root is not None:
         roots = np.concatenate([[root], roots[roots != label[root]]])
-    # adjacency (owner, neighbour, edge, sign), sorted by owner then edge
-    owner, adj = np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()
-    adj = np.stack([owner, adj, np.repeat(np.arange(len(a)), 2), np.tile([1, -1], len(a))],
-                   axis=1)[np.argsort(owner, kind="stable")]
-    start = np.searchsorted(adj[:, 0], np.arange(n + 1))
-    seen = np.zeros(n, dtype=bool)
+    # adjacency entry 2e + s is edge e seen from a (s = 0) or from b (s = 1),
+    # sorted by owner then edge
+    owner = np.stack([a, b], axis=1).ravel()
+    entry = np.argsort(owner, kind="stable")
+    owner, neighbour = owner[entry], np.stack([b, a], axis=1).ravel()[entry]
+    start = np.searchsorted(owner, np.arange(n + 1))
+    seen, first = np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64)
     seen[roots] = True
     frontier, steps = roots, []
     while frontier.size:
         at = concat_ranges(start[frontier], start[frontier + 1] - start[frontier])
-        at = at[~seen[adj[at, 1]]]
-        first = np.sort(np.unique(adj[at, 1], return_index=True)[1])
-        steps.append(adj[at[first]])
-        frontier = steps[-1][:, 1]
+        at = at[~seen[neighbour[at]]]
+        child, rank = neighbour[at], np.arange(len(at))
+        first[child] = len(at)
+        np.minimum.at(first, child, rank)
+        steps.append(at[first[child] == rank])
+        frontier = neighbour[steps[-1]]
         seen[frontier] = True
     levels = np.cumsum([0] + [len(step) for step in steps])
-    return Forest(roots, np.ascontiguousarray(np.concatenate(steps).T), levels)
+    at = np.concatenate(steps)
+    return Forest(roots, np.stack([owner[at], neighbour[at], entry[at] >> 1,
+                                   1 - 2 * (entry[at] & 1)]), levels)
 
 
 def concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ visited one by one:
 
 - Degree 0 is union-find over the edges in index order. An edge that joins
   two components kills the younger; every live 0-cocycle is the indicator
-  of its component, so every other edge evaluates to zero.
+  of its component, so every other edge evaluates to zero. The pairs of
+  degree 0 are built on the diagram's first read of that degree.
 - In degree d >= 1 the births are the d-simplices that are not deaths of
   degree d-1. A birth and its earliest cofacet form an apparent pair (Bauer,
   "Ripser", 2021) when the birth is that cofacet's latest facet; its
@@ -42,6 +43,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -104,14 +107,32 @@ class PersistencePair:
 
 @dataclass
 class Diagram:
-    """Persistence pairs grouped by dimension, most persistent first."""
+    """Persistence pairs grouped by dimension, most persistent first.
+
+    ``_degree_zero``, when set, builds the degree-0 pairs: they are made on
+    the first read of ``pairs_by_dim``, which `pairs` (in degree 0),
+    `all_pairs`, JSON and CSV go through, since a fit reads only degree 1.
+    """
 
     prime: int
     complex: FilteredComplex
-    pairs_by_dim: dict[int, list[PersistencePair]] = field(default_factory=dict)
+    _by_dim: dict[int, list[PersistencePair]] = field(default_factory=dict, repr=False)
+    _degree_zero: Callable[[], list[PersistencePair]] | None = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def pairs_by_dim(self) -> dict[int, list[PersistencePair]]:
+        if self._degree_zero is not None:
+            build, self._degree_zero = self._degree_zero, None
+            self._by_dim = {0: build(), **self._by_dim}
+        return self._by_dim
 
     def pairs(self, dim: int) -> list[PersistencePair]:
-        return self.pairs_by_dim.get(dim, [])
+        return (self.pairs_by_dim if dim == 0 else self._by_dim).get(dim, [])
+
+    def __getstate__(self) -> dict:
+        self.pairs_by_dim       # a copy or pickle holds degree 0, not its builder
+        return self.__dict__
 
     def all_pairs(self) -> list[PersistencePair]:
         return [p for d in sorted(self.pairs_by_dim) for p in self.pairs_by_dim[d]]
@@ -139,6 +160,9 @@ def _prefix_length(cx: FilteredComplex, m: int, scale: float) -> int:
     """Number of m-simplices with filtration <= scale: they come first."""
     return int(cx.filtration_values(m).searchsorted(scale, side="right"))
 
+
+# edges converted to Python ints at once by the union-find of degree 0
+_UNION_CHUNK = 1 << 10
 
 # cofacets evaluated first after a long death; the slice doubles while no
 # column hits
@@ -168,7 +192,8 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     # (degree, birth index, (death value, death simplex) or None, support,
     # canonical nonzero F_q values on it)
     finished: list[tuple[int, int, tuple | None, np.ndarray, np.ndarray]] = []
-    births = ~_components(cx, finished)
+    merges, components = _components(cx)
+    births = ~merges
     for d in range(1, max_dim + 1):
         deaths = _reduce(cx.cofacet_source(d), d, births, cx.filtration_values(d), q,
                          finished)
@@ -176,11 +201,10 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
             births = np.ones(cx.n_simplices(d + 1), dtype=bool)
             births[deaths["c"]] = False
 
-    diagram = Diagram(prime=q, complex=cx)
-    for d in sorted({entry[0] for entry in finished}):
-        diagram.pairs_by_dim[d] = _pairs(cx, d, [e for e in finished if e[0] == d],
-                                         GF(q), fixed)
-    return diagram
+    return Diagram(prime=q, complex=cx, _by_dim={
+        d: _pairs(cx, d, [e for e in finished if e[0] == d], GF(q), fixed)
+        for d in sorted({entry[0] for entry in finished})},
+        _degree_zero=lambda: _pairs(cx, 0, components(), GF(q), fixed))
 
 
 def parse_scale_policy(scale_policy: str | float) -> float | None:
@@ -217,9 +241,10 @@ def _pairs(cx: FilteredComplex, d: int, finished: list, ring, fixed: float | Non
                                        simplices[order].tolist())]
 
 
-def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
+def _components(cx: FilteredComplex) -> tuple[np.ndarray, Callable[[], list]]:
     """Degree 0 by union-find over the edges in index order. Returns which
-    edges join two components: the deaths of degree 0.
+    edges join two components, the deaths of degree 0, and a function that
+    builds the degree-0 entries of ``finished``.
 
     A component is named by its oldest vertex and its live 0-cocycle is its
     indicator, which vanishes on every edge inside a component. An edge
@@ -227,7 +252,8 @@ def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
     representative, and the older one absorbs it into the indicator of the
     union. Members are kept as linked lists, the older's first, so the
     members of every component that ever lived are a contiguous block of
-    the final lists.
+    the final lists. The loop stops at the last merge, so the edges are
+    read in chunks.
     """
     n, f_v, f_e = cx.n_vertices, cx.filtration_values(0), cx.filtration_values(1)
     root, size = list(range(n)), [1] * n
@@ -240,7 +266,10 @@ def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
 
     merges, absorbed, count, components = np.zeros(len(f_e), dtype=bool), [], [], n
     # column 0 of an edge's face row omits its first vertex a, so holds b
-    for j, (b, a) in enumerate(zip(*cx.face_table(1).T.tolist())):
+    faces = cx.face_table(1)
+    edges = chain.from_iterable(zip(*faces[lo:lo + _UNION_CHUNK].T.tolist())
+                                for lo in range(0, len(faces), _UNION_CHUNK))
+    for j, (b, a) in enumerate(edges):
         if components == 1:
             break
         old, young = find(a), find(b)
@@ -253,29 +282,33 @@ def _components(cx: FilteredComplex, finished: list) -> np.ndarray:
         count.append(size[young])
         after[last[old]], last[old] = young, last[young]
         size[old] += size[young]
-    order, alive = [], [v for v in range(n) if root[v] == v]
-    for v in alive:
-        while v >= 0:
-            order.append(v)
-            v = after[v]
 
-    deaths = np.flatnonzero(merges)
-    shown = np.flatnonzero(f_e[deaths] > f_v[absorbed])
-    died = list(zip(f_e[deaths[shown]].tolist(),
-                    map(tuple, cx.vertex_array(1)[deaths[shown]].tolist())))
-    named = np.concatenate([np.array(absorbed, dtype=np.int64)[shown], alive])
-    count = np.concatenate([np.array(count, dtype=np.int64)[shown], np.array(size)[alive]])
-    # the members of a named component follow its name; sorting the keys
-    # (block, member) sorts each block in place
-    at = np.empty(n, dtype=np.int64)
-    at[order] = np.arange(n)
-    block = np.repeat(np.arange(len(named)), count)
-    members = np.sort(block * n + np.array(order)[concat_ranges(at[named], count)]) - block * n
-    ends = np.cumsum(count).tolist()
-    ones = np.ones(n, dtype=np.int64)
-    finished.extend((0, v, death, members[lo:hi], ones[:hi - lo]) for v, death, lo, hi in zip(
-        named.tolist(), died + [None] * len(alive), [0] + ends, ends))
-    return merges
+    def entries() -> list:
+        order, alive = [], [v for v in range(n) if root[v] == v]
+        for v in alive:
+            while v >= 0:
+                order.append(v)
+                v = after[v]
+        deaths = np.flatnonzero(merges)
+        shown = np.flatnonzero(f_e[deaths] > f_v[absorbed])
+        died = list(zip(f_e[deaths[shown]].tolist(),
+                        map(tuple, cx.vertex_array(1)[deaths[shown]].tolist())))
+        named = np.concatenate([np.array(absorbed, dtype=np.int64)[shown], alive])
+        sizes = np.concatenate([np.array(count, dtype=np.int64)[shown],
+                                np.array(size)[alive]])
+        # the members of a named component follow its name; sorting the keys
+        # (block, member) sorts each block in place
+        at = np.empty(n, dtype=np.int64)
+        at[order] = np.arange(n)
+        block = np.repeat(np.arange(len(named)), sizes)
+        members = np.sort(block * n + np.array(order)[concat_ranges(at[named], sizes)]) \
+            - block * n
+        ends = np.cumsum(sizes).tolist()
+        ones = np.ones(n, dtype=np.int64)
+        return [(0, v, death, members[lo:hi], ones[:hi - lo]) for v, death, lo, hi in zip(
+            named.tolist(), died + [None] * len(alive), [0] + ends, ends)]
+
+    return merges, entries
 
 
 def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,
@@ -400,7 +433,8 @@ def _extend(E: np.ndarray, rows: np.ndarray, sigma: np.ndarray, signs: np.ndarra
     earlier in index order. One pass per level: each pass writes the rows
     of the sigma whose other faces are all resolved (not apparent, or
     written by an earlier pass), and the next pass looks only at the sigma
-    that wait on those."""
+    that wait on those: a ``bincount`` of the woken waiters takes the
+    resolved faces off their counts."""
     m = len(sigma)
     pos = rows.argmax(axis=1)
     rows = rows.copy()
@@ -417,9 +451,9 @@ def _extend(E: np.ndarray, rows: np.ndarray, sigma: np.ndarray, signs: np.ndarra
     while group.size:
         total = sum(int(s) * E.take(rows[group, i], axis=0) for i, s in enumerate(signs))
         E[sigma[group]] = -signs[pos[group], None] * total % q
-        woken = waiter[concat_ranges(start[group], start[group + 1] - start[group])]
-        woken, times = np.unique(woken, return_counts=True)
-        waiting[woken] -= times
+        times = np.bincount(waiter[concat_ranges(start[group], start[group + 1] - start[group])])
+        waiting[:len(times)] -= times
+        woken = np.flatnonzero(times)
         group = woken[waiting[woken] == 0]
 
 

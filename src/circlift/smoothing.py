@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -67,9 +68,9 @@ def _jacobi_cg(matvec, diag: np.ndarray, rhs: np.ndarray, rtol: float = 1e-12,
     z = r / diag
     p = z.copy()
     rz = float(r @ z)
-    bnorm = float(np.linalg.norm(rhs)) or 1.0
+    bnorm = math.sqrt(rhs @ rhs) or 1.0
     for _ in range(max_iter):
-        if np.linalg.norm(r) <= rtol * bnorm:
+        if math.sqrt(r @ r) <= rtol * bnorm:
             break
         Lp = matvec(p)
         a = rz / float(p @ Lp)
@@ -95,7 +96,9 @@ def harmonic_smooth(alpha: Cochain) -> SmoothedCocycle:
     _require_integer_cocycle(alpha, "smoothing_coords.harmonic_smooth")
     cx = alpha.complex
     n_v = cx.n_vertices
-    head, tail = cx.face_table(1).T     # (delta0 f)(ab) = f(b) - f(a)
+    # (delta0 f)(ab) = f(b) - f(a); contiguous columns, since every CG step
+    # gathers and bins by them
+    head, tail = np.ascontiguousarray(cx.face_table(1).T)
 
     def delta0_t(y: np.ndarray) -> np.ndarray:
         return np.bincount(head, y, n_v) - np.bincount(tail, y, n_v)

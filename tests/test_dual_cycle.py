@@ -144,11 +144,12 @@ def test_one_forest_per_fit(monkeypatch):
     # at threshold="auto" no triangles are built above the working scale
     from circlift import FilteredComplex, complexes
     builds, triangles = [], []
-    build, init = complexes._breadth_first_forest, FilteredComplex._init_arrays
+    build, store = complexes._breadth_first_forest, FilteredComplex._store
     monkeypatch.setattr(complexes, "_breadth_first_forest",
                         lambda cx, root: builds.append(cx) or build(cx, root))
-    monkeypatch.setattr(FilteredComplex, "_init_arrays", lambda cx, verts, filt, **kw: (
-        triangles.append(len(verts[2]) if len(verts) > 2 else 0), init(cx, verts, filt, **kw))[1])
+    # every dimension of a complex is stored through _store
+    monkeypatch.setattr(FilteredComplex, "_store", lambda cx, verts, *rest: (
+        triangles.append(len(verts) if verts.shape[1] == 3 else 0), store(cx, verts, *rest))[1])
     points = sample_circle(30, 0.0, 2, seed=2)[0]
     result = run_pipeline(points=points, prime=47)
     assert builds == [result.working_complex]

@@ -1,4 +1,7 @@
 import math
+import os
+import pickle
+import tempfile
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from circlift import (OddPrime, apply_boundary, apply_coboundary,
                       build_from_simplices, build_rips, cycle_representative, kronecker_pairing,
-                      persistent_cohomology, select_class)
+                      persistent_cohomology, run_pipeline, select_class)
+from circlift import persistence
 from circlift.errors import EmptyDiagram, NoDualCycle
 from circlift import ZZ, FilteredComplex
 from circlift.persistence import PersistencePair
@@ -190,6 +194,73 @@ class TestAgainstReference:
         pts, _ = sample_circle(24, 0.0, 3, seed=seed)
         cx = build_rips(pts, 2.0, 3)
         assert_same_as_reference(cx, p, 2)
+
+
+def diagram_outputs(dg) -> tuple:
+    """The diagram's JSON and CSV, and each pair's simplices and cocycle."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "diagram.csv")
+        dg.write_csv(path)
+        with open(path) as fh:
+            table = fh.read()
+    return dg.to_json_dict(), table, [(pr.birth_simplex, pr.death_simplex,
+                                       pr.cocycle_below_death) for pr in dg.all_pairs()]
+
+
+FIRST_READS = {
+    "pairs": lambda dg: dg.pairs(0),
+    "all_pairs": lambda dg: dg.all_pairs(),
+    "pairs_by_dim": lambda dg: dg.pairs_by_dim,
+    "json": lambda dg: dg.to_json_dict(),
+    "csv": diagram_outputs,
+}
+
+
+class TestDegreeZeroOnFirstRead:
+    """The degree-0 pairs are built on the first read of degree 0, which a
+    fit never makes; whichever read comes first, the diagram is the
+    per-simplex reduction's."""
+
+    def test_a_fit_builds_no_degree_zero_pair(self, monkeypatch):
+        built = []
+
+        class Counted(PersistencePair):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.dimension)
+
+        monkeypatch.setattr(persistence, "PersistencePair", Counted)
+        points = sample_circle(30, 0.0, 2, seed=2)[0]
+        for threshold in (1.0, "auto"):
+            built.clear()
+            diagram = run_pipeline(points=points, prime=47, threshold=threshold).diagram
+            assert built and 0 not in built
+            assert diagram.pairs(1) and 0 not in built
+            zero = diagram.pairs(0)
+            assert len(zero) == built.count(0) >= 1
+            assert diagram.pairs(0) is zero and built.count(0) == len(zero)
+
+    def test_a_pickled_fit_holds_degree_zero(self):
+        points = sample_circle(30, 0.0, 2, seed=2)[0]
+        for threshold in (1.0, "auto"):
+            result = run_pipeline(points=points, prime=47, threshold=threshold)
+            copy = pickle.loads(pickle.dumps(result))
+            assert copy.diagram.to_json_dict() == result.diagram.to_json_dict()
+            assert copy.coordinate_array().tobytes() == result.coordinate_array().tobytes()
+
+    @DIFFERENTIAL
+    @given(st.one_of(explicit_complexes().map(lambda cx: (cx, min(2, cx.dimension))),
+                     grid_clouds()),
+           PRIMES, POLICIES, st.sampled_from(sorted(FIRST_READS)))
+    def test_any_first_read_gives_the_reference(self, complex_and_degree, p, policy, read):
+        cx, max_dim = complex_and_degree
+        max_dim = min(max_dim, cx.dimension)
+        dg = persistent_cohomology(cx, OddPrime(p), max_dim, scale_policy=policy)
+        FIRST_READS[read](dg)
+        ref = reference_persistent_cohomology(cx, OddPrime(p), max_dim, scale_policy=policy)
+        assert [pr.to_json_dict() for pr in dg.pairs(0)] == \
+            [pr.to_json_dict() for pr in ref.pairs(0)]
+        assert diagram_outputs(dg) == diagram_outputs(ref)
 
 
 class TestBarcodeOracle:

@@ -57,6 +57,24 @@ class TestAgainstReference:
         assert_same_complex(build_rips(points, threshold, max_dim),
                             reference_rips(points, threshold, max_dim))
 
+    @DIFFERENTIAL
+    @given(clouds(), st.sampled_from([1, 5 * 5, 1 << 15]), st.booleans(), st.booleans())
+    def test_edges_read_from_blocks_are_the_matrix_edges(self, cloud, block, wide, huge):
+        # build_rips reads its edges from the blocks of the distance matrix;
+        # 12 coordinates are summed pairwise, and huge ones are rescaled
+        points, threshold, max_dim = cloud
+        points = np.tile(points, (1, 12)) if wide else points
+        if huge:
+            points, threshold = np.ldexp(points, 600), np.ldexp(threshold, 600)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(complexes, "_DISTANCE_BLOCK", block)
+            cx = build_rips(points, threshold, max_dim)
+        ref = rips_from_distances(pairwise_distances(points), threshold, max_dim)
+        assert_same_complex(cx, ref)
+        for m in range(cx.dimension + 1):
+            assert cx._keys[m].tobytes() == ref._keys[m].tobytes()
+            assert cx._lex[m].tobytes() == ref._lex[m].tobytes()
+
     def test_empty_trailing_dimensions_are_dropped(self):
         points = np.arange(5.0)
         cx = build_rips(points, 0.0, 3)
@@ -91,8 +109,9 @@ def rips_inputs(draw):
 
 
 class TestAgainstDictConstructor:
-    """Triangles read their faces from the edge index and their keys from
-    the edges' key ranks; the dict constructor finds both by key search."""
+    """Triangles take two faces and their keys from the key ranks of the
+    edges they grew from, and the third face from the edge index; the dict
+    constructor finds all of them by key search."""
 
     @DIFFERENTIAL
     @given(rips_inputs(), st.data())
@@ -129,6 +148,40 @@ class TestAgainstDictConstructor:
                 "filtration not monotone at (0, 1, 2) / (1, 2)")):
             cx._init_arrays(verts, [np.zeros(3), np.array([1.0, 1.0, 3.0]), np.full(1, 2.0)],
                             rips=True)
+
+
+class TestOrderBeyond16Bits:
+    """Triangles take their place from a stable sort of their latest faces'
+    tie ranks, held in 16 bits below 65,536 edges; `rips_inputs` reaches
+    only that width."""
+
+    @pytest.mark.parametrize("n_edges", [65_535, 65_536, 70_000])
+    def test_tie_ranks_sort_like_the_filtration(self, n_edges):
+        rng = np.random.default_rng(n_edges)
+        f_e = np.sort(rng.integers(0, 3000, n_edges) / 7.0)     # tied values
+        latest = np.concatenate([rng.integers(0, n_edges, 100_000), [n_edges - 1, 0]])
+        assert np.array_equal(complexes._order_by_faces(f_e, latest),
+                              np.argsort(f_e[latest], kind="stable"))
+
+    def test_complex_with_more_edges_than_16_bits_hold(self):
+        # every point of A = 0..255 is within 1 of every point of B =
+        # 256..511, and 50 pairs (a, a + 1) close 256 triangles each
+        rng = np.random.default_rng(5)
+        dist = np.full((512, 512), 2.0)
+        np.fill_diagonal(dist, 0.0)
+        dist[:256, 256:] = rng.integers(1, 9, (256, 256)) / 8.0
+        a = np.arange(50)
+        dist[a, a + 1] = rng.integers(1, 9, 50) / 8.0
+        dist = np.minimum(dist, dist.T)
+        cx = rips_from_distances(dist, 1.0, 2)
+        assert cx.n_simplices(1) == 65_586 and cx.n_simplices(2) == 50 * 256
+        ref = FilteredComplex({s: f for m in range(3)
+                               for s, f in zip(cx.simplices(m),
+                                               cx.filtration_values(m).tolist())})
+        assert_same_complex(cx, ref)
+        for m in range(3):
+            assert cx._keys[m].tobytes() == ref._keys[m].tobytes()
+            assert cx._lex[m].tobytes() == ref._lex[m].tobytes()
 
 
 class TestDistances:

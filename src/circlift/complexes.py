@@ -183,8 +183,8 @@ class FilteredComplex:
     vertex, times the number of vertices, plus the rank of the last vertex.
     Those keys sort like the rows, lexicographically.
 
-    ``distances`` is None, except on a Rips 1-skeleton from `rips_skeleton`:
-    there it is the distance matrix, and the triangles are implied.
+    ``_skeleton`` is False, except on a Rips 1-skeleton from `rips_skeleton`
+    and its restrictions: there the triangles are implied by the edges.
     """
 
     def __init__(self, simplices_with_filtration: Mapping[Simplex, float]):
@@ -225,7 +225,7 @@ class FilteredComplex:
             raise EmptyInput("complex has no simplices", operation="complex.build")
         self._verts, self._filt, self._faces = [], [], []
         self._keys, self._lex = [], []      # sorted keys; key rank -> index
-        self._forests, self.distances = {}, None
+        self._forests, self._skeleton = {}, False
         for m in range(max(m for m, n in enumerate(counts) if n) + 1):
             self._add_dimension(verts_by_dim[m], filt_by_dim[m], rips)
 
@@ -295,7 +295,7 @@ class FilteredComplex:
 
     def _stores(self, m: int) -> bool:
         """Whether 0 <= m <= dimension; a Rips skeleton refuses m >= 2."""
-        if m >= 2 and self.distances is not None:
+        if m >= 2 and self._skeleton:
             raise DimensionOutOfRange(f"a Rips skeleton stores no {m}-simplices",
                                       operation="complex.degree")
         return 0 <= m <= self.dimension
@@ -364,9 +364,8 @@ class FilteredComplex:
         """Sublevel subcomplex of all simplices with filtration <= value: a
         prefix of every dimension, sharing these arrays and lookup keys. A
         scale that keeps everything gives this complex, so what is built on
-        it (its spanning forest) is built once. A skeleton's restriction
-        keeps its distances, and its implied triangles are those among its
-        edges."""
+        it (its spanning forest) is built once. A skeleton's restriction is
+        a skeleton, and its implied triangles are those among its edges."""
         counts = [int(np.searchsorted(f, max_filtration, side="right")) for f in self._filt]
         if not any(counts):
             raise EmptyInput(f"no simplices at scale {max_filtration}",
@@ -385,13 +384,13 @@ class FilteredComplex:
         sub._verts, sub._filt, sub._faces = (
             [arr[:n] for arr, n in zip(store, counts[:top + 1])]
             for store in (self._verts, self._filt, self._faces))
-        sub._forests, sub.distances = {}, self.distances
+        sub._forests, sub._skeleton = {}, self._skeleton
         return sub
 
     def cofacet_source(self, d: int):
         """The (d+1)-simplices as cofacets of the d-simplices, in key order:
         from the face table, or for a Rips skeleton's top degree its edge index."""
-        skeleton_top = self.distances is not None and d == self.dimension
+        skeleton_top = self._skeleton and d == self.dimension
         return _RipsTriangles(self) if skeleton_top else _FaceTable(self, d)
 
     def boundary_matrix(self, m: int) -> np.ndarray:
@@ -714,19 +713,24 @@ def _rips_faces(triangles: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def rips_skeleton(dist: np.ndarray, threshold: float) -> FilteredComplex:
-    """The 1-skeleton of the Rips complex of ``dist`` at ``threshold``,
-    keeping the matrix as ``distances``. Its triangles are implied, not
-    stored: `cofacet_source` streams them from its edges, so its diagram up
-    to degree 1 is that of ``rips_from_distances(dist, threshold, 2)``."""
+    """The 1-skeleton of the Rips complex of ``dist`` at ``threshold``. Its
+    triangles are implied by its edges, not stored: `cofacet_source` streams
+    them, so its diagram up to degree 1 is that of
+    ``rips_from_distances(dist, threshold, 2)``. It keeps no matrix."""
     cx = rips_from_distances(dist, threshold, 1)
-    cx.distances = dist
+    cx._skeleton = True
     return cx
 
 
 def stored_sublevel(cx: FilteredComplex, scale: float) -> FilteredComplex:
-    """The sublevel complex at ``scale``; a Rips skeleton's is built with its triangles."""
-    return (cx.restrict(scale) if cx.distances is None
-            else rips_from_distances(cx.distances, scale, 2))
+    """The sublevel complex at ``scale``; a Rips skeleton's grows its triangles
+    from its edges within ``scale``, bitwise `rips_from_distances` at ``scale``."""
+    if not cx._skeleton:
+        return cx.restrict(scale)
+    # edges in key order; a restriction shares its parent's keys, those beyond it too
+    lex = cx._lex[1]
+    rank = np.flatnonzero(lex < np.searchsorted(cx._filt[1], scale, side="right"))
+    return _rips_from_edges(cx.n_vertices, cx._keys[1][rank], cx._filt[1][lex[rank]], 2)
 
 
 # cells (cofacet rows times faces, or edges times vertices) one window of

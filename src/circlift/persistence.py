@@ -508,16 +508,28 @@ def cycle_representative(cx: FilteredComplex, p: OddPrime,
 def select_class(diagram: Diagram, strategy: str = "max-persistence",
                  dim: int = 1) -> PersistencePair:
     """Pick a pair from the diagram: "max-persistence" or "index:k"."""
+    k = parse_class_strategy(strategy)
     pairs = diagram.pairs(dim)
     if not pairs:
         raise EmptyDiagram(f"no intervals in dimension {dim}",
                            operation="persistence.select_class")
-    if strategy == "max-persistence":
+    if k is None:
         return pairs[0]
-    if strategy.startswith("index:"):
-        k = int(strategy.split(":", 1)[1])
-        if not 0 <= k < len(pairs):
-            raise EmptyDiagram(f"index {k} out of range ({len(pairs)} pairs)",
-                               operation="persistence.select_class")
-        return pairs[k]
-    raise ValueError(f"unknown selection strategy {strategy!r}")
+    if not 0 <= k < len(pairs):
+        raise EmptyDiagram(f"index {k} out of range ({len(pairs)} pairs)",
+                           operation="persistence.select_class")
+    return pairs[k]
+
+
+def parse_class_strategy(strategy: str) -> int | None:
+    """None for "max-persistence", else the k of "index:k"; whether the
+    diagram has a k-th pair is for `select_class` to say."""
+    if strategy == "max-persistence":
+        return None
+    if isinstance(strategy, str) and strategy.startswith("index:"):
+        try:
+            return int(strategy.removeprefix("index:"))
+        except ValueError:
+            pass
+    raise ValueError('class_strategy must be "max-persistence" or "index:k" for an '
+                     f"integer k, got {strategy!r}")

@@ -20,7 +20,8 @@ from .errors import EmptyInput
 from .fields import OddPrime
 from .lifting import DEFAULT_SNF_CAP, LiftReport, lift_closed
 from .persistence import (Diagram, PersistencePair, cycle_representative,
-                          parse_scale_policy, persistent_cohomology, select_class)
+                          parse_class_strategy, parse_scale_policy, persistent_cohomology,
+                          select_class)
 from .smoothing import (CircularCoords, SmoothedCocycle, circular_map,
                         harmonic_smooth)
 from .winding import WindingReport, reduce_winding
@@ -77,6 +78,9 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
         raise ValueError("need points or a complex" if points is None
                          else "got both points and a complex; give one")
     parse_scale_policy(scale_policy)
+    parse_class_strategy(class_strategy)
+    if not isinstance(snf_cap, (int, np.integer)) or snf_cap < 0:
+        raise ValueError(f"snf_cap must be an integer >= 0, got {snf_cap!r}")
     p = OddPrime(prime)
     if complex is None:
         if threshold == "auto":
@@ -84,6 +88,7 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
             t = _cone_radius(dist)
             complex = (rips_skeleton(dist, t) if max_dim == 1
                        else rips_from_distances(dist, t, max_dim + 1))
+            del dist        # no complex keeps it: freed before persistence
         else:
             complex = build_rips(points, float(threshold), max_dim + 1)
 

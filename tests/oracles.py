@@ -161,14 +161,15 @@ def reference_clique_rows(dist: np.ndarray, threshold: float, max_dim: int):
     return verts, filt
 
 
-def reference_rips_earliest(skeleton: FilteredComplex) -> np.ndarray:
-    """Key of each edge's earliest implied triangle on a Rips 1-skeleton,
-    by the float argmin over distance-matrix rows, without its row windows:
+def reference_rips_earliest(skeleton: FilteredComplex, dist: np.ndarray) -> np.ndarray:
+    """Key of each edge's earliest implied triangle on a Rips 1-skeleton of
+    the distance matrix ``dist``, by the float argmin over its rows, without
+    the row windows:
     the first c of least max(d(a, c), d(b, c), f(ab)); _NEVER for an edge in
     no triangle. Every pair within the last edge's filtration is an edge,
     so a c not joined to both a and b lies beyond it; only a and b
     themselves, at distance 0, need excluding."""
-    dist, n, filt = skeleton.distances, skeleton.n_vertices, skeleton.filtration_values(1)
+    n, filt = skeleton.n_vertices, skeleton.filtration_values(1)
     a, b = skeleton.vertex_array(1).T
     g = np.maximum(np.maximum(dist[a], dist[b]), filt[:, None])
     rows = np.arange(len(a))

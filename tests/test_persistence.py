@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import re
 import tempfile
 from itertools import combinations
 
@@ -419,3 +420,11 @@ class TestSelectClass:
         dg = persistent_cohomology(filled_triangle, OddPrime(7), 1)
         with pytest.raises(EmptyDiagram):
             select_class(dg, "max-persistence", dim=1)
+
+    @pytest.mark.parametrize("strategy", ["bogus", "index:x", "index:", None])
+    def test_unknown_strategy_is_refused_before_the_diagram_is_read(self, strategy,
+                                                                    filled_triangle):
+        # the empty diagram would raise EmptyDiagram
+        dg = persistent_cohomology(filled_triangle, OddPrime(7), 1)
+        with pytest.raises(ValueError, match=f"class_strategy .* got {re.escape(repr(strategy))}$"):
+            select_class(dg, strategy, dim=1)

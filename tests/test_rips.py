@@ -332,7 +332,9 @@ class TestFitOptions:
         {"max_dim": 0}, {"max_dim": -1}, {"max_dim": 1.5}, {"max_dim": "2"},
         {"scale_policy": math.nan}, {"scale_policy": math.inf}, {"scale_policy": -math.inf},
         {"scale_policy": "max"},
-        {"complex": FilteredComplex({(0,): 0.0, (1,): 0.0, (0, 1): 1.0})}])
+        {"complex": FilteredComplex({(0,): 0.0, (1,): 0.0, (0, 1): 1.0})},
+        {"class_strategy": "bogus"}, {"class_strategy": "index:x"},
+        {"class_strategy": None}, {"snf_cap": "x"}, {"snf_cap": -5}, {"snf_cap": 1.5}])
     def test_pipeline_refuses_options_before_any_distance(self, option, monkeypatch):
         def computed(points):
             raise AssertionError("distances computed before the options were checked")
@@ -344,8 +346,9 @@ class TestFitOptions:
             # the message names the option, and the caller's value
             with pytest.raises(ValueError, match=next(iter(option))) as refused:
                 run_pipeline(points=points, threshold=threshold, **option)
-            if "max_dim" in option:
-                assert str(refused.value).endswith(f"got {option['max_dim']!r}")
+            name, value = next(iter(option.items()))
+            if name != "complex":
+                assert str(refused.value).endswith(f"got {value!r}")
 
     def test_max_dim_above_the_rips_dimension(self):
         # at 0.6 no three of these points are pairwise within the threshold:

@@ -14,7 +14,8 @@ from circlift import (Chain, Cochain, GF, OddPrime, ZZ, apply_coboundary, build_
                       cocycle_index_system, harmonic_smooth, lift_closed,
                       persistent_cohomology, reduce_winding, run_pipeline)
 from circlift import complexes, persistence
-from circlift.complexes import pairwise_distances, rips_from_distances, rips_skeleton
+from circlift.complexes import (FilteredComplex, pairwise_distances, rips_from_distances,
+                                rips_skeleton, stored_sublevel)
 from circlift.errors import DimensionOutOfRange, NotACocycle, NotClosed
 from circlift.experiments import sample_circle
 from circlift.pipeline import enclosing_radius
@@ -117,10 +118,11 @@ class TestCofacetSources:
         # bitwise, whatever the window: on tied grid clouds the earliest
         # cofacet may have a later edge than j of the same filtration
         points, t = cloud
-        skeleton = rips_skeleton(pairwise_distances(points), t)
+        dist = pairwise_distances(points)
+        skeleton = rips_skeleton(dist, t)
         if skeleton.dimension == 0:
             return
-        want = reference_rips_earliest(skeleton).tobytes()
+        want = reference_rips_earliest(skeleton, dist).tobytes()
         for chunk in (1, 7, 1 << 18):
             with small_blocks(chunk):
                 keys = complexes._RipsTriangles(skeleton).earliest(skeleton.n_simplices(1))
@@ -216,14 +218,19 @@ class TestSkeletonPersistence:
         if n <= 12:
             assert_same_diagrams(new, reference_persistent_cohomology(cx, OddPrime(p), 1))
 
-    def test_restricted_skeleton_keeps_its_distances(self):
+    def test_restricted_skeleton_is_a_skeleton(self):
+        # it shares the keys of all the skeleton's edges, but holds only
+        # those within its scale
         pts, _ = sample_circle(30, 0.1, 2, seed=4)
         dist = pairwise_distances(pts)
         s = float(np.median(dist))
         sub = rips_skeleton(dist, enclosing_radius(pts)).restrict(s)
-        assert sub.distances is dist
+        assert sub._skeleton and isinstance(sub.cofacet_source(1), complexes._RipsTriangles)
         assert_same_diagrams(persistent_cohomology(sub, OddPrime(47), 1),
                              persistent_cohomology(build_rips(pts, s, 2), OddPrime(47), 1))
+        f_e = sub.filtration_values(1)
+        for scale in (s, float(f_e[-1]), float(f_e[len(f_e) // 2])):
+            assert_same_arrays(stored_sublevel(sub, scale), build_rips(pts, scale, 2))
 
 
 class TestWorkingComplex:
@@ -232,6 +239,7 @@ class TestWorkingComplex:
     def test_complex_at_a_scale_is_the_sublevel_complex(self, cloud):
         points, t = cloud
         cone = build_rips(points, t, 2)
+        skeleton = rips_skeleton(pairwise_distances(points), t)
         assert cone.restrict(t) is cone
         for s in sorted(set(cone.filtration_values(1).tolist())):
             cx, sub = build_rips(points, s, 2), cone.restrict(s)
@@ -240,10 +248,20 @@ class TestWorkingComplex:
                 assert np.array_equal(cx.vertex_array(m), sub.vertex_array(m))
                 assert cx.filtration_values(m).tobytes() == sub.filtration_values(m).tobytes()
                 assert np.array_equal(cx.face_table(m), sub.face_table(m))
+            # a skeleton grows the complex at s from its own edges
+            assert_same_arrays(stored_sublevel(skeleton, s), cx)
+
+
+def assert_same_arrays(a, b) -> None:
+    """The five arrays of every dimension, bitwise."""
+    assert a.dimension == b.dimension
+    for name in ("_verts", "_filt", "_faces", "_keys", "_lex"):
+        for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 def assert_same_fit(auto, full) -> None:
-    assert auto.complex.dimension == 1 and auto.complex.distances is not None
+    assert auto.complex.dimension == 1 and auto.complex._skeleton
     assert auto.diagram.to_json_dict() == full.diagram.to_json_dict()
     assert auto.pair.representative_cycle.to_json_dict() == \
         full.pair.representative_cycle.to_json_dict()
@@ -287,6 +305,35 @@ def test_one_distance_matrix_per_auto_fit(monkeypatch):
     assert enclosing_radius(points) == float(original(points).max(axis=1).min())
 
 
+def arrays_held(obj, seen: set) -> list:
+    """Every numpy array reachable from ``obj`` through attributes, lists,
+    tuples and dicts."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        children = getattr(obj, "__dict__", {}).values()
+    return [arr for child in children for arr in arrays_held(child, seen)]
+
+
+@pytest.mark.parametrize("max_dim", [1, 2])
+@pytest.mark.parametrize("threshold", ["auto", 0.9])
+def test_no_complex_of_a_fit_holds_a_square_array(threshold, max_dim):
+    # the distance matrix is read once, to build the complex, and dropped
+    points, _ = sample_circle(24, 0.05, 2, seed=2)
+    result = run_pipeline(points=points, prime=47, threshold=threshold, max_dim=max_dim)
+    complexes_held = (result.complex, result.working_complex, result.diagram.complex)
+    assert all(isinstance(cx, FilteredComplex) for cx in complexes_held)
+    shapes = [arr.shape for cx in complexes_held for arr in arrays_held(cx, set())]
+    assert shapes and (24, 24) not in shapes
+
+
 def test_refuses_a_skeleton_above_degree_one():
     pts, _ = sample_circle(12, 0.0, 2, seed=0)
     skeleton = rips_skeleton(pairwise_distances(pts), 2.0)
@@ -300,7 +347,7 @@ def test_skeleton_refuses_what_reads_its_triangles():
     # indicator as not closed.
     pts, _ = sample_circle(30, 0.0, 2, seed=7)
     skeleton = run_pipeline(pts).complex
-    full = rips_from_distances(skeleton.distances, enclosing_radius(pts), 2)
+    full = rips_from_distances(pairwise_distances(pts), enclosing_radius(pts), 2)
     for cx, error, integer_error in ((skeleton, DimensionOutOfRange, DimensionOutOfRange),
                                      (full, NotClosed, NotACocycle)):
         with pytest.raises(error):

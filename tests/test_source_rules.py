@@ -34,11 +34,11 @@ def test_no_nonzero_or_argwhere():
 def test_only_complexes_reads_a_skeletons_distances():
     # what each degree of a Rips skeleton holds is decided in complexes: it
     # gives the cofacet source and the working complex, so no other module
-    # needs the distance matrix
+    # needs the distance matrix, or to know that a complex is a skeleton
     found = [at for at in _offending(lambda node: isinstance(node, ast.Attribute)
-                                     and node.attr == "distances")
+                                     and node.attr in ("distances", "_skeleton"))
              if not at.startswith("complexes.py:")]
-    assert not found, f"distances named outside complexes.py: {found}"
+    assert not found, f"distances or _skeleton named outside complexes.py: {found}"
 
 
 def test_cofacet_sources_read_no_distances():
@@ -99,7 +99,8 @@ def test_every_private_definition_is_used():
 
 # public names that only users name, each with the reason it is kept
 USER_ENTRY_POINTS = {
-    "enclosing_radius": "the benchmark times it as a stage of its own",
+    "enclosing_radius": "perfbench/spans.py wraps it by name; no fit calls it, since an "
+                        "auto fit takes the radius from its one distance matrix",
     "sample_circle": "the README quickstart and acceptance criterion 8 draw points from it",
     "sample_trefoil": "acceptance criterion 9 draws its points from it",
     "trend_slope": "acceptance criterion 4 measures the sparsity sweep's trend with it",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -218,8 +219,8 @@ class FilteredComplex:
         lex) order. Finding every face by its key checks closure; the
         filtration is checked to be monotone. With ``rips`` the vertices are
         0..n-1, so a vertex id is its key rank and edges take their vertex
-        faces directly. `rips_from_distances` stores its triangles with
-        `_store`, from the clique growth, and passes none here."""
+        faces directly. `build_rips` stores its triangles with `_store`,
+        from the clique growth, and passes none here."""
         counts = [len(v) for v in verts_by_dim]
         if not any(counts):
             raise EmptyInput("complex has no simplices", operation="complex.build")
@@ -423,11 +424,14 @@ class FilteredComplex:
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        # the degree above the top is read too: a skeleton refuses it, since
+        # its triangles are implied and the JSON would drop them
         return {
             "simplices": [
                 {"vertices": v, "filtration": f}
-                for m in range(self.dimension + 1)
-                for v, f in zip(self._verts[m].tolist(), self._filt[m].tolist())
+                for m in range(self.dimension + 2)
+                for v, f in zip(self.vertex_array(m).tolist(),
+                                self.filtration_values(m).tolist())
             ]
         }
 
@@ -468,36 +472,10 @@ def build_from_simplices(entries: Iterable[tuple[Iterable[int], float]]) -> Filt
     return FilteredComplex(table)
 
 
-# a block of the distance matrix holds this many float differences, and a
+# a block of distances holds this many float differences, and a
 # chunk of clique growth this many candidate vertices
 _DISTANCE_BLOCK = 1 << 15
 _CLIQUE_CHUNK = 1 << 18
-
-
-def pairwise_distances(points) -> np.ndarray:
-    """Euclidean distance matrix of a finite point cloud, one point per row.
-
-    The exact pairwise-difference formula (a Gram-matrix shortcut would
-    round equal distances apart). Each unordered pair is computed once, in
-    square blocks of the upper triangle of about 32k floats
-    (`_distance_blocks`), and mirrored, so the matrix is exactly symmetric
-    with an exactly zero diagonal, and memory stays n^2 plus a bounded
-    buffer whatever the dimension d. The squared differences are summed in
-    numpy's own order for a length-d axis: coordinate by coordinate below 8
-    coordinates, where numpy's sum is sequential, and by ``sum(axis=-1)``
-    over each block of differences from 8 on, where it is pairwise. The
-    result is bitwise that of the full n x n x d difference tensor. Points
-    with no coordinates are all at distance 0. A cloud whose largest
-    |coordinate| lies outside [2^-200, 2^200] is scaled by a power of two
-    to below 1 and the matrix scaled back, so squares neither overflow nor
-    underflow.
-    """
-    pts, k = _finite_points(points)
-    dist = np.empty((len(pts), len(pts)))
-    for rows, cols, block in _distance_blocks(pts, k):
-        dist[rows, cols] = block
-        dist[cols, rows] = block.T
-    return dist
 
 
 def _finite_points(points) -> tuple[np.ndarray, int]:
@@ -518,89 +496,111 @@ def _finite_points(points) -> tuple[np.ndarray, int]:
 
 
 def _distance_blocks(pts: np.ndarray, k: int):
-    """Square blocks (rows, cols, block) of the upper triangle of the
-    distance matrix of the points ``pts`` scaled by 2^k, rows by rows: see
-    `pairwise_distances`. A block on the diagonal is exactly symmetric."""
+    """The upper triangle of the Euclidean distance matrix of the points
+    ``pts`` scaled by 2^k, one block row at a time: strips (lo, strip) of
+    the rows lo..lo+side against the columns lo..n-1.
+
+    The exact pairwise-difference formula (a Gram-matrix shortcut would
+    round equal distances apart). Each unordered pair is computed once, in
+    square blocks of about 32k floats, so memory stays a strip plus a
+    bounded buffer whatever the dimension d. A block on the diagonal is
+    exactly symmetric, with an exactly zero diagonal. The squared
+    differences are summed in numpy's own order for a length-d axis:
+    coordinate by coordinate below 8 coordinates, where numpy's sum is
+    sequential, and by ``sum(axis=-1)`` over each block of differences from
+    8 on, where it is pairwise. Every distance is bitwise that of the full
+    n x n x d difference tensor. Points with no coordinates are all at
+    distance 0. `_finite_points` scales a cloud whose largest |coordinate|
+    lies outside [2^-200, 2^200] to below 1, and the strips are scaled
+    back, so squares neither overflow nor underflow.
+    """
     n, d = pts.shape
     side = max(1, math.isqrt(_DISTANCE_BLOCK // (d if d >= 8 else 1)))
     coords = np.ascontiguousarray(pts.T) if d < 8 else None
     for lo in range(0, n, side):
         rows = slice(lo, lo + side)
+        strip = np.empty((min(side, n - lo), n - lo))
         for at in range(lo, n, side):
             cols = slice(at, at + side)
+            block = strip[:, at - lo:at - lo + side]
             if d >= 8:
                 diff = pts[rows, None, :] - pts[None, cols, :]
                 diff *= diff
-                block = diff.sum(axis=-1)
+                block[...] = diff.sum(axis=-1)
             else:
-                block = np.zeros((min(side, n - lo), min(side, n - at)))
-                term = np.empty_like(block)
+                block[...] = 0.0
+                term = np.empty(block.shape)
                 for x in coords:
                     np.subtract.outer(x[rows], x[cols], out=term)
                     term *= term
                     block += term
-            np.sqrt(block, out=block)
-            yield rows, cols, np.ldexp(block, k, out=block) if k else block
+        np.sqrt(strip, out=strip)
+        yield lo, np.ldexp(strip, k, out=strip) if k else strip
 
 
-def build_rips(points, threshold: float, max_dim: int) -> FilteredComplex:
-    """Vietoris-Rips complex of a point cloud under the Euclidean metric:
-    bitwise `rips_from_distances` of its `pairwise_distances`, but the
-    edges are read from the blocks of the matrix, which is never stored."""
-    pts, k = _finite_points(points)
-    n = len(pts)
-    _check_rips(threshold, max_dim, n)
-    pairs, lengths = [], []
-    for rows, cols, block in _distance_blocks(pts, k):
-        i, j = np.divmod(np.flatnonzero(block <= threshold), block.shape[1])
-        upper = i + rows.start < j + cols.start
-        i, j = i[upper], j[upper]
-        pairs.append((i + rows.start) * n + j + cols.start)
-        lengths.append(block[i, j])
-    pairs = np.concatenate(pairs)
-    order = np.argsort(pairs)
-    return _rips_from_edges(n, pairs[order], np.concatenate(lengths)[order], max_dim)
-
-
-def _check_rips(threshold: float, max_dim: int, n: int) -> None:
-    """Refuse a Rips complex of no points, or with options that mean nothing."""
-    if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
-        raise ValueError(f"max_dim must be an integer >= 1, got {max_dim!r}")
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0 and not NaN, got {threshold}")
-    if n == 0:
-        raise EmptyInput("no points", operation="complex.build_rips")
-
-
-def rips_from_distances(dist: np.ndarray, threshold: float, max_dim: int) -> FilteredComplex:
-    """Vietoris-Rips complex of a symmetric distance matrix with a zero
-    diagonal, point i being vertex i.
+def build_rips(points, threshold: float | str, max_dim: int) -> FilteredComplex:
+    """Vietoris-Rips complex of a point cloud under the Euclidean metric,
+    point i being vertex i; ``threshold="auto"`` is the enclosing radius,
+    the least over the points of the largest distance to another: beyond it
+    the complex is a cone and carries no new classes.
 
     Contains every simplex on at most max_dim+1 points whose pairwise
     distances are all <= threshold; the filtration value of a simplex is the
-    maximum pairwise distance among its vertices (its diameter). Cliques
-    grow one dimension at a time from neighbour lists (Zomorodian, "Fast
-    construction of the Vietoris-Rips complex", 2010). The upper neighbours
-    of a vertex, the larger vertices within the threshold, form one sorted
-    list per vertex, and each m-simplex is extended by every upper
-    neighbour of its last vertex that is within the threshold of all its
-    other vertices. Each dimension's rows come out in lexicographic order.
-    At most ``_CLIQUE_CHUNK`` candidates are held at once, or the
-    candidates of one simplex if it has more.
+    maximum pairwise distance among its vertices (its diameter). The edges
+    and the radius come from one pass over `_distance_blocks`
+    (`_rips_edges`); no n x n matrix is stored.
 
-    Edges take their vertex faces directly. A triangle takes its faces and
-    its place from the growth (`_rips_triangles`). Higher simplices find
-    their faces by key search, and the lengths of their new pairs are the
-    filtration values of those edges. The complex at a scale s <= t is
-    bitwise the sublevel complex at s of the one at t.
+    Cliques grow one dimension at a time from neighbour lists (Zomorodian,
+    "Fast construction of the Vietoris-Rips complex", 2010). The upper
+    neighbours of a vertex, the larger vertices within the threshold, form
+    one sorted list per vertex, and each m-simplex is extended by every
+    upper neighbour of its last vertex that is within the threshold of all
+    its other vertices. Each dimension's rows come out in lexicographic
+    order. At most ``_CLIQUE_CHUNK`` candidates are held at once, or the
+    candidates of one simplex if it has more. Edges take their vertex
+    faces directly. A triangle takes its faces and its place from the
+    growth (`_rips_triangles`). Higher simplices find their faces by key
+    search, and the lengths of their new pairs are the filtration values of
+    those edges. The complex at a scale s <= t is bitwise the sublevel
+    complex at s of the one at t.
     """
-    n = len(dist)
+    pts, k = _finite_points(points)
+    n = len(pts)
     _check_rips(threshold, max_dim, n)
-    flat = np.asarray(dist).ravel()
-    pairs = np.flatnonzero(flat <= threshold)
-    owner, neighbour = np.divmod(pairs, n)
-    pairs = pairs[neighbour > owner]
-    return _rips_from_edges(n, pairs, flat[pairs], max_dim)
+    return _rips_from_edges(n, *_rips_edges(_distance_blocks(pts, k), n, threshold), max_dim)
+
+
+def _rips_edges(strips, n: int, threshold) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending pairs u * n + k, u < k, within the threshold, and their
+    lengths, cut from the strips: a strip's entries above the diagonal come
+    in ascending pair order. At "auto" each point's largest distance is the
+    maximum of its row and its column over the strips, which are held until
+    the least of those, the radius, is known, and freed on return."""
+    if isinstance(threshold, str):
+        strips, far = list(strips), np.zeros(n)
+        for lo, strip in strips:
+            np.maximum(far[lo:lo + len(strip)], strip.max(axis=1), out=far[lo:lo + len(strip)])
+            np.maximum(far[lo:], strip.max(axis=0), out=far[lo:])
+        threshold = far.min()
+    pairs, lengths = [], []
+    for lo, strip in strips:
+        i, j = np.divmod(np.flatnonzero(strip <= threshold), strip.shape[1])
+        upper = i < j
+        i, j = i[upper], j[upper]
+        pairs.append((i + lo) * n + j + lo)
+        lengths.append(strip[i, j])
+    return np.concatenate(pairs), np.concatenate(lengths)
+
+
+def _check_rips(threshold, max_dim: int, n: int) -> None:
+    """Refuse a Rips complex of no points, or with options that mean nothing."""
+    if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
+        raise ValueError(f"max_dim must be an integer >= 1, got {max_dim!r}")
+    if not (threshold == "auto" if isinstance(threshold, str)
+            else isinstance(threshold, numbers.Real) and threshold >= 0):
+        raise ValueError(f'threshold must be >= 0 or "auto", and not NaN, got {threshold!r}')
+    if n == 0:
+        raise EmptyInput("no points", operation="complex.build_rips")
 
 
 def _rips_from_edges(n: int, pairs: np.ndarray, lengths: np.ndarray,
@@ -712,19 +712,19 @@ def _rips_faces(triangles: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.stack([index[y, z], index[x, z], index[x, y]], axis=1, dtype=np.int64)
 
 
-def rips_skeleton(dist: np.ndarray, threshold: float) -> FilteredComplex:
-    """The 1-skeleton of the Rips complex of ``dist`` at ``threshold``. Its
+def rips_skeleton(points, threshold: float | str) -> FilteredComplex:
+    """The 1-skeleton of the Rips complex of ``points`` at ``threshold``. Its
     triangles are implied by its edges, not stored: `cofacet_source` streams
     them, so its diagram up to degree 1 is that of
-    ``rips_from_distances(dist, threshold, 2)``. It keeps no matrix."""
-    cx = rips_from_distances(dist, threshold, 1)
+    ``build_rips(points, threshold, 2)``."""
+    cx = build_rips(points, threshold, 1)
     cx._skeleton = True
     return cx
 
 
 def stored_sublevel(cx: FilteredComplex, scale: float) -> FilteredComplex:
     """The sublevel complex at ``scale``; a Rips skeleton's grows its triangles
-    from its edges within ``scale``, bitwise `rips_from_distances` at ``scale``."""
+    from its edges within ``scale``, bitwise `build_rips` of its points at ``scale``."""
     if not cx._skeleton:
         return cx.restrict(scale)
     # edges in key order; a restriction shares its parent's keys, those beyond it too

@@ -237,6 +237,7 @@ def lift_closed(c: Cochain | Chain, kind: Literal["cocycle", "cycle"] | None = N
     Whatever the route, the lift returned is checked closed directly. The
     type of c says cocycle or cycle; ``kind``, when given, must agree.
     """
+    _check_snf_cap(snf_cap)
     if kind is not None and kind != ("cycle" if isinstance(c, Chain) else "cocycle"):
         raise ValueError(f"a {type(c).__name__} does not lift as a {kind}")
     prime = OddPrime(_field_prime(c))
@@ -268,6 +269,12 @@ def _finish_report(c, r: FpElement, working, certificate: str) -> LiftReport:
                       is_closed=True)
 
 
+def _check_snf_cap(snf_cap) -> None:
+    """Refuse a cap that is not an integer >= 0, before any route runs."""
+    if not isinstance(snf_cap, (int, np.integer)) or snf_cap < 0:
+        raise ValueError(f"snf_cap must be an integer >= 0, got {snf_cap!r}")
+
+
 def _snf_guard(n_unknowns: int, n_equations: int, snf_cap: int, operation: str) -> None:
     if n_unknowns + n_equations > snf_cap:
         raise ComplexTooLargeForSnf(
@@ -284,6 +291,7 @@ def snf_repair(alpha: Cochain | Chain, p: OddPrime, *,
     reduction. Unsolvability of the system means the obstruction class is
     genuine p-torsion: TorsionObstruction.
     """
+    _check_snf_cap(snf_cap)
     cx, cocycle = alpha.complex, isinstance(alpha, Cochain)
     defect = apply_coboundary(alpha) if cocycle else apply_boundary(alpha)
     if not defect.reduce_mod(p.p).is_zero():
@@ -319,6 +327,7 @@ def has_p_torsion(cx, degree: int, p: OddPrime, *,
                   snf_cap: int = DEFAULT_SNF_CAP) -> bool:
     """Whether p divides an elementary divisor of the boundary map into
     degree-1 chains, i.e. whether degree-th cohomology has p-torsion."""
+    _check_snf_cap(snf_cap)
     if degree < 1 or degree > cx.dimension:
         return False
     _snf_guard(cx.n_simplices(degree), cx.n_simplices(degree - 1), snf_cap,

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (FilteredComplex, build_rips, pairwise_distances,
-                        rips_from_distances, rips_skeleton, stored_sublevel)
-from .errors import EmptyInput
+from .complexes import FilteredComplex, build_rips, rips_skeleton, stored_sublevel
 from .fields import OddPrime
-from .lifting import DEFAULT_SNF_CAP, LiftReport, lift_closed
+from .lifting import DEFAULT_SNF_CAP, LiftReport, _check_snf_cap, lift_closed
 from .persistence import (Diagram, PersistencePair, cycle_representative,
                           parse_class_strategy, parse_scale_policy, persistent_cohomology,
                           select_class)
@@ -45,18 +43,6 @@ class PipelineResult:
                          for v in sorted(self.coords.values)])
 
 
-def enclosing_radius(points) -> float:
-    """min over points of the max distance to the rest: beyond this scale
-    the Rips complex is a cone and carries no new classes."""
-    return _cone_radius(pairwise_distances(points))
-
-
-def _cone_radius(dist) -> float:
-    if not len(dist):
-        raise EmptyInput("no points", operation="pipeline.enclosing_radius")
-    return float(dist.max(axis=1).min())
-
-
 def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
                  prime: int = 47, max_dim: int = 1,
                  threshold: float | str = "auto",
@@ -68,8 +54,8 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
 
     ``threshold="auto"`` builds the initial complex at the enclosing radius,
     a Rips 1-skeleton when ``max_dim == 1``, then works at the selected
-    class's representative scale. The options are checked before any
-    distance is computed.
+    class's representative scale. The options, the threshold among them,
+    are checked before any distance is computed.
     """
     if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
         raise ValueError(f"max_dim must be an integer >= 1 to find a circle class, "
@@ -79,18 +65,11 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
                          else "got both points and a complex; give one")
     parse_scale_policy(scale_policy)
     parse_class_strategy(class_strategy)
-    if not isinstance(snf_cap, (int, np.integer)) or snf_cap < 0:
-        raise ValueError(f"snf_cap must be an integer >= 0, got {snf_cap!r}")
+    _check_snf_cap(snf_cap)
     p = OddPrime(prime)
     if complex is None:
-        if threshold == "auto":
-            dist = pairwise_distances(points)
-            t = _cone_radius(dist)
-            complex = (rips_skeleton(dist, t) if max_dim == 1
-                       else rips_from_distances(dist, t, max_dim + 1))
-            del dist        # no complex keeps it: freed before persistence
-        else:
-            complex = build_rips(points, float(threshold), max_dim + 1)
+        complex = (rips_skeleton(points, threshold) if max_dim == 1 and threshold == "auto"
+                   else build_rips(points, threshold, max_dim + 1))
 
     # the degrees above a complex's dimension are empty and have no pairs
     diagram = persistent_cohomology(complex, p, min(max_dim, complex.dimension),

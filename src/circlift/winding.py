@@ -21,7 +21,7 @@ from .complexes import (Chain, Cochain, ZZ, _require_integer_cocycle, coboundary
                         exact_dtype, forest_potential, is_closed, kronecker_pairing)
 from .errors import NotDivisible, ValidationFailed, ZeroPairing
 from .fields import is_prime
-from .lifting import DEFAULT_SNF_CAP, _centred, _snf_guard
+from .lifting import DEFAULT_SNF_CAP, _centred, _check_snf_cap, _snf_guard
 
 ROUTE_MOD_P = "ModPSolve"
 ROUTE_SNF = "IntegerSnf"
@@ -210,6 +210,7 @@ def divide_step(alpha: Cochain, q: int, *, route: str = "auto",
     route (the default in higher degrees): one exact solve of the combined
     system via Smith normal form. Either way the identity is verified over Z.
     """
+    _check_snf_cap(snf_cap)
     _require_integer_cocycle(alpha, "winding.divide_step")
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -238,6 +239,7 @@ def reduce_winding(alpha: Cochain, beta: Chain, *,
     checked at the end and makes every intermediate quotient closed too.
     """
     operation = "winding.reduce_winding"
+    _check_snf_cap(snf_cap)
     _require_integer_cocycle(alpha, operation)
     if beta.ring is not ZZ or not is_closed(beta):
         raise ValueError("beta must be an integer cycle")

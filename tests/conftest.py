@@ -10,6 +10,21 @@ from circlift import (Chain, Cochain, FilteredComplex, GF, ZZ,
 from circlift.experiments import sample_circle
 
 
+def assert_same_arrays(cx: FilteredComplex, want) -> None:
+    """The five arrays of every dimension, bitwise and of the same dtype:
+    those of the complex ``want``, or `reference_complex_arrays`."""
+    names = ("verts", "filt", "faces", "keys", "lex")
+    if isinstance(want, FilteredComplex):
+        want = [{name: getattr(want, "_" + name)[m] for name in names}
+                for m in range(want.dimension + 1)]
+    assert cx.dimension == len(want) - 1
+    for m, ref in enumerate(want):
+        for name in names:
+            mine, arr = getattr(cx, "_" + name)[m], ref[name]
+            assert (mine.dtype, mine.shape) == (arr.dtype, arr.shape), (m, name)
+            assert mine.tobytes() == arr.tobytes(), (m, name)
+
+
 @pytest.fixture
 def filled_triangle() -> FilteredComplex:
     """Vertices a=0, b=1, c=2 with the 2-simplex filled in."""

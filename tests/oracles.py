@@ -18,7 +18,9 @@ the coefficient-array kernels of ``lifting`` and ``winding`` replaced.
 first-in first-out search over adjacency lists and the per-edge
 integration that the level-by-level array forest replaced.
 ``unchunked_distances`` is the full difference tensor that the blocked
-distance matrix replaced, ``reference_clique_rows`` the mask loop that
+distances replaced, ``reference_distances`` the same for a cloud of any
+magnitude and ``enclosing_radius`` the radius read from it,
+``reference_clique_rows`` the mask loop that
 neighbour-list clique growth replaced, ``reference_rips_earliest`` the float
 argmin over distance-matrix rows that the edge-index scan of a Rips
 skeleton's earliest cofacets replaced, and ``reference_complex_arrays``
@@ -131,10 +133,28 @@ def reference_rips(points, threshold: float, max_dim: int) -> FilteredComplex:
 
 
 def unchunked_distances(points: np.ndarray) -> np.ndarray:
-    """The full n x n x d difference tensor, as ``pairwise_distances`` built
-    it before it worked in blocks."""
+    """The distance matrix from the full n x n x d difference tensor, as
+    the library built it before it worked in blocks."""
     diff = points[:, None, :] - points[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def reference_distances(points) -> np.ndarray:
+    """`unchunked_distances` of a cloud scaled by 2^-k and scaled back, with
+    k 0 unless the largest |coordinate| lies outside [2^-200, 2^200], else
+    the exponent that scales it below 1: so squares neither overflow nor
+    underflow."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(-1, 1) if pts.ndim == 1 else pts
+    top = float(np.abs(pts).max(initial=0.0))
+    k = 0 if 2.0 ** -200 <= top <= 2.0 ** 200 else math.frexp(top)[1]
+    return np.ldexp(unchunked_distances(np.ldexp(pts, -k)), k)
+
+
+def enclosing_radius(points) -> float:
+    """min over points of the max distance to the rest: beyond this scale
+    the Rips complex is a cone and carries no new classes."""
+    return float(reference_distances(points).max(axis=1).min())
 
 
 def reference_clique_rows(dist: np.ndarray, threshold: float, max_dim: int):

@@ -12,7 +12,6 @@ from circlift import (Cochain, GF, OddPrime, ZZ, apply_boundary, apply_coboundar
 from circlift.errors import DimensionOutOfRange, NoDualCycle
 from circlift.experiments import sample_circle, sample_trefoil
 from circlift.persistence import PersistencePair
-from circlift.pipeline import enclosing_radius
 from conftest import random_complex
 from oracles import reference_cycle_representative
 
@@ -154,7 +153,7 @@ def test_one_forest_per_fit(monkeypatch):
     result = run_pipeline(points=points, prime=47)
     assert builds == [result.working_complex]
     assert max(triangles) == result.working_complex.n_simplices(2)
-    sub = build_rips(points, enclosing_radius(points), 2).restrict(result.scale)
+    sub = build_rips(points, "auto", 2).restrict(result.scale)
     for m in range(3):
         assert np.array_equal(sub.vertex_array(m), result.working_complex.vertex_array(m))
         assert sub.filtration_values(m).tobytes() == \

@@ -1,7 +1,8 @@
 """The array Rips builder against the recursive dict-of-tuples oracle, the
-dict constructor and the mask-loop clique oracle, the blocked distance
-matrix against the full difference tensor, and the refusal of non-finite
-input and of fit options that mean nothing."""
+dict constructor and the mask-loop clique oracle, its edge lengths and
+enclosing radius, read from blocks of distances, against the full
+difference tensor, and the refusal of non-finite input and of fit options
+that mean nothing."""
 
 import json
 import math
@@ -10,16 +11,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from circlift import FilteredComplex, build_from_simplices, build_rips, run_pipeline
-from circlift import complexes, pipeline
+from circlift import (CircularCoordinates, FilteredComplex, build_from_simplices, build_rips,
+                      run_pipeline)
+from circlift import complexes
 from circlift.cli import main
-from circlift.complexes import pairwise_distances, rips_from_distances
+from circlift.errors import EmptyInput
 from circlift.experiments import sample_circle
-from circlift.pipeline import enclosing_radius
-from oracles import (reference_clique_rows, reference_complex_arrays, reference_rips,
-                     unchunked_distances)
+from conftest import assert_same_arrays
+from oracles import (reference_clique_rows, reference_complex_arrays, reference_distances,
+                     reference_rips, unchunked_distances)
 
 DIFFERENTIAL = settings(max_examples=200, deadline=None, database=None)
 
@@ -49,6 +51,17 @@ def assert_same_complex(cx: FilteredComplex, ref: FilteredComplex) -> None:
         assert np.array_equal(cx.face_table(m), ref.face_table(m))
 
 
+def matrix_from_edges(cx: FilteredComplex) -> np.ndarray:
+    """The distance matrix read back from a complex's edges, NaN on the
+    pairs that are no edge; the diagonal is no pair and reads 0."""
+    n = cx.n_vertices
+    dist = np.full((n, n), np.nan)
+    np.fill_diagonal(dist, 0.0)
+    u, k = cx.vertex_array(1).T
+    dist[u, k] = dist[k, u] = cx.filtration_values(1)
+    return dist
+
+
 class TestAgainstReference:
     @DIFFERENTIAL
     @given(clouds())
@@ -60,8 +73,8 @@ class TestAgainstReference:
     @DIFFERENTIAL
     @given(clouds(), st.sampled_from([1, 5 * 5, 1 << 15]), st.booleans(), st.booleans())
     def test_edges_read_from_blocks_are_the_matrix_edges(self, cloud, block, wide, huge):
-        # build_rips reads its edges from the blocks of the distance matrix;
-        # 12 coordinates are summed pairwise, and huge ones are rescaled
+        # build_rips reads its edges from blocks of distances; 12
+        # coordinates are summed pairwise, and huge ones are rescaled
         points, threshold, max_dim = cloud
         points = np.tile(points, (1, 12)) if wide else points
         if huge:
@@ -69,11 +82,9 @@ class TestAgainstReference:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(complexes, "_DISTANCE_BLOCK", block)
             cx = build_rips(points, threshold, max_dim)
-        ref = rips_from_distances(pairwise_distances(points), threshold, max_dim)
-        assert_same_complex(cx, ref)
-        for m in range(cx.dimension + 1):
-            assert cx._keys[m].tobytes() == ref._keys[m].tobytes()
-            assert cx._lex[m].tobytes() == ref._lex[m].tobytes()
+        dist = reference_distances(points)
+        assert_same_arrays(cx, reference_complex_arrays(
+            *reference_clique_rows(dist, threshold, max_dim)))
 
     def test_empty_trailing_dimensions_are_dropped(self):
         points = np.arange(5.0)
@@ -103,9 +114,8 @@ def rips_inputs(draw):
     else:
         angle = 2 * np.pi * np.arange(n) / n
         points = np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    dist = pairwise_distances(points)
-    threshold = draw(st.sampled_from(sorted(set(dist.ravel().tolist()))))
-    return dist, threshold, draw(st.sampled_from([1, 2, 3]))
+    threshold = draw(st.sampled_from(sorted(set(unchunked_distances(points).ravel().tolist()))))
+    return points, threshold, draw(st.sampled_from([1, 2, 3]))
 
 
 class TestAgainstDictConstructor:
@@ -116,8 +126,8 @@ class TestAgainstDictConstructor:
     @DIFFERENTIAL
     @given(rips_inputs(), st.data())
     def test_same_arrays_and_lookups(self, inputs, data):
-        dist, threshold, max_dim = inputs
-        cx = rips_from_distances(dist, threshold, max_dim)
+        points, threshold, max_dim = inputs
+        cx = build_rips(points, threshold, max_dim)
         ref = FilteredComplex({s: f for m in range(cx.dimension + 1)
                                for s, f in zip(cx.simplices(m),
                                                cx.filtration_values(m).tolist())})
@@ -173,7 +183,9 @@ class TestOrderBeyond16Bits:
         a = np.arange(50)
         dist[a, a + 1] = rng.integers(1, 9, 50) / 8.0
         dist = np.minimum(dist, dist.T)
-        cx = rips_from_distances(dist, 1.0, 2)
+        # no point cloud has these distances: the edges go to the builder
+        pairs = np.flatnonzero(np.triu(dist <= 1.0, 1))
+        cx = complexes._rips_from_edges(512, pairs, dist.ravel()[pairs], 2)
         assert cx.n_simplices(1) == 65_586 and cx.n_simplices(2) == 50 * 256
         ref = FilteredComplex({s: f for m in range(3)
                                for s, f in zip(cx.simplices(m),
@@ -185,33 +197,44 @@ class TestOrderBeyond16Bits:
 
 
 class TestDistances:
+    """Edge lengths and the enclosing radius read from blocks of distances
+    against the full difference tensor: at threshold inf every pair is an
+    edge, and at "auto" the complex is the one at the tensor's radius."""
+
     def test_chunked_equals_unchunked_bitwise(self, monkeypatch):
         points = np.random.default_rng(4).standard_normal((37, 5)) * 10
-        want = unchunked_distances(points).tobytes()
-        assert pairwise_distances(points).tobytes() == want
-        monkeypatch.setattr(complexes, "_DISTANCE_BLOCK", 7 * 7)
-        assert pairwise_distances(points).tobytes() == want
+        want = unchunked_distances(points)
+        for block in (complexes._DISTANCE_BLOCK, 7 * 7):
+            monkeypatch.setattr(complexes, "_DISTANCE_BLOCK", block)
+            assert matrix_from_edges(build_rips(points, np.inf, 1)).tobytes() == want.tobytes()
+            assert_same_arrays(build_rips(points, "auto", 2),
+                               build_rips(points, want.max(axis=1).min(), 2))
 
     def test_line_cloud(self):
-        assert pairwise_distances([0.0, 3.0]).tolist() == [[0.0, 3.0], [3.0, 0.0]]
+        for threshold in (np.inf, "auto"):
+            cx = build_rips([0.0, 3.0], threshold, 1)
+            assert cx.simplices(1) == [(0, 1)] and cx.filtration_values(1).tolist() == [3.0]
 
     def test_memory_stays_bounded_in_high_dimension(self):
         # the difference tensor of 300 points in R^200 alone is 144 MB
         points, _ = sample_circle(300, 0.0, 200, seed=3)
-        want = unchunked_distances(points).tobytes()
-        for run in (lambda: pairwise_distances(points),
-                    lambda: enclosing_radius(points),
-                    lambda: build_rips(points, 0.1, 2)):
+        want = unchunked_distances(points)
+        for threshold, max_dim in (("auto", 1), (0.1, 2)):
             tracemalloc.start()
             try:
-                result = run()
+                result = build_rips(points, threshold, max_dim)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the n x n matrix plus a few MB of blocks and adjacency
-            assert peak < 8 * len(points) ** 2 + 4 * 2**20
-        assert result.n_simplices(1) > 0
-        assert pairwise_distances(points).tobytes() == want
+            held = sum(arr.nbytes for name in ("_verts", "_filt", "_faces", "_keys", "_lex")
+                       for arr in getattr(result, name))
+            # the n x n matrix plus a few MB of blocks and adjacency, and
+            # the complex returned
+            assert peak < 8 * len(points) ** 2 + 4 * 2**20 + held
+            assert result.n_simplices(1) > 0
+        assert matrix_from_edges(build_rips(points, np.inf, 1)).tobytes() == want.tobytes()
+        assert_same_arrays(build_rips(points, "auto", 1),
+                           build_rips(points, want.max(axis=1).min(), 1))
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_bitwise_at_every_dimension(self, d, monkeypatch):
@@ -224,14 +247,53 @@ class TestDistances:
                 points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7, (n, d))
                 points[n // 2] = points[0]
                 points[n - 1] = points[n // 3]
-                dist = pairwise_distances(points)
-                assert dist.tobytes() == unchunked_distances(points).tobytes()
-                assert np.array_equal(dist, dist.T)
-                assert not np.diagonal(dist).any()
-                assert not np.signbit(np.diagonal(dist)).any()
+                want = unchunked_distances(points)
+                cx = build_rips(points, np.inf, 1)
+                assert matrix_from_edges(cx).tobytes() == want.tobytes()
+                assert_same_arrays(build_rips(points, "auto", 1),
+                                   build_rips(points, want.max(axis=1).min(), 1))
 
     def test_points_without_coordinates(self):
-        assert pairwise_distances(np.empty((3, 0))).tobytes() == np.zeros((3, 3)).tobytes()
+        for threshold in (0.0, "auto"):
+            cx = build_rips(np.empty((3, 0)), threshold, 2)
+            assert [cx.n_simplices(m) for m in range(3)] == [3, 3, 1]
+            assert cx.filtration_values(1).tobytes() == np.zeros(3).tobytes()
+
+
+@st.composite
+def auto_clouds(draw):
+    """Clouds of 1 to 16 points in 1 to 12 coordinates, on both sides of
+    the 8 from which coordinates are summed pairwise: Gaussian, or on a
+    coarse grid (tied distances and repeated points), scaled by 2^-600, 1
+    or 2^600."""
+    n, d = draw(st.integers(1, 16)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.standard_normal((n, d))
+    else:
+        points = rng.integers(0, 3, (n, d)).astype(float)
+    return np.ldexp(points, draw(st.sampled_from([-600, 0, 600])))
+
+
+class TestAutoThreshold:
+    @DIFFERENTIAL
+    @given(auto_clouds(), st.sampled_from([1, 5 * 5, 1 << 15]), st.sampled_from([1, 2, 3]))
+    @example(np.zeros((1, 2)), 1, 2)
+    @example(np.array([[0.0], [3.0]]), 5 * 5, 3)
+    def test_auto_is_the_complex_at_the_enclosing_radius(self, points, block, max_dim):
+        # the radius is read from the same blocks as the edges, whatever
+        # their size; the oracle rescales huge and tiny clouds as the
+        # library does
+        radius = reference_distances(points).max(axis=1).min()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(complexes, "_DISTANCE_BLOCK", block)
+            cx = build_rips(points, "auto", max_dim)
+        assert_same_arrays(cx, build_rips(points, radius, max_dim))
+
+    def test_empty_cloud_is_refused_by_the_builder(self):
+        with pytest.raises(EmptyInput) as refused:
+            run_pipeline(points=np.zeros((0, 2)))
+        assert refused.value.operation == "complex.build_rips"
 
 
 class TestAgainstMaskLoop:
@@ -241,12 +303,13 @@ class TestAgainstMaskLoop:
     @DIFFERENTIAL
     @given(rips_inputs(), st.booleans())
     def test_same_rows_faces_keys_and_ranks(self, inputs, one_per_chunk):
-        dist, threshold, max_dim = inputs
+        points, threshold, max_dim = inputs
         with pytest.MonkeyPatch.context() as patch:
             if one_per_chunk:
                 patch.setattr(complexes, "_CLIQUE_CHUNK", 1)
-            cx = rips_from_distances(dist, threshold, max_dim)
-        want = reference_complex_arrays(*reference_clique_rows(dist, threshold, max_dim))
+            cx = build_rips(points, threshold, max_dim)
+        want = reference_complex_arrays(*reference_clique_rows(
+            unchunked_distances(points), threshold, max_dim))
         assert cx.dimension == len(want) - 1
         for m, ref in enumerate(want):
             assert np.array_equal(cx.vertex_array(m), ref["verts"])
@@ -264,7 +327,7 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite.*NaN or inf.*row 2"):
             build_rips(points, 1.0, 1)
         with pytest.raises(ValueError, match="finite.*NaN or inf.*row 2"):
-            enclosing_radius(points)
+            build_rips(points, "auto", 1)
 
     def test_threshold(self):
         points = np.arange(4.0)
@@ -327,6 +390,10 @@ class TestNonFiniteInput:
         assert err["error"] == "ValueError" and "NaN at (0, 2)" in err["message"]
 
 
+def no_distances(pts, k):
+    raise AssertionError("distances computed before the options were checked")
+
+
 class TestFitOptions:
     @pytest.mark.parametrize("option", [
         {"max_dim": 0}, {"max_dim": -1}, {"max_dim": 1.5}, {"max_dim": "2"},
@@ -336,11 +403,7 @@ class TestFitOptions:
         {"class_strategy": "bogus"}, {"class_strategy": "index:x"},
         {"class_strategy": None}, {"snf_cap": "x"}, {"snf_cap": -5}, {"snf_cap": 1.5}])
     def test_pipeline_refuses_options_before_any_distance(self, option, monkeypatch):
-        def computed(points):
-            raise AssertionError("distances computed before the options were checked")
-
-        monkeypatch.setattr(complexes, "pairwise_distances", computed)
-        monkeypatch.setattr(pipeline, "pairwise_distances", computed)
+        monkeypatch.setattr(complexes, "_distance_blocks", no_distances)
         points, _ = sample_circle(20, 0.0, 2, seed=1)
         for threshold in ("auto", 0.9):
             # the message names the option, and the caller's value
@@ -349,6 +412,19 @@ class TestFitOptions:
             name, value = next(iter(option.items()))
             if name != "complex":
                 assert str(refused.value).endswith(f"got {value!r}")
+
+    @pytest.mark.parametrize("threshold", [None, "bogus", "AUTO"])
+    def test_pipeline_refuses_a_threshold_before_any_distance(self, threshold, monkeypatch):
+        monkeypatch.setattr(complexes, "_distance_blocks", no_distances)
+        points, _ = sample_circle(20, 0.0, 2, seed=1)
+        fits = [lambda: CircularCoordinates(threshold=threshold).fit(points)]
+        fits += [lambda m=m: run_pipeline(points=points, threshold=threshold, max_dim=m)
+                 for m in (1, 2)]
+        for fit in fits:
+            # the message names the option, and the caller's value
+            with pytest.raises(ValueError, match="threshold") as refused:
+                fit()
+            assert str(refused.value).endswith(f"got {threshold!r}")
 
     def test_max_dim_above_the_rips_dimension(self):
         # at 0.6 no three of these points are pairwise within the threshold:

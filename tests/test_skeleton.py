@@ -3,6 +3,7 @@ index, against the face table of the Rips complex with its triangles; the
 working complex built at a scale against the sublevel complex of the full
 one; and a threshold="auto" fit against the same fit on the full complex."""
 
+import json
 from contextlib import ExitStack
 from unittest import mock
 
@@ -14,12 +15,12 @@ from circlift import (Chain, Cochain, GF, OddPrime, ZZ, apply_coboundary, build_
                       cocycle_index_system, harmonic_smooth, lift_closed,
                       persistent_cohomology, reduce_winding, run_pipeline)
 from circlift import complexes, persistence
-from circlift.complexes import (FilteredComplex, pairwise_distances, rips_from_distances,
-                                rips_skeleton, stored_sublevel)
+from circlift.complexes import FilteredComplex, rips_skeleton, stored_sublevel
 from circlift.errors import DimensionOutOfRange, NotACocycle, NotClosed
 from circlift.experiments import sample_circle
-from circlift.pipeline import enclosing_radius
-from oracles import reference_persistent_cohomology, reference_rips_earliest
+from conftest import assert_same_arrays
+from oracles import (enclosing_radius, reference_persistent_cohomology, reference_rips_earliest,
+                     unchunked_distances)
 
 DIFFERENTIAL = settings(max_examples=150, deadline=None, database=None)
 BIG_PRIME = 2_147_483_659          # above 2^31: absorption products are Python ints
@@ -36,7 +37,7 @@ def clouds(draw):
         points = rng.standard_normal((n, draw(st.integers(1, 3))))
     else:
         points = rng.integers(0, 4, (n, 2)).astype(float)
-    dist = pairwise_distances(points)
+    dist = unchunked_distances(points)
     t = draw(st.sampled_from([enclosing_radius(points)]
                              + sorted(set(dist[np.triu_indices(n, 1)].tolist()))))
     return points, t
@@ -95,7 +96,7 @@ class TestCofacetSources:
         with small_blocks(chunk):
             sources = {"table": complexes._FaceTable(cone, 1),
                        "rips": complexes._RipsTriangles(
-                           rips_skeleton(pairwise_distances(points), t))}
+                           rips_skeleton(points, t))}
             found = {}
             for name, source in sources.items():
                 chunks = list(source.cofacets(count, arrive[name]))
@@ -118,8 +119,8 @@ class TestCofacetSources:
         # bitwise, whatever the window: on tied grid clouds the earliest
         # cofacet may have a later edge than j of the same filtration
         points, t = cloud
-        dist = pairwise_distances(points)
-        skeleton = rips_skeleton(dist, t)
+        dist = unchunked_distances(points)
+        skeleton = rips_skeleton(points, t)
         if skeleton.dimension == 0:
             return
         want = reference_rips_earliest(skeleton, dist).tobytes()
@@ -136,7 +137,7 @@ class TestCofacetSources:
         cone = build_rips(pts, t, 2)
         n_e = cone.n_simplices(1)
         for source in (complexes._FaceTable(cone, 1),
-                       complexes._RipsTriangles(rips_skeleton(pairwise_distances(pts), t))):
+                       complexes._RipsTriangles(rips_skeleton(pts, t))):
             count = np.append(np.ones(n_e, dtype=np.int64), 0)
             with small_blocks(7):
                 windows = source.cofacets(count, np.full(n_e, complexes._NEVER))
@@ -155,7 +156,7 @@ class TestSkeletonPersistence:
         cx = build_rips(points, t, 2)
         if cx.dimension == 0:
             return
-        skeleton = rips_skeleton(pairwise_distances(points), t)
+        skeleton = rips_skeleton(points, t)
         with small_blocks(chunk):
             new = persistent_cohomology(skeleton, OddPrime(p), 1)
             old = persistent_cohomology(cx, OddPrime(p), 1)
@@ -173,7 +174,7 @@ class TestSkeletonPersistence:
         t = 3 ** 0.5
         cx = build_rips(points, t, 2)
         with small_blocks(3):
-            for source in (rips_skeleton(pairwise_distances(points), t), cx):
+            for source in (rips_skeleton(points, t), cx):
                 assert_same_diagrams(persistent_cohomology(source, OddPrime(3), 1),
                                      reference_persistent_cohomology(cx, OddPrime(3), 1))
 
@@ -183,7 +184,7 @@ class TestSkeletonPersistence:
         t = enclosing_radius(pts)
         for p in (47, BIG_PRIME, HUGE_PRIME):
             assert_same_diagrams(
-                persistent_cohomology(rips_skeleton(pairwise_distances(pts), t), OddPrime(p), 1),
+                persistent_cohomology(rips_skeleton(pts, t), OddPrime(p), 1),
                 persistent_cohomology(build_rips(pts, t, 2), OddPrime(p), 1))
 
     @pytest.mark.parametrize("n", [10, 36])
@@ -208,7 +209,7 @@ class TestSkeletonPersistence:
 
         with mock.patch.object(complexes._RipsTriangles, "cofacets", recorded), \
                 mock.patch.object(persistence, "_replay", spied):
-            new = persistent_cohomology(rips_skeleton(pairwise_distances(pts), t), OddPrime(p), 1)
+            new = persistent_cohomology(rips_skeleton(pts, t), OddPrime(p), 1)
         (keys, count), = windows
         at = np.flatnonzero(np.isin(keys, np.concatenate(deaths)))
         assert len(at) >= 2 and np.diff(at).min() < persistence._SLICE
@@ -222,9 +223,8 @@ class TestSkeletonPersistence:
         # it shares the keys of all the skeleton's edges, but holds only
         # those within its scale
         pts, _ = sample_circle(30, 0.1, 2, seed=4)
-        dist = pairwise_distances(pts)
-        s = float(np.median(dist))
-        sub = rips_skeleton(dist, enclosing_radius(pts)).restrict(s)
+        s = float(np.median(unchunked_distances(pts)))
+        sub = rips_skeleton(pts, "auto").restrict(s)
         assert sub._skeleton and isinstance(sub.cofacet_source(1), complexes._RipsTriangles)
         assert_same_diagrams(persistent_cohomology(sub, OddPrime(47), 1),
                              persistent_cohomology(build_rips(pts, s, 2), OddPrime(47), 1))
@@ -239,7 +239,7 @@ class TestWorkingComplex:
     def test_complex_at_a_scale_is_the_sublevel_complex(self, cloud):
         points, t = cloud
         cone = build_rips(points, t, 2)
-        skeleton = rips_skeleton(pairwise_distances(points), t)
+        skeleton = rips_skeleton(points, t)
         assert cone.restrict(t) is cone
         for s in sorted(set(cone.filtration_values(1).tolist())):
             cx, sub = build_rips(points, s, 2), cone.restrict(s)
@@ -250,14 +250,6 @@ class TestWorkingComplex:
                 assert np.array_equal(cx.face_table(m), sub.face_table(m))
             # a skeleton grows the complex at s from its own edges
             assert_same_arrays(stored_sublevel(skeleton, s), cx)
-
-
-def assert_same_arrays(a, b) -> None:
-    """The five arrays of every dimension, bitwise."""
-    assert a.dimension == b.dimension
-    for name in ("_verts", "_filt", "_faces", "_keys", "_lex"):
-        for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 def assert_same_fit(auto, full) -> None:
@@ -282,27 +274,25 @@ def assert_same_fit(auto, full) -> None:
     sample_circle(40, 0.15, 3, seed=9)[0],
 ], ids=["acceptance8", "noisy40a", "noisy40b"])
 def test_auto_fit_equals_the_fit_on_the_full_complex(points):
-    full = run_pipeline(complex=build_rips(points, enclosing_radius(points), 2), prime=47)
+    full = run_pipeline(complex=build_rips(points, "auto", 2), prime=47)
     assert_same_fit(run_pipeline(points=points, prime=47), full)
 
 
-def test_one_distance_matrix_per_auto_fit(monkeypatch):
+def test_one_distance_pass_per_fit(monkeypatch):
+    # the blocks are read once, at "auto" for the radius and the edges both
     calls = []
-    original = complexes.pairwise_distances
+    original = complexes._distance_blocks
 
-    def counted(points):
-        calls.append(len(points))
-        return original(points)
+    def counted(pts, k):
+        calls.append(len(pts))
+        return original(pts, k)
 
-    from circlift import pipeline
-    monkeypatch.setattr(complexes, "pairwise_distances", counted)
-    monkeypatch.setattr(pipeline, "pairwise_distances", counted)
+    monkeypatch.setattr(complexes, "_distance_blocks", counted)
     points = sample_circle(30, 0.05, 2, seed=1)[0]
-    for max_dim in (1, 2):
+    for threshold, max_dim in (("auto", 1), ("auto", 2), (0.9, 1)):
         calls.clear()
-        run_pipeline(points=points, prime=47, max_dim=max_dim)
+        run_pipeline(points=points, prime=47, threshold=threshold, max_dim=max_dim)
         assert calls == [30]
-    assert enclosing_radius(points) == float(original(points).max(axis=1).min())
 
 
 def arrays_held(obj, seen: set) -> list:
@@ -325,7 +315,7 @@ def arrays_held(obj, seen: set) -> list:
 @pytest.mark.parametrize("max_dim", [1, 2])
 @pytest.mark.parametrize("threshold", ["auto", 0.9])
 def test_no_complex_of_a_fit_holds_a_square_array(threshold, max_dim):
-    # the distance matrix is read once, to build the complex, and dropped
+    # distances are read once, to build the complex, and no complex keeps them
     points, _ = sample_circle(24, 0.05, 2, seed=2)
     result = run_pipeline(points=points, prime=47, threshold=threshold, max_dim=max_dim)
     complexes_held = (result.complex, result.working_complex, result.diagram.complex)
@@ -336,7 +326,7 @@ def test_no_complex_of_a_fit_holds_a_square_array(threshold, max_dim):
 
 def test_refuses_a_skeleton_above_degree_one():
     pts, _ = sample_circle(12, 0.0, 2, seed=0)
-    skeleton = rips_skeleton(pairwise_distances(pts), 2.0)
+    skeleton = rips_skeleton(pts, 2.0)
     with pytest.raises(ValueError, match="exceeds complex dimension"):
         persistent_cohomology(skeleton, OddPrime(47), 2)
 
@@ -347,7 +337,7 @@ def test_skeleton_refuses_what_reads_its_triangles():
     # indicator as not closed.
     pts, _ = sample_circle(30, 0.0, 2, seed=7)
     skeleton = run_pipeline(pts).complex
-    full = rips_from_distances(pairwise_distances(pts), enclosing_radius(pts), 2)
+    full = build_rips(pts, "auto", 2)
     for cx, error, integer_error in ((skeleton, DimensionOutOfRange, DimensionOutOfRange),
                                      (full, NotClosed, NotACocycle)):
         with pytest.raises(error):
@@ -371,3 +361,19 @@ def test_skeleton_refuses_what_reads_its_triangles():
                      lambda: cx.simplex(2, 0), lambda: Cochain(cx, 2, GF(47), {})):
             with pytest.raises(DimensionOutOfRange):
                 read()
+
+
+def test_skeleton_json_refuses_instead_of_dropping_its_triangles(tmp_path):
+    # reloaded from vertices and edges alone, a skeleton would be a graph
+    # with many more degree-1 classes than the cone it stands for
+    pts, _ = sample_circle(30, 0.0, 2, seed=7)
+    skeleton = run_pipeline(pts).complex
+    for cx in (skeleton, skeleton.restrict(np.median(skeleton.filtration_values(1)))):
+        with pytest.raises(DimensionOutOfRange):
+            cx.to_json_dict()
+        with pytest.raises(DimensionOutOfRange):
+            cx.write_json(tmp_path / "skeleton.json")
+    full = build_rips(pts, "auto", 2)
+    full.write_json(tmp_path / "full.json")
+    assert_same_arrays(FilteredComplex.from_json_dict(json.loads(
+        (tmp_path / "full.json").read_text())), full)

@@ -43,7 +43,7 @@ def test_only_complexes_reads_a_skeletons_distances():
 
 def test_cofacet_sources_read_no_distances():
     # the sources read a skeleton's edges, whose indices follow the
-    # (filtration, lex) order; the matrix only builds the working complex
+    # (filtration, lex) order; distances are read only to build a complex
     found = [f"complexes.py:{node.lineno}"
              for cls in ast.walk(ast.parse(Path(complexes.__file__).read_text()))
              if isinstance(cls, ast.ClassDef) and cls.name in ("_FaceTable", "_RipsTriangles")
@@ -99,8 +99,6 @@ def test_every_private_definition_is_used():
 
 # public names that only users name, each with the reason it is kept
 USER_ENTRY_POINTS = {
-    "enclosing_radius": "perfbench/spans.py wraps it by name; no fit calls it, since an "
-                        "auto fit takes the radius from its one distance matrix",
     "sample_circle": "the README quickstart and acceptance criterion 8 draw points from it",
     "sample_trefoil": "acceptance criterion 9 draws its points from it",
     "trend_slope": "acceptance criterion 4 measures the sparsity sweep's trend with it",

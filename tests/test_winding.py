@@ -1,3 +1,5 @@
+import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -8,8 +10,9 @@ import circlift.winding as winding
 from circlift import (Chain, Cochain, OddPrime, ZZ,
                       apply_coboundary, build_from_simplices, build_rips, candidate_primes,
                       class_vanishes_mod, cycle_representative, divide_step,
-                      kronecker_pairing, lift_closed, persistent_cohomology,
-                      reduce_winding, select_class)
+                      has_p_torsion, kronecker_pairing, lift_closed, persistent_cohomology,
+                      reduce_winding, run_pipeline, select_class, snf_repair)
+from circlift.cli import main
 from circlift.errors import (ComplexTooLargeForSnf, NotACocycle, NotDivisible,
                              ZeroPairing)
 from circlift.experiments import sample_circle
@@ -359,3 +362,48 @@ class TestDenseOracle:
         alpha = Cochain(cx, 2, ZZ, {0: 2})
         with pytest.raises(ValueError):
             divide_step(alpha, 2, route="modp")
+
+
+@pytest.fixture(scope="module")
+def circle_fit():
+    return run_pipeline(sample_circle(30, 0.0, 2, seed=7)[0], prime=47)
+
+
+STAGES = {
+    "lift_closed": lambda fit, cap: lift_closed(fit.cocycle_lift.input, snf_cap=cap),
+    "snf_repair": lambda fit, cap: snf_repair(fit.cocycle_lift.working_lift, OddPrime(47),
+                                              snf_cap=cap),
+    "has_p_torsion": lambda fit, cap: has_p_torsion(fit.working_complex, 1, OddPrime(47),
+                                                    snf_cap=cap),
+    "divide_step": lambda fit, cap: divide_step(fit.cocycle_lift.working_lift.scale(3), 3,
+                                                snf_cap=cap),
+    "reduce_winding": lambda fit, cap: reduce_winding(fit.cocycle_lift.working_lift.scale(2),
+                                                      fit.cycle_lift.working_lift, snf_cap=cap),
+}
+
+
+@pytest.mark.parametrize("cap", ["x", -5, 1.5])
+@pytest.mark.parametrize("stage", STAGES)
+def test_every_stage_refuses_a_cap_that_is_no_integer_at_least_zero(stage, cap, circle_fit):
+    # whether or not a Smith-normal-form route would run
+    with pytest.raises(ValueError, match=re.escape(
+            f"snf_cap must be an integer >= 0, got {cap!r}")):
+        STAGES[stage](circle_fit, cap)
+
+
+@pytest.mark.parametrize("command", ["lift", "reduce-winding"])
+def test_cli_refuses_a_negative_cap(command, circle_fit, tmp_path):
+    paths = {}
+    for name, obj in {"complex": circle_fit.working_complex,
+                      "input": circle_fit.cocycle_lift.input,
+                      "cocycle": circle_fit.cocycle_lift.working_lift,
+                      "cycle": circle_fit.cycle_lift.working_lift}.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj.to_json_dict()))
+    inputs = (["--input", paths["input"], "--prime", "47"] if command == "lift"
+              else ["--cocycle", paths["cocycle"], "--cycle", paths["cycle"]])
+    out = tmp_path / "out"
+    argv = [command, "--complex", paths["complex"], *inputs, "--snf-cap", "-5", "--out", out]
+    assert main([str(a) for a in argv]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and err["message"].endswith("got -5")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .complexes import Chain, Cochain, FilteredComplex, GF, ZZ
+from .complexes import Chain, Cochain, FilteredComplex, GF, ZZ, write_json
 from .errors import CircliftError, TorsionObstruction, ZeroPairing
 from .experiments import sparsity_sweep, write_sparsity_csv
 from .fields import OddPrime
@@ -34,11 +34,14 @@ EXIT_TORSION = 4
 def _read_points_csv(path: Path) -> np.ndarray:
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             rows.append([float(v) for v in line.split(",")])
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{path} line {number}: {len(rows[-1])} coordinates, "
+                                 f"but the first point has {len(rows[0])}")
     if not rows:
         raise CircliftError(f"no points in {path}", operation="cli_io.cmd_run")
     return np.asarray(rows, dtype=float)
@@ -56,28 +59,28 @@ def _load_input(path: Path):
     return _read_points_csv(path), None
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def _threshold(text: str) -> float | str:
+    try:
+        return float(text)
+    except ValueError:      # "auto", or a word that build_rips refuses by name
+        return text
 
 
 def cmd_run(args) -> int:
     OddPrime(args.prime)   # rejects p = 2 and composites before any compute
-    threshold = args.threshold if args.threshold == "auto" else float(args.threshold)
     points, complex_ = _load_input(args.input)
     result = run_pipeline(
         points=points, complex=complex_, prime=args.prime,
-        max_dim=args.max_dim, threshold=threshold,
+        max_dim=args.max_dim, threshold=args.threshold,
         class_strategy=args.class_strategy, scale_policy=args.scale_policy,
         reduce=not args.no_reduce, snf_cap=args.snf_cap)
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     result.diagram.write_json(out / "diagram.json")
-    _write_json(out / "lift_report.json", result.cocycle_lift.to_json_dict())
+    write_json(out / "lift_report.json", result.cocycle_lift.to_json_dict())
     if result.winding_report is not None:
-        _write_json(out / "winding_report.json", result.winding_report.to_json_dict())
+        write_json(out / "winding_report.json", result.winding_report.to_json_dict())
     result.smoothed.write_json(out / "smoothed.json")
     result.coords.write_csv(out / "coords.csv")
 
@@ -94,7 +97,7 @@ def cmd_lift(args) -> int:
     cls = Chain if args.kind == "cycle" else Cochain
     vec = cls.from_json_dict(cx, _read_json(args.input), ring=GF(args.prime))
     report = lift_closed(vec, snf_cap=args.snf_cap)
-    _write_json(Path(args.out) / "lift_report.json", report.to_json_dict())
+    write_json(Path(args.out) / "lift_report.json", report.to_json_dict())
     return 0
 
 
@@ -103,7 +106,7 @@ def cmd_reduce_winding(args) -> int:
     alpha = Cochain.from_json_dict(cx, _read_json(args.cocycle), ring=ZZ)
     beta = Chain.from_json_dict(cx, _read_json(args.cycle), ring=ZZ)
     report = reduce_winding(alpha, beta, snf_cap=args.snf_cap)
-    _write_json(Path(args.out) / "winding_report.json", report.to_json_dict())
+    write_json(Path(args.out) / "winding_report.json", report.to_json_dict())
     return 0
 
 
@@ -144,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="points CSV (no header) or explicit-complex JSON")
     run.add_argument("--prime", type=int, default=47)
     run.add_argument("--max-dim", type=int, default=1)
-    run.add_argument("--threshold", default="auto")
+    run.add_argument("--threshold", type=_threshold, default="auto")
     run.add_argument("--class", dest="class_strategy", default="max-persistence",
                      help='"max-persistence" or "index:k"')
     run.add_argument("--scale", dest="scale_policy", default="midpoint")
@@ -214,7 +217,7 @@ def main(argv=None) -> int:
             try:
                 out = Path(out)
                 out.mkdir(parents=True, exist_ok=True)
-                _write_json(out / "error.json", diagnostic)
+                write_json(out / "error.json", diagnostic)
             except OSError:
                 pass
         return _exit_code_for(err)

@@ -389,8 +389,9 @@ class FilteredComplex:
         return sub
 
     def cofacet_source(self, d: int):
-        """The (d+1)-simplices as cofacets of the d-simplices, in key order:
-        from the face table, or for a Rips skeleton's top degree its edge index."""
+        """The (d+1)-simplices as cofacets of the d-simplices, as keys and face
+        rows (`earliest` and `cofacets`): from the face table, or for a Rips
+        skeleton's top degree its edge index."""
         skeleton_top = self._skeleton and d == self.dimension
         return _RipsTriangles(self) if skeleton_top else _FaceTable(self, d)
 
@@ -442,8 +443,14 @@ class FilteredComplex:
         )
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
+        write_json(path, self.to_json_dict())
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def build_from_simplices(entries: Iterable[tuple[Iterable[int], float]]) -> FilteredComplex:
@@ -485,6 +492,8 @@ def _finite_points(points) -> tuple[np.ndarray, int]:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
+    if pts.ndim != 2:
+        raise ValueError(f"expected 2-D point array, got shape {pts.shape}")
     bad = ~np.isfinite(pts)
     if bad.any():
         row, col = divmod(int(np.flatnonzero(bad)[0]), pts.shape[1])
@@ -705,13 +714,6 @@ def edge_index(n: int, edges: np.ndarray) -> np.ndarray:
     return index
 
 
-def _rips_faces(triangles: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Face table of triangles x < y < z read from an `edge_index`: the
-    edges yz, xz and xy."""
-    x, y, z = triangles.T
-    return np.stack([index[y, z], index[x, z], index[x, y]], axis=1, dtype=np.int64)
-
-
 def rips_skeleton(points, threshold: float | str) -> FilteredComplex:
     """The 1-skeleton of the Rips complex of ``points`` at ``threshold``. Its
     triangles are implied by its edges, not stored: `cofacet_source` streams
@@ -750,29 +752,24 @@ class _FaceTable:
     read from the face table; a key's code is the simplex's index."""
 
     def __init__(self, cx: FilteredComplex, d: int):
-        self.d, self.up = d, cx.face_table(d + 1)
-        self.filt, self.verts = cx.filtration_values(d + 1), cx.vertex_array(d + 1)
+        self.d, self.up, self.filt = d, cx.face_table(d + 1), cx.filtration_values(d + 1)
 
     def _keys(self, index: np.ndarray) -> np.ndarray:
         keys = np.empty(len(index), dtype=_KEY)
         keys["f"], keys["c"] = self.filt[index], index
         return keys
 
-    def earliest(self, n_d: int) -> np.ndarray:
-        """Key of each d-simplex's earliest cofacet, _NEVER for none."""
+    def earliest(self, n_d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Key and face row of each d-simplex's earliest cofacet: _NEVER and
+        zeros for none."""
         n_up = len(self.up)
         first = np.full(n_d, n_up)
         np.minimum.at(first, self.up.ravel(), np.repeat(np.arange(n_up), self.d + 2))
-        keys = np.full(n_d, _NEVER)
-        has = first < n_up
-        keys[has] = self._keys(first[has])
-        return keys
-
-    def faces(self, keys: np.ndarray) -> np.ndarray:
-        return self.up[keys["c"]]
-
-    def vertices(self, keys: np.ndarray) -> np.ndarray:
-        return self.verts[keys["c"]]
+        none, keys = first == n_up, np.full(n_d, _NEVER)
+        keys[~none] = self._keys(first[~none])
+        # a gather zeroed where none: a scatter of short rows costs more
+        up = self.up if n_up else np.zeros((1, self.d + 2), dtype=self.up.dtype)
+        return keys, np.where(none[:, None], 0, up.take(first, axis=0, mode="clip"))
 
     def cofacets(self, count: np.ndarray, arrive: np.ndarray):
         """Windows (keys, face rows), in key order, of the (d+1)-simplices
@@ -814,33 +811,30 @@ class _RipsTriangles:
             yield lo, a, b, self.edge[a], self.edge[b]
             lo = hi
 
-    def earliest(self, n_d: int) -> np.ndarray:
-        """Key of each edge's earliest cofacet, _NEVER for none. With m =
-        max(ac, bc) per c (n_d where c misses a or b), the least filtration
-        is that of edge late = max(min m, j), and the earliest cofacet is the
-        first c whose m comes before the end of late's filtration value."""
-        keys = np.full(n_d, _NEVER)
+    def earliest(self, n_d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Key and face row of each edge's earliest cofacet: _NEVER and zeros
+        for none. With m = max(ac, bc) per c (n_d where c misses a or b), the
+        least filtration is that of edge late = max(min m, j), and the
+        earliest cofacet is the first c whose m comes before the end of
+        late's filtration value."""
+        late, c = np.empty(n_d, dtype=np.int64), np.empty(n_d, dtype=np.int64)
         for lo, a, b, ac, bc in self._windows():
+            hi = lo + len(a)
             m = np.maximum(ac, bc, out=ac)
-            late = np.maximum(m.min(axis=1), np.arange(lo, lo + len(a)))
+            late[lo:hi] = np.maximum(m.min(axis=1), np.arange(lo, hi))
             # all rows, in m's dtype: copying rows or widening m costs more
-            c = (m < self.tie_end[late.clip(max=n_d - 1), None].astype(m.dtype)).argmax(axis=1)
-            has = np.flatnonzero(late < n_d)
-            keys["f"][lo + has] = self.filt[late[has]]
-            keys["c"][lo + has] = self._code(a[has], b[has], c[has])
-        return keys
+            c[lo:hi] = (m < self.tie_end[late[lo:hi].clip(max=n_d - 1), None]
+                        .astype(m.dtype)).argmax(axis=1)
+        # all edges at once, rows zeroed where none: per window, or scattered, costs more
+        j, (a, b), keys = np.flatnonzero(late < n_d), self.edges.T, np.full(n_d, _NEVER)
+        keys["f"][j], keys["c"][j] = self.filt[late[j]], self._code(a[j], b[j], c[j])
+        rows = _triangle_faces(a, b, c, np.arange(n_d), self.edge[a, c], self.edge[b, c])
+        return keys, np.where((late == n_d)[:, None], 0, rows)
 
     def _code(self, a, b, c) -> np.ndarray:
         """Code of each triangle {a, b, c} with a < b."""
         x, z = np.minimum(a, c), np.maximum(b, c)
         return (x * self.n + (a + b + c - x - z)) * self.n + z
-
-    def vertices(self, keys: np.ndarray) -> np.ndarray:
-        n, code = self.n, keys["c"]
-        return np.stack([code // (n * n), code // n % n, code % n], axis=1)
-
-    def faces(self, keys: np.ndarray) -> np.ndarray:
-        return _rips_faces(self.vertices(keys), self.edge)
 
     def cofacets(self, count: np.ndarray, arrive: np.ndarray):
         """Windows (keys, face rows), in key order, of the triangles with an
@@ -867,12 +861,16 @@ class _RipsTriangles:
             order = np.flatnonzero(keep)
             order = order[np.argsort((self.tie_end[ab[order]] - lo) * n ** 3 + keys["c"][order])]
             if order.size:
-                # the faces omit x, y and z of x < y < z
-                c, a, b = c[order], a[r[order]], b[r[order]]
-                ac, bc, ab = ac[order], bc[order], ab[order]
-                yield keys[order], np.stack([np.where(c < a, ab, bc),
-                                             np.where(c < a, bc, np.where(c < b, ab, ac)),
-                                             np.where(c < b, ac, ab)], axis=1)
+                yield keys[order], _triangle_faces(a[r[order]], b[r[order]], c[order],
+                                                   ab[order], ac[order], bc[order])
+
+
+def _triangle_faces(a, b, c, ab, ac, bc) -> np.ndarray:
+    """Face rows of the triangles {a, b, c}, a < b, from their edges ab, ac
+    and bc, in their dtype: the faces omit x, y and z of x < y < z."""
+    return np.stack([np.where(c < a, ab, bc),
+                     np.where(c < a, bc, np.where(c < b, ab, ac)),
+                     np.where(c < b, ac, ab)], axis=1)
 
 
 class Forest(NamedTuple):
@@ -1046,7 +1044,7 @@ class _SimplexVector:
     def from_simplices(cls, complex: FilteredComplex, dim: int, ring: Ring,
                        assignment: Mapping[Simplex, object]):
         return cls(complex, dim, ring,
-                   {complex.index(as_simplex(s)): v for s, v in assignment.items()})
+                   {_index_in(complex, dim, s): v for s, v in assignment.items()})
 
     @classmethod
     def from_array(cls, complex: FilteredComplex, dim: int, ring: Ring, values: np.ndarray):
@@ -1100,11 +1098,7 @@ class _SimplexVector:
     # -- views --
 
     def coefficient(self, s: Simplex):
-        i = self.complex.index(as_simplex(s))
-        at = int(np.searchsorted(self.index, i))
-        if at < len(self.index) and self.index[at] == i:
-            return self.values[at:at + 1].tolist()[0]
-        return self.ring.zero
+        return self.entries.get(_index_in(self.complex, self.dim, s), self.ring.zero)
 
     @property
     def support(self) -> list[int]:
@@ -1169,6 +1163,14 @@ def _check_compatible(a, b, types: tuple[type, type], operation: str) -> None:
     if a.complex is not b.complex or a.dim != b.dim:
         raise DimensionMismatch("operands on different complexes or degrees",
                                 operation=operation)
+
+
+def _index_in(complex: FilteredComplex, dim: int, s: Simplex) -> int:
+    """Index of ``s`` among the dim-simplices, refusing another dimension's."""
+    s = as_simplex(s)
+    if len(s) != dim + 1:
+        raise ValueError(f"simplex {s} is not of degree {dim}")
+    return complex.index(s)
 
 
 def _check_degree(complex: FilteredComplex, dim: int) -> None:

@@ -116,17 +116,11 @@ def lift_mod(value: int, p: int) -> int:
 
 
 def inv_mod(value: int, p: int) -> int:
-    """Multiplicative inverse in [1, p) by extended Euclid."""
-    v = value % p
+    """Multiplicative inverse in [1, p) modulo a prime p."""
+    v = int(value) % p
     if v == 0:
         raise ZeroInverse("0 has no multiplicative inverse", operation="finite_field.inverse")
-    r0, r1 = p, v
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return s0 % p
+    return pow(v, -1, p)
 
 
 def abs_p(x: FpElement) -> int:

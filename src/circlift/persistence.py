@@ -23,13 +23,13 @@ visited one by one:
   (d+1)-simplex on which it, or an older one, is nonzero.
 
 The (d+1)-simplices are read through the complex's cofacet source
-(`FilteredComplex.cofacet_source`), which names a simplex by its key and
-gives the non-apparent ones as one stream in key order, read once per
-degree in cache-sized windows. A window keeps the simplices with a face
-in the live supports, which a count per d-simplex tracks: a death changes
-it only on the victim's support. Coboundaries are evaluated in slices that
-start small after each death and double until a cocycle is nonzero, so the
-search evaluates little past each death.
+(`FilteredComplex.cofacet_source`) as keys and face rows, and a death is
+named from its face row. The non-apparent ones come as one stream in key
+order, read once per degree in cache-sized windows. A window keeps the
+simplices with a face in the live supports, which a count per d-simplex
+tracks: a death changes it only on the victim's support. Coboundaries are
+evaluated in slices that start small after each death and double until a
+cocycle is nonzero, so the search evaluates little past each death.
 
 Diagrams and representatives are exactly those of the per-simplex loop,
 which the tests keep as their oracle. The dual 1-cycle of a class is a
@@ -39,7 +39,6 @@ fundamental cycle of the spanning forest at the representative scale.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,7 +49,7 @@ import numpy as np
 
 from .complexes import (Chain, Cochain, FilteredComplex, GF, _BLOCK, _FIRST, _KEY, _NEVER,
                         concat_ranges, exact_dtype, face_signs, forest_potential,
-                        spanning_forest)
+                        spanning_forest, write_json)
 from .errors import DimensionOutOfRange, EmptyDiagram, NoDualCycle
 from .fields import OddPrime, inv_mod
 
@@ -144,8 +143,7 @@ class Diagram:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
+        write_json(path, self.to_json_dict())
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -195,8 +193,7 @@ def persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: int, *,
     merges, components = _components(cx)
     births = ~merges
     for d in range(1, max_dim + 1):
-        deaths = _reduce(cx.cofacet_source(d), d, births, cx.filtration_values(d), q,
-                         finished)
+        deaths = _reduce(cx, d, births, q, finished)
         if d < max_dim:
             births = np.ones(cx.n_simplices(d + 1), dtype=bool)
             births[deaths["c"]] = False
@@ -311,29 +308,34 @@ def _components(cx: FilteredComplex) -> tuple[np.ndarray, Callable[[], list]]:
     return merges, entries
 
 
-def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,
+def _vertices(faces: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Vertex rows of the simplices whose face rows are ``faces``, given the
+    faces' vertex rows ``V``: face 1 omits vertex 1, so it starts with
+    vertex 0, and face 0 holds the others."""
+    return np.column_stack([V[faces[:, 1], 0], V[faces[:, 0]]])
+
+
+def _reduce(cx: FilteredComplex, d: int, births: np.ndarray, q: int,
             finished: list) -> np.ndarray:
     """Degree d >= 1: pair the births (a mask over the d-simplices) with
-    (d+1)-simplices, read through ``source``. Returns the keys of the
-    (d+1)-simplices that are deaths.
+    (d+1)-simplices, read through the complex's cofacet source. Returns the
+    keys of the (d+1)-simplices that are deaths.
 
     A birth sigma whose earliest cofacet tau has sigma as its latest facet
     is an apparent pair: {sigma: 1} is untouched until tau, where sigma is
-    the youngest live cocycle nonzero on tau. Each tau's faces are read once.
+    the youngest live cocycle nonzero on tau.
     """
-    n_d = len(births)
-    earliest = source.earliest(n_d)
-    sigma = np.flatnonzero(births & (earliest["c"] != _NEVER["c"]))
-    tau = earliest[sigma]
-    tau_faces = source.faces(tau)
-    apparent = tau_faces.max(axis=1) == sigma
-    sigma, tau, tau_faces = sigma[apparent], tau[apparent], tau_faces[apparent]
+    source, f_d, n_d = cx.cofacet_source(d), cx.filtration_values(d), len(births)
+    earliest, faces = source.earliest(n_d)
+    sigma = np.flatnonzero(births & (earliest["c"] != _NEVER["c"])
+                           & (faces.max(axis=1) == np.arange(n_d)))
+    tau, tau_faces = earliest[sigma], faces[sigma]
     shown = tau["f"] > f_d[sigma]
     # an indicator {s: 1}: its support is a row of a column of the births
     one = np.ones(1, dtype=np.int64)
     finished.extend((d, s, (f, tuple(verts)), row, one) for s, f, verts, row in zip(
         sigma[shown].tolist(), tau["f"][shown].tolist(),
-        source.vertices(tau[shown]).tolist(), sigma[shown, None]))
+        _vertices(tau_faces[shown], cx.vertex_array(d)).tolist(), sigma[shown, None]))
 
     # when a simplex enters the long cocycles: apparent ones at their tau,
     # long births at once (_FIRST), the rest never (_NEVER)
@@ -348,11 +350,11 @@ def _reduce(source, d: int, births: np.ndarray, f_d: np.ndarray, q: int,
     arrive[long] = _FIRST
     if not long.size:
         return tau
-    return np.concatenate([tau, _replay(source, d, f_d, q, long, sigma, tau_faces, arrive,
+    return np.concatenate([tau, _replay(cx, source, d, q, long, sigma, tau_faces, arrive,
                                         finished)])
 
 
-def _replay(source, d: int, f_d: np.ndarray, q: int, long: np.ndarray,
+def _replay(cx: FilteredComplex, source, d: int, q: int, long: np.ndarray,
             sigma: np.ndarray, tau_faces: np.ndarray, arrive: np.ndarray,
             finished: list) -> np.ndarray:
     """Run the long cocycles of degree d, one column of E each, born at the
@@ -374,7 +376,7 @@ def _replay(source, d: int, f_d: np.ndarray, q: int, long: np.ndarray,
     absorption only add later simplices. So a slice is evaluated on the
     live columns born at or before its latest face.
     """
-    signs = np.array(face_signs(d + 1))
+    signs, f_d, V = np.array(face_signs(d + 1)), cx.filtration_values(d), cx.vertex_array(d)
     # row n_d stays zero. Entries are below q: a sum over d+2 faces is
     # exact in E's dtype, and an absorption's products below q^2 in ``wide``
     E = np.zeros((len(arrive) + 1, len(long)), dtype=exact_dtype((d + 2) * q))
@@ -409,7 +411,7 @@ def _replay(source, d: int, f_d: np.ndarray, q: int, long: np.ndarray,
             if rho["f"] > f_d[birth]:
                 arrived = _before(arrive[support], rho)
                 finished.append((d, birth, (float(rho["f"]), tuple(
-                    source.vertices(keys[r:r + 1])[0].tolist())),
+                    _vertices(faces[r:r + 1], V)[0].tolist())),
                     support[arrived], values[arrived]))
             factors = row[:-1].astype(wide) * inv_mod(int(row[-1]), q) % q
             block = np.ix_(support, older)

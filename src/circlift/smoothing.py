@@ -10,7 +10,6 @@ circle-valued vertex coordinates.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -18,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .complexes import (Cochain, RR, _require_integer_cocycle, forest_potential,
-                        spanning_forest)
+                        spanning_forest, write_json)
 from .errors import InconsistentCocycle, SolverDiverged, VertexSetMismatch
 
 RESIDUAL_RTOL = 1e-9
@@ -42,8 +41,7 @@ class SmoothedCocycle:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
+        write_json(path, self.to_json_dict())
 
 
 @dataclass(frozen=True)

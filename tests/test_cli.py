@@ -53,6 +53,9 @@ class TestRun:
         assert len(rows) == 31
         report = json.loads((out / "winding_report.json").read_text())
         assert report["winding_number"] == "1"
+        for name in ("diagram.json", "lift_report.json", "winding_report.json",
+                     "smoothed.json"):
+            assert (out / name).read_text().endswith("}\n"), name
 
     def test_outputs_are_deterministic(self, tmp_path, circle_csv):
         path, _ = circle_csv
@@ -71,6 +74,29 @@ class TestRun:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
+
+    def test_row_of_another_length_is_named(self, tmp_path, circle_csv):
+        path, _ = circle_csv
+        lines = path.read_text().splitlines()
+        lines[3] += ",0.5"
+        path.write_text("# x,y,z,w\n\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--input", str(path), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["message"]) == \
+            ("ValueError", f"{path} line 6: 5 coordinates, but the first point has 4")
+
+    @pytest.mark.parametrize("threshold", ["AUTO", "bogus", "nan", "-1"])
+    def test_threshold_is_refused_by_the_builder(self, tmp_path, circle_csv, threshold):
+        path, _ = circle_csv
+        out = tmp_path / "o"
+        assert main(["run", "--input", str(path), "--threshold", threshold,
+                     "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        shown = repr(float(threshold)) if threshold in ("nan", "-1") else repr(threshold)
+        assert err["error"] == "ValueError"
+        assert err["message"] == \
+            f'threshold must be >= 0 or "auto", and not NaN, got {shown}'
 
     def test_contractible_input_reports_missing_class(self, tmp_path, capsys):
         from circlift import build_from_simplices

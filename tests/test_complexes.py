@@ -7,7 +7,7 @@ import pytest
 from circlift import (Chain, Cochain, FilteredComplex, GF, RR, ZZ,
                       apply_boundary, apply_coboundary, build_from_simplices,
                       build_rips, kronecker_pairing, run_pipeline)
-from circlift.errors import DimensionMismatch, EmptyInput
+from circlift.errors import DimensionMismatch, DimensionOutOfRange, EmptyInput
 from conftest import hexagon_fundamental_cycle, random_complex
 from oracles import boundary_faces
 
@@ -52,6 +52,10 @@ class TestBuildRips:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             build_rips(np.zeros((0, 2)), 1.0, 1)
+        with pytest.raises(EmptyInput, match="^complex has no simplices$"):
+            FilteredComplex({})
+        with pytest.raises(EmptyInput, match="^no simplices supplied$"):
+            build_from_simplices([])
         for threshold in ("auto", 0.9):
             with pytest.raises(EmptyInput, match="no points"):
                 run_pipeline(points=np.zeros((0, 2)), threshold=threshold)
@@ -95,6 +99,13 @@ class TestOperators:
     def test_hexagon_has_no_degree_one_coboundary(self, hexagon):
         mat = hexagon.coboundary_matrix(1)
         assert mat.shape == (0, 6)
+
+    def test_degrees_without_a_matrix_are_refused(self, hexagon):
+        for matrix, degree in ((hexagon.boundary_matrix, 0), (hexagon.boundary_matrix, 2),
+                               (hexagon.coboundary_matrix, -1),
+                               (hexagon.coboundary_matrix, 2)):
+            with pytest.raises(DimensionOutOfRange, match=f"in degree {degree}$"):
+                matrix(degree)
 
     def test_coboundary_is_boundary_transpose(self):
         rng = np.random.default_rng(3)
@@ -195,16 +206,62 @@ class TestSerialization:
         # big integers survive as decimal strings
         assert any(v == str(-10 ** 25) for _, v in json.loads(blob)["entries"])
 
-    def test_complex_json_round_trip(self, hexagon):
-        back = FilteredComplex.from_json_dict(hexagon.to_json_dict())
-        assert back.simplices(1) == hexagon.simplices(1)
-        for e in hexagon.simplices(1):
-            assert back.filtration(e) == hexagon.filtration(e)
+    def test_complex_json_round_trip(self, hexagon, tmp_path):
+        hexagon.write_json(tmp_path / "cx.json")
+        text = (tmp_path / "cx.json").read_text()
+        assert text.endswith("}\n")
+        for back in (FilteredComplex.from_json_dict(hexagon.to_json_dict()),
+                     FilteredComplex.from_json_dict(json.loads(text))):
+            assert back.simplices(1) == hexagon.simplices(1)
+            for e in hexagon.simplices(1):
+                assert back.filtration(e) == hexagon.filtration(e)
 
     def test_real_cochain_round_trip(self, hexagon):
         c = Cochain(hexagon, 1, RR, {0: 0.25, 3: -1.5})
         back = Cochain.from_json_dict(hexagon, c.to_json_dict())
         assert back == c
+
+
+class TestRefusedEntries:
+    # a triangle (0, 1, 2) and an edge (2, 3): the triangle's own index in
+    # degree 2 is 0, which is also an edge's index in degree 1
+    @pytest.fixture
+    def cx(self):
+        return build_from_simplices([((0, 1, 2), 1.0), ((2, 3), 0.5)])
+
+    def test_simplex_of_another_degree(self, cx):
+        with pytest.raises(ValueError, match=r"^simplex \(0, 1, 2\) is not of degree 1$"):
+            Cochain.from_simplices(cx, 1, GF(5), {(0, 1, 2): 3})
+        with pytest.raises(ValueError, match=r"^simplex \(2,\) is not of degree 1$"):
+            Cochain.from_json_dict(cx, {"dim": 1, "ring": "F_5", "entries": [[[2], "4"]]})
+        c = Cochain.from_simplices(cx, 1, GF(5), {(2, 3): 3})
+        with pytest.raises(ValueError, match=r"^simplex \(0, 1, 2\) is not of degree 1$"):
+            c.coefficient((0, 1, 2))
+        with pytest.raises(ValueError, match=r"^simplex \(\) is not of degree 1$"):
+            c.coefficient(())
+        assert c.coefficient((2, 3)) == 3 and c.coefficient((0, 1)) == 0
+
+    def test_cli_refuses_a_cochain_of_another_degree(self, cx, tmp_path):
+        from circlift.cli import main
+        (tmp_path / "cx.json").write_text(json.dumps(cx.to_json_dict()))
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"dim": 1, "ring": "F_5", "entries": [[[0, 1, 2], "4"]]}))
+        assert main(["lift", "--complex", str(tmp_path / "cx.json"), "--input",
+                     str(tmp_path / "c.json"), "--prime", "5", "--out", str(tmp_path)]) == 1
+        err = json.loads((tmp_path / "error.json").read_text())
+        assert (err["error"], err["message"]) == \
+            ("ValueError", "simplex (0, 1, 2) is not of degree 1")
+
+    def test_index_or_length_outside_the_degree(self, cx):
+        n = cx.n_simplices(1)
+        with pytest.raises(ValueError, match=f"^simplex index {n} out of range in degree 1$"):
+            Cochain(cx, 1, ZZ, {n: 1})
+        with pytest.raises(ValueError, match="^simplex index -1 out of range in degree 1$"):
+            Cochain(cx, 1, ZZ, {-1: 1})
+        for length in (n - 1, n + 1):
+            with pytest.raises(ValueError,
+                               match=f"^{length} coefficients for {n} simplices in degree 1$"):
+                Cochain.from_array(cx, 1, ZZ, np.ones(length, dtype=np.int64))
 
 
 class TestRestrict:

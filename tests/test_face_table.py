@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from circlift import (Chain, Cochain, FilteredComplex, GF, RR, ZZ, apply_boundary,
                       apply_coboundary, build_from_simplices, build_rips,
                       cocycle_index_system)
+from circlift import persistence
 from circlift.complexes import face_signs, forest_potential, is_closed, spanning_forest
 from oracles import (ReferenceComplex, faces_with_signs, reference_boundary,
                      reference_coboundary, reference_forest_potential,
@@ -91,6 +92,9 @@ def assert_matches_reference(cx: FilteredComplex, ref: ReferenceComplex) -> None
         assert cx.filtration_values(m).tolist() == ref.filtration[m]
         if m:
             assert cx.face_table(m).tolist() == ref.faces(m)
+            # persistence names a death simplex from its face row
+            assert persistence._vertices(cx.face_table(m), cx.vertex_array(m - 1)).tolist() \
+                == [list(s) for s in ref.simplices[m]]
         for i, s in enumerate(ref.simplices[m]):
             assert cx.index(s) == i and cx.has_simplex(s)
             assert cx.filtration(s) == ref.filtration[m][i]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from circlift.errors import PrimalityUnproven, ZeroInverse
-from circlift.fields import (PRIMALITY_BOUND, FpElement, OddPrime, abs_p, inverse, is_prime,
-                             lift_coeff, primes_in_range, range_bound,
+from circlift.fields import (PRIMALITY_BOUND, FpElement, OddPrime, abs_p, inv_mod, inverse,
+                             is_prime, lift_coeff, primes_in_range, range_bound,
                              reduce_coeff)
 from circlift.winding import candidate_primes
 from oracles import reference_candidate_primes, reference_is_prime
@@ -48,6 +48,16 @@ class TestInverse:
     def test_zero_raises(self):
         with pytest.raises(ZeroInverse):
             inverse(fp(0, 7))
+        for value in (0, 14, -7, np.int64(21)):
+            with pytest.raises(ZeroInverse, match="^0 has no multiplicative inverse$"):
+                inv_mod(value, 7)
+
+    def test_inv_mod_of_any_integer_type(self):
+        # negative values, numpy integers and a prime past 2^61
+        for value, p in ((-3, 7), (np.int64(3), 7), (np.int64(-10**6), 1009),
+                         (2**70 + 5, 2**61 - 1), (3, 2**127 - 1)):
+            inv = inv_mod(value, p)
+            assert type(inv) is int and 1 <= inv < p and inv * int(value) % p == 1
 
     def test_involution_exhaustive(self):
         for p in primes_in_range(3, 101):

@@ -161,6 +161,11 @@ class TestLiftClosed:
         z = Chain.from_simplices(filled_triangle, 1, GF(7), {(0, 1): 1, (1, 2): 1, (0, 2): 6})
         assert lift_closed(z, "cycle").to_json_dict() == lift_closed(z).to_json_dict()
 
+    def test_coefficients_not_in_a_prime_field_are_refused(self, filled_triangle):
+        for vec in (Cochain(filled_triangle, 1, ZZ, {}), Chain(filled_triangle, 0, ZZ, {0: 1})):
+            with pytest.raises(ValueError, match="^expected F_p coefficients, got Z$"):
+                lift_closed(vec)
+
     def test_not_closed(self, filled_triangle):
         c = Cochain.from_simplices(filled_triangle, 1, GF(7), {(0, 1): 1})
         with pytest.raises(NotClosed, match=r"relation \(\(0, 1\),\) does not vanish mod 7"):

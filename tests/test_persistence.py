@@ -415,6 +415,10 @@ class TestSelectClass:
             if len(dg.pairs(0)) >= 2:
                 cx, diagram = cand, dg
         assert select_class(diagram, "index:1", dim=0) is diagram.pairs(0)[1]
+        n = len(diagram.pairs(0))
+        for k in (n, n + 5, -1):
+            with pytest.raises(EmptyDiagram, match=rf"^index {k} out of range \({n} pairs\)$"):
+                select_class(diagram, f"index:{k}", dim=0)
 
     def test_empty_diagram(self, filled_triangle):
         dg = persistent_cohomology(filled_triangle, OddPrime(7), 1)

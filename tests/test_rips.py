@@ -346,6 +346,17 @@ class TestNonFiniteInput:
     def test_max_dim_numpy_integer(self):
         assert build_rips(np.arange(4.0), 1.0, np.int64(2)).dimension == 1
 
+    def test_points_of_more_than_two_axes(self):
+        points = np.zeros((4, 2, 2))
+        for fit in (lambda t: build_rips(points, t, 1), lambda t: build_rips(points, t, 3),
+                    lambda t: run_pipeline(points=points, threshold=t)):
+            for threshold in ("auto", 0.9):
+                with pytest.raises(ValueError,
+                                   match=r"^expected 2-D point array, got shape \(4, 2, 2\)$"):
+                    fit(threshold)
+        with pytest.raises(ValueError, match=r"got shape \(\)$"):
+            build_rips(3.0, 1.0, 1)
+
     def test_pipeline_names_the_input(self):
         points, _ = sample_circle(20, 0.0, 2, seed=1)
         points[7, 0] = np.nan

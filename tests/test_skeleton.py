@@ -97,21 +97,25 @@ class TestCofacetSources:
             sources = {"table": complexes._FaceTable(cone, 1),
                        "rips": complexes._RipsTriangles(
                            rips_skeleton(points, t))}
-            found = {}
+            found, first = {}, {}
             for name, source in sources.items():
                 chunks = list(source.cofacets(count, arrive[name]))
                 keys = np.concatenate([k for k, _ in chunks] or [np.empty(0, complexes._KEY)])
                 faces = np.concatenate([f for _, f in chunks] or [np.empty((0, 3), int)])
-                earliest = source.earliest(n_e)
-                has = earliest["c"] != complexes._NEVER["c"]
-                found[name] = (source.vertices(keys).tolist(), keys["f"].tolist(),
-                               faces.tolist(), has.tolist(),
-                               source.vertices(earliest[has]).tolist(),
-                               earliest["f"][has].tolist())
+                first[name], rows = source.earliest(n_e)
+                has = first[name]["c"] != complexes._NEVER["c"]
+                assert not rows[~has].any()
+                found[name] = (persistence._vertices(faces, cone.vertex_array(1)).tolist(),
+                               keys["f"].tolist(), faces.tolist(), has.tolist(),
+                               rows[has].tolist(), first[name]["f"][has].tolist())
         want = np.flatnonzero(~apparent & (count[up] > 0).any(axis=1))
         assert found["rips"] == found["table"]
         assert found["table"][:3] == (tri[want].tolist(), cone.filtration_values(2)[want].tolist(),
                                       up[want].tolist())
+        # the earliest face rows are the face table's at the earliest keys
+        has = found["table"][3]
+        assert found["table"][4] == up[first["table"]["c"][has]].tolist()
+        assert persistence._vertices(up, cone.vertex_array(1)).tolist() == tri.tolist()
 
     @DIFFERENTIAL
     @given(clouds())
@@ -126,7 +130,7 @@ class TestCofacetSources:
         want = reference_rips_earliest(skeleton, dist).tobytes()
         for chunk in (1, 7, 1 << 18):
             with small_blocks(chunk):
-                keys = complexes._RipsTriangles(skeleton).earliest(skeleton.n_simplices(1))
+                keys, _ = complexes._RipsTriangles(skeleton).earliest(skeleton.n_simplices(1))
             assert keys.tobytes() == want
 
     def test_each_window_reads_the_count_as_it_is_then(self):

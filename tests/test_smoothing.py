@@ -150,6 +150,11 @@ class TestHarmonicSmooth:
         with pytest.raises(NotACocycle):
             harmonic_smooth(alpha)
 
+    def test_rejects_other_degrees(self, filled_triangle):
+        for dim in (0, 2):
+            with pytest.raises(ValueError, match="^smoothing applies to 1-cochains$"):
+                harmonic_smooth(Cochain(filled_triangle, dim, ZZ, {}))
+
     def test_iterative_solver_matches_direct(self, hexagon):
         # edge-list conjugate gradients against the dense direct solve, on
         # the hexagon and on random complexes with several components

@@ -116,6 +116,14 @@ class TestDivideStep:
         with pytest.raises(NotDivisible):
             divide_step(hexagon_generator(hexagon), 3)
 
+    def test_composite_divisor_and_degree_zero_are_refused(self, hexagon):
+        for q in (4, 1, 0, -3):
+            with pytest.raises(ValueError, match=f"^{q} is not prime$"):
+                divide_step(hexagon_generator(hexagon).scale(4), q)
+        # a constant 0-cochain is a cocycle, and 2 divides it
+        with pytest.raises(ValueError, match="^degree must be >= 1$"):
+            divide_step(Cochain(hexagon, 0, ZZ, dict.fromkeys(range(6), 2)), 2)
+
     def test_unknown_route_is_refused(self, hexagon):
         with pytest.raises(ValueError, match="unknown division route 'bogus'"):
             divide_step(hexagon_generator(hexagon).scale(2), 2, route="bogus")

@@ -38,7 +38,13 @@ def _read_points_csv(path: Path) -> np.ndarray:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            rows.append([])
+            for field, v in enumerate(line.split(","), 1):
+                try:
+                    rows[-1].append(float(v))
+                except ValueError:
+                    raise ValueError(f"{path} line {number}, field {field}: "
+                                     f"{v!r} is not a number") from None
             if len(rows[-1]) != len(rows[0]):
                 raise ValueError(f"{path} line {number}: {len(rows[-1])} coordinates, "
                                  f"but the first point has {len(rows[0])}")

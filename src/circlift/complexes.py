@@ -50,9 +50,6 @@ class Ring:
     def normalize_array(self, values: np.ndarray) -> np.ndarray:
         return values
 
-    def is_zero(self, x) -> bool:
-        return self.normalize(x) == self.zero
-
     @property
     def zero(self):
         return self.normalize(0)
@@ -847,12 +844,13 @@ class _RipsTriangles:
         for lo, a, b, ac, bc in self._windows():
             hi = lo + len(a)
             j = np.arange(lo, hi, dtype=ac.dtype)[:, None]
-            flat = np.flatnonzero(np.maximum(ac, bc) < j)
+            # every face found comes before hi; a clipped read lands only on
+            # a cell that the first test rejects
+            live = count[:hi] > 0
+            flat = np.flatnonzero((np.maximum(ac, bc) < j) & (
+                live.take(ac, mode="clip") | live.take(bc, mode="clip") | live[lo:, None]))
             r = flat // n
             c, ac, bc, ab = flat - r * n, ac.ravel().take(flat), bc.ravel().take(flat), lo + r
-            live = count[:hi] > 0          # every face found comes before hi
-            keep = live.take(ac) | live.take(bc) | live.take(ab)
-            r, c, ac, bc, ab = r[keep], c[keep], ac[keep], bc[keep], ab[keep]
             keys = np.empty(len(r), dtype=_KEY)
             keys["f"], keys["c"] = self.filt[ab], self._code(a[r], b[r], c)
             keep = arrive["c"][ab] != keys["c"]
@@ -999,7 +997,7 @@ class _SimplexVector:
         for idx, coeff in entries.items():
             if not 0 <= idx < n:
                 raise ValueError(f"simplex index {idx} out of range in degree {dim}")
-            # normalize is idempotent, so this is ring.is_zero(v)
+            # a canonical value is zero exactly when it equals ring.zero
             v = ring.normalize(coeff)
             if v != zero:
                 clean[int(idx)] = v

@@ -16,8 +16,8 @@ visited one by one:
   degree d-1. A birth and its earliest cofacet form an apparent pair (Bauer,
   "Ripser", 2021) when the birth is that cofacet's latest facet; its
   cocycle is the birth alone until the cofacet kills it.
-- Every other birth carries a long cocycle. One pass per level over the
-  apparent simplices extends all of them at once, since a cocycle's
+- Every other birth carries a long cocycle. Waves from the births over the
+  apparent simplices extend all of them at once, since a cocycle's
   coboundary vanishes on each apparent cofacet, and absorptions combine the
   extended vectors linearly. A long cocycle dies at the first non-apparent
   (d+1)-simplex on which it, or an older one, is nonzero.
@@ -28,8 +28,8 @@ named from its face row. The non-apparent ones come as one stream in key
 order, read once per degree in cache-sized windows. A window keeps the
 simplices with a face in the live supports, which a count per d-simplex
 tracks: a death changes it only on the victim's support. Coboundaries are
-evaluated in slices that start small after each death and double until a
-cocycle is nonzero, so the search evaluates little past each death.
+evaluated a window at a time, in blocks of a fixed size, from where the
+window stands: its start, or the simplex after a death.
 
 Diagrams and representatives are exactly those of the per-simplex loop,
 which the tests keep as their oracle. The dual 1-cycle of a class is a
@@ -161,10 +161,6 @@ def _prefix_length(cx: FilteredComplex, m: int, scale: float) -> int:
 
 # edges converted to Python ints at once by the union-find of degree 0
 _UNION_CHUNK = 1 << 10
-
-# cofacets evaluated first after a long death; the slice doubles while no
-# column hits
-_SLICE = 1 << 10
 
 
 def _before(a, b) -> np.ndarray:
@@ -369,11 +365,10 @@ def _replay(cx: FilteredComplex, source, d: int, q: int, long: np.ndarray,
     zeroed. ``count`` holds, per d-simplex, the live columns nonzero on it,
     and the one stream of cofacets reads it window by window. A death
     changes E and ``count`` only on the victim's support, and evaluation
-    resumes after the dead simplex with a small slice that doubles until a
-    column hits.
+    resumes with the next simplex of the window.
 
     A column is zero below the simplex it was born at: extension and
-    absorption only add later simplices. So a slice is evaluated on the
+    absorption only add later simplices. So a block is evaluated on the
     live columns born at or before its latest face.
     """
     signs, f_d, V = np.array(face_signs(d + 1)), cx.filtration_values(d), cx.vertex_array(d)
@@ -385,18 +380,18 @@ def _replay(cx: FilteredComplex, source, d: int, q: int, long: np.ndarray,
     _extend(E, tau_faces, sigma, signs, q)
     count = (E != 0).sum(axis=1)
 
-    live, deaths, size = np.ones(len(long), dtype=bool), [], _SLICE
-    cap = max(1, _BLOCK // len(long))       # a slice's values fill one block
+    live, deaths = np.ones(len(long), dtype=bool), []
+    cap = max(1, _BLOCK // len(long))       # rows whose values fill one block
     for keys, faces in source.cofacets(count, arrive):
         lo = 0
         while lo < len(keys):
-            rows = faces[lo:lo + min(size, cap)]
+            rows = faces[lo:lo + cap]
             cols = np.flatnonzero(live[:np.searchsorted(long, rows.max(), side="right")])
             at = sum(int(s) * E.take(rows[:, i], axis=0)[:, cols]
                      for i, s in enumerate(signs)) % q
             hits = np.flatnonzero((at != 0).any(axis=1))
             if not hits.size:
-                lo, size = lo + len(rows), 2 * size
+                lo += len(rows)
                 continue
             r = lo + int(hits[0])
             nonzero = np.flatnonzero(at[hits[0]])
@@ -420,7 +415,7 @@ def _replay(cx: FilteredComplex, source, d: int, q: int, long: np.ndarray,
             count[support] = (E[support] != 0).sum(axis=1)
             if not live.any():
                 return np.concatenate(deaths)
-            lo, size = r + 1, _SLICE
+            lo = r + 1
     for col in np.flatnonzero(live).tolist():
         kept = np.flatnonzero((E[:-1, col] != 0) & (arrive["c"] != _NEVER["c"]))
         finished.append((d, int(long[col]), None, kept, E[kept, col]))
@@ -432,31 +427,29 @@ def _extend(E: np.ndarray, rows: np.ndarray, sigma: np.ndarray, signs: np.ndarra
     """Set every column of E on each apparent sigma so that its coboundary
     vanishes on sigma's tau (face rows ``rows``): E(sigma) = -sign_sigma *
     the sum of sign_i E(face_i) over tau's other faces, which all come
-    earlier in index order. One pass per level: each pass writes the rows
-    of the sigma whose other faces are all resolved (not apparent, or
-    written by an earlier pass), and the next pass looks only at the sigma
-    that wait on those: a ``bincount`` of the woken waiters takes the
-    resolved faces off their counts."""
+    earlier in index order. Waves from the nonzero rows (the births): each
+    wave recomputes the sigma that read a row the last wave changed, and
+    the rows it changes make the next wave. The reads are acyclic, so the
+    waves end, and a row that no birth reaches keeps its zero."""
     m = len(sigma)
     pos = rows.argmax(axis=1)
     rows = rows.copy()
     rows[np.arange(m), pos] = len(E) - 1      # sigma reads the zero row
-    # the sigma that wait on each sigma: the apparent faces of their tau
-    position = np.full(len(E), m)
-    position[sigma] = np.arange(m)
-    on = position[rows].ravel()
-    waiter, on = np.flatnonzero(on < m) // rows.shape[1], on[on < m]
+    # the readers of each row: the sigma whose tau has it as another face
+    on = rows.ravel()
     order = np.argsort(on)
-    waiter, start = waiter[order], np.searchsorted(on[order], np.arange(m + 1))
-    waiting = np.bincount(waiter, minlength=m)
-    group = np.flatnonzero(waiting == 0)
-    while group.size:
+    reader, start = order // rows.shape[1], np.searchsorted(on[order], np.arange(len(E) + 1))
+    wave = np.flatnonzero(E.any(axis=1))      # the rows the last wave changed
+    while wave.size:
+        # each reader once, by a mask: np.unique's hash table grows the heap
+        read = np.zeros(m, dtype=bool)
+        read[reader[concat_ranges(start[wave], start[wave + 1] - start[wave])]] = True
+        group = np.flatnonzero(read)
         total = sum(int(s) * E.take(rows[group, i], axis=0) for i, s in enumerate(signs))
-        E[sigma[group]] = -signs[pos[group], None] * total % q
-        times = np.bincount(waiter[concat_ranges(start[group], start[group + 1] - start[group])])
-        waiting[:len(times)] -= times
-        woken = np.flatnonzero(times)
-        group = woken[waiting[woken] == 0]
+        value = -signs[pos[group], None] * total % q
+        moved = (value != E[sigma[group]]).any(axis=1)
+        wave = sigma[group[moved]]
+        E[wave] = value[moved]
 
 
 def cycle_representative(cx: FilteredComplex, p: OddPrime,

@@ -9,7 +9,9 @@ that ``build_rips`` replaced, ``reference_cycle_representative`` the
 boundary-matrix reduction with recorded column combinations that the
 spanning-forest dual cycle replaced, and ``reference_persistent_cohomology``
 the per-simplex cohomology reduction that visits every simplex, which
-union-find, apparent pairs and the long-cocycle replay replaced.
+union-find, apparent pairs and the long-cocycle replay replaced;
+``reference_extend`` is the level-by-level extension of the long cocycles
+over the apparent simplices that waves from the births replaced.
 ``reference_lift_closed`` and ``reference_reduce_winding`` are the
 per-entry loops over dicts (relation checks and bounds, scaling search,
 verify-every-scalar sweep, forest division and witness accumulation) that
@@ -39,7 +41,7 @@ from collections import deque
 import numpy as np
 
 from circlift.complexes import (_NEVER, Chain, Cochain, FilteredComplex, GF, Simplex, ZZ,
-                                face_signs)
+                                concat_ranges, face_signs)
 from circlift.errors import (EmptyInput, NoDualCycle, NotACocycle, NotClosed, ValidationFailed,
                              ZeroPairing)
 from circlift.fields import FpElement, OddPrime, abs_mod, inv_mod, lift_mod
@@ -248,7 +250,7 @@ def reference_coboundary(c: Cochain) -> dict[int, object]:
             if v is not None:
                 total += sign * v
         total = ring.normalize(total)
-        if not ring.is_zero(total):
+        if total != ring.zero:
             out[j] = total
     return out
 
@@ -263,7 +265,7 @@ def reference_boundary(c: Chain) -> dict[int, object]:
         for face, sign in faces_with_signs(simp[i]):
             out[below[face]] = out.get(below[face], 0) + sign * coeff
     out = {i: ring.normalize(v) for i, v in out.items()}
-    return {i: v for i, v in out.items() if not ring.is_zero(v)}
+    return {i: v for i, v in out.items() if v != ring.zero}
 
 
 def boundary_faces(cx, s: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -503,6 +505,35 @@ def reference_persistent_cohomology(cx: FilteredComplex, p: OddPrime, max_dim: i
     for pairs in diagram.pairs_by_dim.values():
         pairs.sort(key=lambda pr: (-pr.persistence, pr.birth, pr.birth_simplex))
     return diagram
+
+
+def reference_extend(E: np.ndarray, rows: np.ndarray, sigma: np.ndarray, signs: np.ndarray,
+                     q: int) -> None:
+    """`persistence._extend` level by level: each pass writes the rows of
+    the sigma whose other faces are all resolved (not apparent, or written
+    by an earlier pass), and the next pass looks only at the sigma that
+    wait on those: a ``bincount`` of the woken waiters takes the resolved
+    faces off their counts."""
+    m = len(sigma)
+    pos = rows.argmax(axis=1)
+    rows = rows.copy()
+    rows[np.arange(m), pos] = len(E) - 1      # sigma reads the zero row
+    # the sigma that wait on each sigma: the apparent faces of their tau
+    position = np.full(len(E), m)
+    position[sigma] = np.arange(m)
+    on = position[rows].ravel()
+    waiter, on = np.flatnonzero(on < m) // rows.shape[1], on[on < m]
+    order = np.argsort(on)
+    waiter, start = waiter[order], np.searchsorted(on[order], np.arange(m + 1))
+    waiting = np.bincount(waiter, minlength=m)
+    group = np.flatnonzero(waiting == 0)
+    while group.size:
+        total = sum(int(s) * E.take(rows[group, i], axis=0) for i, s in enumerate(signs))
+        E[sigma[group]] = -signs[pos[group], None] * total % q
+        times = np.bincount(waiter[concat_ranges(start[group], start[group + 1] - start[group])])
+        waiting[:len(times)] -= times
+        woken = np.flatnonzero(times)
+        group = woken[waiting[woken] == 0]
 
 
 # -- lifting and winding, entry by entry -----------------------------------------

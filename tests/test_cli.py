@@ -86,6 +86,14 @@ class TestRun:
         assert (err["error"], err["message"]) == \
             ("ValueError", f"{path} line 6: 5 coordinates, but the first point has 4")
 
+    def test_field_that_is_not_a_number_is_named(self, tmp_path):
+        path, out = tmp_path / "bad.csv", tmp_path / "o"
+        path.write_text("1,2\n3,x\n5,6\n")
+        assert main(["run", "--input", str(path), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["message"]) == \
+            ("ValueError", f"{path} line 2, field 2: 'x' is not a number")
+
     @pytest.mark.parametrize("threshold", ["AUTO", "bogus", "nan", "-1"])
     def test_threshold_is_refused_by_the_builder(self, tmp_path, circle_csv, threshold):
         path, _ = circle_csv

@@ -19,8 +19,8 @@ from circlift.complexes import FilteredComplex, rips_skeleton, stored_sublevel
 from circlift.errors import DimensionOutOfRange, NotACocycle, NotClosed
 from circlift.experiments import sample_circle
 from conftest import assert_same_arrays
-from oracles import (enclosing_radius, reference_persistent_cohomology, reference_rips_earliest,
-                     unchunked_distances)
+from oracles import (enclosing_radius, reference_extend, reference_persistent_cohomology,
+                     reference_rips_earliest, unchunked_distances)
 
 DIFFERENTIAL = settings(max_examples=150, deadline=None, database=None)
 BIG_PRIME = 2_147_483_659          # above 2^31: absorption products are Python ints
@@ -44,11 +44,11 @@ def clouds(draw):
 
 
 def small_blocks(size: int) -> ExitStack:
-    """Windows of the cofacet sources, slices of the long-death search and
-    their cap, all of ``size`` cells."""
+    """Windows of the cofacet sources and the blocks of the long-death
+    search, all of ``size`` cells."""
     stack = ExitStack()
     stack.enter_context(mock.patch.object(complexes, "_BLOCK", size))
-    stack.enter_context(mock.patch.multiple(persistence, _BLOCK=size, _SLICE=size))
+    stack.enter_context(mock.patch.object(persistence, "_BLOCK", size))
     return stack
 
 
@@ -155,7 +155,7 @@ class TestSkeletonPersistence:
     @given(clouds(), st.sampled_from([3, 47, BIG_PRIME, HUGE_PRIME]),
            st.sampled_from([1, 7, 1 << 18]))
     def test_same_diagram_as_the_face_table(self, cloud, p, chunk):
-        # small blocks and slices cut the windows and the evaluated cofacets
+        # small blocks cut the windows and the evaluated cofacets
         points, t = cloud
         cx = build_rips(points, t, 2)
         if cx.dimension == 0:
@@ -169,10 +169,31 @@ class TestSkeletonPersistence:
         if len(points) <= 12:
             assert_same_diagrams(new, reference_persistent_cohomology(cx, OddPrime(p), 1))
 
+    @DIFFERENTIAL
+    @given(clouds(), st.sampled_from([3, 47, HUGE_PRIME]))
+    def test_waves_extend_as_the_levels_do(self, cloud, p):
+        # the same inputs, captured from a fit in degrees 1 and 2, give
+        # bitwise the same long cocycles
+        points, t = cloud
+        extend, calls = persistence._extend, []
+
+        def recorded(E, *args):
+            calls.append((E.copy(), *args))
+            extend(E, *args)
+            calls[-1] += (E.copy(),)
+
+        with mock.patch.object(persistence, "_extend", recorded):
+            persistent_cohomology(rips_skeleton(points, t), OddPrime(p), 1)
+            cx = build_rips(points, t, 3)
+            persistent_cohomology(cx, OddPrime(p), min(2, cx.dimension))
+        for E, rows, sigma, signs, q, want in calls:
+            reference_extend(E, rows, sigma, signs, q)
+            assert E.dtype == want.dtype and E.tolist() == want.tolist()
+
     def test_long_birth_that_is_the_latest_face_of_a_tied_triangle(self):
         # a grid cloud where a long cocycle's birth edge is the latest face
         # of a later triangle of the same filtration: with three cofacets per
-        # slice that triangle is evaluated on the column born at its face
+        # block that triangle is evaluated on the column born at its face
         points = np.array([[2, 2, 2], [2, 0, 2], [1, 2, 1], [2, 0, 0], [2, 1, 1],
                            [2, 1, 2], [1, 0, 0], [1, 0, 2]], dtype=float)
         t = 3 ** 0.5
@@ -193,8 +214,8 @@ class TestSkeletonPersistence:
 
     @pytest.mark.parametrize("n", [10, 36])
     @pytest.mark.parametrize("p", [3, 47])
-    def test_deaths_inside_one_slice_and_a_support_emptied_mid_window(self, n, p):
-        # on a noise-free circle cone two long cocycles die within one slice,
+    def test_deaths_inside_one_window_and_a_support_emptied_mid_window(self, n, p):
+        # on a noise-free circle cone two long cocycles die within one window,
         # and the last death empties the live support with cofacets of its
         # window still unread
         pts, _ = sample_circle(n, 0.0, 2, seed=0)
@@ -216,7 +237,7 @@ class TestSkeletonPersistence:
             new = persistent_cohomology(rips_skeleton(pts, t), OddPrime(p), 1)
         (keys, count), = windows
         at = np.flatnonzero(np.isin(keys, np.concatenate(deaths)))
-        assert len(at) >= 2 and np.diff(at).min() < persistence._SLICE
+        assert len(at) >= 2
         assert not count.any() and at[-1] < len(keys) - 1
         cx = build_rips(pts, t, 2)
         assert_same_diagrams(new, persistent_cohomology(cx, OddPrime(p), 1))

@@ -19,7 +19,6 @@ from . import __version__
 from .complexes import Chain, Cochain, FilteredComplex, GF, ZZ, write_json
 from .errors import CircliftError, TorsionObstruction, ZeroPairing
 from .experiments import sparsity_sweep, write_sparsity_csv
-from .fields import OddPrime
 from .lifting import DEFAULT_SNF_CAP, lift_closed
 from .pipeline import run_pipeline
 from .plots import pca_project, svg_line_chart, svg_scatter
@@ -73,7 +72,6 @@ def _threshold(text: str) -> float | str:
 
 
 def cmd_run(args) -> int:
-    OddPrime(args.prime)   # rejects p = 2 and composites before any compute
     points, complex_ = _load_input(args.input)
     result = run_pipeline(
         points=points, complex=complex_, prime=args.prime,

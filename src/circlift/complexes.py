@@ -180,9 +180,6 @@ class FilteredComplex:
     one sorted key per simplex: the key rank of its face omitting the last
     vertex, times the number of vertices, plus the rank of the last vertex.
     Those keys sort like the rows, lexicographically.
-
-    ``_skeleton`` is False, except on a Rips 1-skeleton from `rips_skeleton`
-    and its restrictions: there the triangles are implied by the edges.
     """
 
     def __init__(self, simplices_with_filtration: Mapping[Simplex, float]):
@@ -294,7 +291,8 @@ class FilteredComplex:
     def _stores(self, m: int) -> bool:
         """Whether 0 <= m <= dimension; a Rips skeleton refuses m >= 2."""
         if m >= 2 and self._skeleton:
-            raise DimensionOutOfRange(f"a Rips skeleton stores no {m}-simplices",
+            raise DimensionOutOfRange(f"a Rips complex built with max_dim 1 stores no "
+                                      f"{m}-simplices; build it with max_dim {m} to read them",
                                       operation="complex.degree")
         return 0 <= m <= self.dimension
 
@@ -387,10 +385,9 @@ class FilteredComplex:
 
     def cofacet_source(self, d: int):
         """The (d+1)-simplices as cofacets of the d-simplices, as keys and face
-        rows (`earliest` and `cofacets`): from the face table, or for a Rips
-        skeleton's top degree its edge index."""
-        skeleton_top = self._skeleton and d == self.dimension
-        return _RipsTriangles(self) if skeleton_top else _FaceTable(self, d)
+        rows (`earliest` and `cofacets`): from the face table, or for the
+        edges of a Rips 1-skeleton its edge index."""
+        return _RipsTriangles(self) if self._skeleton and d == 1 else _FaceTable(self, d)
 
     def boundary_matrix(self, m: int) -> np.ndarray:
         """Dense N_{m-1} x N_m integer matrix of the boundary C_m -> C_{m-1}:
@@ -552,9 +549,11 @@ def build_rips(points, threshold: float | str, max_dim: int) -> FilteredComplex:
 
     Contains every simplex on at most max_dim+1 points whose pairwise
     distances are all <= threshold; the filtration value of a simplex is the
-    maximum pairwise distance among its vertices (its diameter). The edges
-    and the radius come from one pass over `_distance_blocks`
-    (`_rips_edges`); no n x n matrix is stored.
+    maximum pairwise distance among its vertices (its diameter). At max_dim
+    1 the triangles are implied, not stored: `cofacet_source` streams them,
+    so the diagram up to degree 1 is that of max_dim 2, and reads of degree
+    2 are refused. The edges and the radius come from one pass over
+    `_distance_blocks` (`_rips_edges`); no n x n matrix is stored.
 
     Cliques grow one dimension at a time from neighbour lists (Zomorodian,
     "Fast construction of the Vietoris-Rips complex", 2010). The upper
@@ -617,6 +616,7 @@ def _rips_from_edges(n: int, pairs: np.ndarray, lengths: np.ndarray,
     cx = object.__new__(FilteredComplex)
     cx._init_arrays([np.arange(n)[:, None], np.column_stack([owner, neighbour])],
                     [np.zeros(n), lengths], rips=True)
+    cx._skeleton = max_dim == 1       # a 1-skeleton: its triangles are implied
     if max_dim < 2 or not len(pairs):
         return cx
     # upper neighbours of v: neighbour[start[v]:start[v + 1]], ascending
@@ -709,16 +709,6 @@ def edge_index(n: int, edges: np.ndarray) -> np.ndarray:
     a, b = edges.T
     index[a, b] = index[b, a] = np.arange(len(edges))
     return index
-
-
-def rips_skeleton(points, threshold: float | str) -> FilteredComplex:
-    """The 1-skeleton of the Rips complex of ``points`` at ``threshold``. Its
-    triangles are implied by its edges, not stored: `cofacet_source` streams
-    them, so its diagram up to degree 1 is that of
-    ``build_rips(points, threshold, 2)``."""
-    cx = build_rips(points, threshold, 1)
-    cx._skeleton = True
-    return cx
 
 
 def stored_sublevel(cx: FilteredComplex, scale: float) -> FilteredComplex:

@@ -9,6 +9,7 @@ immutable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,6 +62,10 @@ class OddPrime:
     p: int
 
     def __post_init__(self) -> None:
+        try:        # a numpy integer is stored as the Python int it stands for
+            object.__setattr__(self, "p", operator.index(self.p))
+        except TypeError:
+            raise ValueError(f"prime must be an integer, got {self.p!r}") from None
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.p < 3:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FilteredComplex, build_rips, rips_skeleton, stored_sublevel
+from .complexes import FilteredComplex, build_rips, stored_sublevel
 from .fields import OddPrime
 from .lifting import DEFAULT_SNF_CAP, LiftReport, _check_snf_cap, lift_closed
 from .persistence import (Diagram, PersistencePair, cycle_representative,
@@ -54,8 +54,8 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
 
     ``threshold="auto"`` builds the initial complex at the enclosing radius,
     a Rips 1-skeleton when ``max_dim == 1``, then works at the selected
-    class's representative scale. The options, the threshold among them,
-    are checked before any distance is computed.
+    class's representative scale; a complex is fitted whole. The options,
+    the threshold among them, are checked before any distance is computed.
     """
     if not isinstance(max_dim, (int, np.integer)) or max_dim < 1:
         raise ValueError(f"max_dim must be an integer >= 1 to find a circle class, "
@@ -63,13 +63,15 @@ def run_pipeline(points=None, complex: FilteredComplex | None = None, *,
     if (points is None) == (complex is None):
         raise ValueError("need points or a complex" if points is None
                          else "got both points and a complex; give one")
+    if complex is not None and threshold != "auto":
+        raise ValueError(f"a threshold applies to points, not to a complex, got {threshold!r}")
     parse_scale_policy(scale_policy)
     parse_class_strategy(class_strategy)
     _check_snf_cap(snf_cap)
     p = OddPrime(prime)
     if complex is None:
-        complex = (rips_skeleton(points, threshold) if max_dim == 1 and threshold == "auto"
-                   else build_rips(points, threshold, max_dim + 1))
+        complex = build_rips(points, threshold,
+                             1 if max_dim == 1 and threshold == "auto" else max_dim + 1)
 
     # the degrees above a complex's dimension are empty and have no pairs
     diagram = persistent_cohomology(complex, p, min(max_dim, complex.dimension),

@@ -131,7 +131,11 @@ def circular_map(smoothed: SmoothedCocycle,
     """
     cx = smoothed.alpha_tilde.complex
     value = smoothed.alpha_tilde.to_array()
-    root = None if base_vertex is None else cx.index((base_vertex,))
+    root = None if base_vertex is None else int(cx.indices(0, [base_vertex])[0])
+    if root == -1:
+        refused = ValueError(f"base vertex {base_vertex} is not a vertex of the complex")
+        refused.operation = "smoothing_coords.circular_map"
+        raise refused
     theta = forest_potential(cx, value, 1.0, root)
 
     head, tail = cx.face_table(1).T

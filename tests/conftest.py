@@ -33,9 +33,13 @@ def filled_triangle() -> FilteredComplex:
 
 @pytest.fixture
 def hexagon() -> FilteredComplex:
-    """Unit hexagon graph: 6 evenly spaced circle points, edges only."""
+    """Unit hexagon graph: 6 evenly spaced circle points, edges only. No
+    three lie within 1.05, so max_dim 2 stores the arrays of the 1-skeleton
+    and reads its empty degree 2, which the skeleton refuses."""
     pts, _ = sample_circle(6, 0.0, 2, seed=1)
-    return build_rips(pts, 1.05, 1)
+    cx = build_rips(pts, 1.05, 2)
+    assert_same_arrays(cx, build_rips(pts, 1.05, 1))
+    return cx
 
 
 @pytest.fixture

@@ -106,6 +106,24 @@ class TestRun:
         assert err["message"] == \
             f'threshold must be >= 0 or "auto", and not NaN, got {shown}'
 
+    def test_csv_of_comments_only_has_no_points(self, tmp_path):
+        path, out = tmp_path / "empty.csv", tmp_path / "o"
+        path.write_text("# x,y\n\n# nothing here\n")
+        assert main(["run", "--input", str(path), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err == {"error": "CircliftError", "message": f"no points in {path}",
+                       "operation": "cli_io.cmd_run"}
+
+    def test_threshold_with_a_complex_is_refused(self, tmp_path, hexagon):
+        cpath, out = tmp_path / "cx.json", tmp_path / "o"
+        write_complex_json(cpath, hexagon)
+        assert main(["run", "--input", str(cpath), "--threshold", "0.1",
+                     "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["message"]) == \
+            ("ValueError", "a threshold applies to points, not to a complex, got 0.1")
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_contractible_input_reports_missing_class(self, tmp_path, capsys):
         from circlift import build_from_simplices
         cx = build_from_simplices([((0, 1, 2), 1.0)])
@@ -233,6 +251,19 @@ class TestCoords:
         got = {int(v): float(t) for v, t in rows}
         for k in range(6):
             assert got[k] == pytest.approx(k / 6, abs=1e-9)
+
+
+    def test_base_vertex_not_in_the_complex(self, tmp_path, hexagon):
+        cpath = tmp_path / "cx.json"
+        apath = tmp_path / "alpha.json"
+        write_complex_json(cpath, hexagon)
+        write_chain_json(apath, hexagon_generator(hexagon))
+        code = main(["coords", "--complex", str(cpath), "--cocycle", str(apath),
+                     "--base-vertex", "999", "--out", str(tmp_path)])
+        assert code == 1
+        assert json.loads((tmp_path / "error.json").read_text()) == {
+            "error": "ValueError", "message": "base vertex 999 is not a vertex of the complex",
+            "operation": "smoothing_coords.circular_map"}
 
 
 class TestPcaProject:

@@ -107,6 +107,13 @@ class TestOperators:
             with pytest.raises(DimensionOutOfRange, match=f"in degree {degree}$"):
                 matrix(degree)
 
+    def test_operators_refuse_degrees_out_of_range(self, filled_triangle):
+        # degree 3 is the empty target of the top coboundary, with none of its own
+        with pytest.raises(DimensionOutOfRange, match="^degree 3 out of range$"):
+            apply_coboundary(Cochain(filled_triangle, 3, ZZ, {}))
+        with pytest.raises(DimensionOutOfRange, match="^degree -1 out of range$"):
+            apply_boundary(Chain(filled_triangle, 0, ZZ, {0: 1}))
+
     def test_coboundary_is_boundary_transpose(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
@@ -240,6 +247,11 @@ class TestRefusedEntries:
         with pytest.raises(ValueError, match=r"^simplex \(\) is not of degree 1$"):
             c.coefficient(())
         assert c.coefficient((2, 3)) == 3 and c.coefficient((0, 1)) == 0
+
+    def test_descending_simplex(self, cx):
+        with pytest.raises(ValueError,
+                           match=r"^vertices must be strictly ascending, got \(1, 0\)$"):
+            Cochain.from_simplices(cx, 1, GF(5), {(1, 0): 3})
 
     def test_cli_refuses_a_cochain_of_another_degree(self, cx, tmp_path):
         from circlift.cli import main

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from circlift import CircularCoordinates, check_points_array, circular_correlation
+from circlift import CircularCoordinates, check_points_array, circular_correlation, run_pipeline
 from circlift.experiments import sample_circle
 from circlift.smoothing import CircularCoords
 
@@ -19,6 +19,10 @@ class TestCheckPoints:
         with pytest.raises(ValueError):
             check_points_array([[0, 0]])
 
+    def test_one_axis_is_one_coordinate_per_point(self):
+        arr = check_points_array([0.0, 1.0, 3.0])
+        assert arr.shape == (3, 1) and arr[:, 0].tolist() == [0.0, 1.0, 3.0]
+
 
 class TestEstimator:
     def test_fit_transform_recovers_circle(self):
@@ -31,6 +35,16 @@ class TestEstimator:
         assert circular_correlation(got, truth) > 0.99
         assert est.winding_report_ is not None
         assert est.lift_report_.is_closed
+
+    def test_numpy_integer_prime(self):
+        # the prime is checked and stored as the Python int it stands for
+        pts, _ = sample_circle(40, 0.05, 2, seed=2)
+        for fit in (lambda p: run_pipeline(pts, prime=p).coordinate_array(),
+                    lambda p: CircularCoordinates(prime=p).fit_transform(pts)):
+            assert fit(np.int64(47)).tobytes() == fit(47).tobytes()
+            for bad in (47.0, "47"):
+                with pytest.raises(ValueError, match="^prime must be an integer"):
+                    fit(bad)
 
     def test_fit_returns_self_and_sets_state(self):
         pts, _ = sample_circle(30, 0.0, 2, seed=1)

@@ -27,6 +27,17 @@ class TestOddPrime:
         with pytest.raises(ValueError):
             OddPrime(bad)
 
+    def test_numpy_integer_is_stored_as_int(self):
+        for p in (np.int64(47), np.uint16(47), np.int8(3)):
+            prime = OddPrime(p)
+            assert type(prime.p) is int and prime == OddPrime(int(p))
+
+    @pytest.mark.parametrize("bad", [47.0, "47", None, np.float64(47.0)])
+    def test_rejects_what_is_not_an_integer_by_name(self, bad):
+        with pytest.raises(ValueError,
+                           match=f"^prime must be an integer, got {re.escape(repr(bad))}$"):
+            OddPrime(bad)
+
 
 class TestAbs:
     def test_examples(self):

@@ -15,9 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from circlift import (CircularCoordinates, FilteredComplex, build_from_simplices, build_rips,
                       run_pipeline)
-from circlift import complexes
+from circlift import complexes, pipeline
 from circlift.cli import main
-from circlift.errors import EmptyInput
+from circlift.errors import DimensionOutOfRange, EmptyInput
 from circlift.experiments import sample_circle
 from conftest import assert_same_arrays
 from oracles import (reference_clique_rows, reference_complex_arrays, reference_distances,
@@ -140,6 +140,12 @@ class TestAgainstDictConstructor:
             rows = np.sort(np.array(data.draw(st.lists(
                 st.lists(st.integers(0, n + 2), min_size=m + 1, max_size=m + 1, unique=True),
                 max_size=12)), dtype=np.int64).reshape(-1, m + 1), axis=1)
+            if max_dim == 1 and m >= 2:
+                # a 1-skeleton implies its triangles: a read above degree 1
+                # is refused, not answered as no simplex
+                with pytest.raises(DimensionOutOfRange, match="build it with max_dim"):
+                    cx.indices(m, rows)
+                continue
             rows = np.concatenate([rows, cx.vertex_array(m)[:5]])
             assert np.array_equal(cx.indices(m, rows), ref.indices(m, rows))
 
@@ -349,7 +355,8 @@ class TestNonFiniteInput:
     def test_points_of_more_than_two_axes(self):
         points = np.zeros((4, 2, 2))
         for fit in (lambda t: build_rips(points, t, 1), lambda t: build_rips(points, t, 3),
-                    lambda t: run_pipeline(points=points, threshold=t)):
+                    lambda t: run_pipeline(points=points, threshold=t),
+                    lambda t: CircularCoordinates(threshold=t).fit(points)):
             for threshold in ("auto", 0.9):
                 with pytest.raises(ValueError,
                                    match=r"^expected 2-D point array, got shape \(4, 2, 2\)$"):
@@ -436,6 +443,18 @@ class TestFitOptions:
             with pytest.raises(ValueError, match="threshold") as refused:
                 fit()
             assert str(refused.value).endswith(f"got {threshold!r}")
+
+    @pytest.mark.parametrize("threshold", [0.1, 0, np.inf, "bogus", None])
+    def test_pipeline_refuses_a_threshold_with_a_complex(self, threshold, monkeypatch):
+        # a complex is fitted whole: a threshold would be dropped unread
+        def no_persistence(*args, **kwargs):
+            raise AssertionError("persistence ran before the options were checked")
+
+        monkeypatch.setattr(pipeline, "persistent_cohomology", no_persistence)
+        cx = FilteredComplex({(0,): 0.0, (1,): 0.0, (0, 1): 1.0})
+        with pytest.raises(ValueError, match=re.escape(
+                f"a threshold applies to points, not to a complex, got {threshold!r}")):
+            run_pipeline(complex=cx, threshold=threshold)
 
     def test_max_dim_above_the_rips_dimension(self):
         # at 0.6 no three of these points are pairwise within the threshold:

@@ -15,8 +15,8 @@ from circlift import (Chain, Cochain, GF, OddPrime, ZZ, apply_coboundary, build_
                       cocycle_index_system, harmonic_smooth, lift_closed,
                       persistent_cohomology, reduce_winding, run_pipeline)
 from circlift import complexes, persistence
-from circlift.complexes import FilteredComplex, rips_skeleton, stored_sublevel
-from circlift.errors import DimensionOutOfRange, NotACocycle, NotClosed
+from circlift.complexes import FilteredComplex, stored_sublevel
+from circlift.errors import CircliftError, DimensionOutOfRange, NotACocycle, NotClosed
 from circlift.experiments import sample_circle
 from conftest import assert_same_arrays
 from oracles import (enclosing_radius, reference_extend, reference_persistent_cohomology,
@@ -41,6 +41,17 @@ def clouds(draw):
     t = draw(st.sampled_from([enclosing_radius(points)]
                              + sorted(set(dist[np.triu_indices(n, 1)].tolist()))))
     return points, t
+
+
+@st.composite
+def noisy_circles(draw):
+    """Circles of 6 to 30 points, noise-free or noisy, with one of their
+    distances."""
+    points = sample_circle(draw(st.integers(6, 30)), draw(st.sampled_from([0.0, 0.05, 0.2])),
+                           2, seed=draw(st.integers(0, 2**16)))[0]
+    dist = unchunked_distances(points)
+    return points, draw(st.sampled_from(sorted(set(dist[np.triu_indices(len(points), 1)]
+                                                   .tolist()))))
 
 
 def small_blocks(size: int) -> ExitStack:
@@ -96,7 +107,7 @@ class TestCofacetSources:
         with small_blocks(chunk):
             sources = {"table": complexes._FaceTable(cone, 1),
                        "rips": complexes._RipsTriangles(
-                           rips_skeleton(points, t))}
+                           build_rips(points, t, 1))}
             found, first = {}, {}
             for name, source in sources.items():
                 chunks = list(source.cofacets(count, arrive[name]))
@@ -124,7 +135,7 @@ class TestCofacetSources:
         # cofacet may have a later edge than j of the same filtration
         points, t = cloud
         dist = unchunked_distances(points)
-        skeleton = rips_skeleton(points, t)
+        skeleton = build_rips(points, t, 1)
         if skeleton.dimension == 0:
             return
         want = reference_rips_earliest(skeleton, dist).tobytes()
@@ -141,7 +152,7 @@ class TestCofacetSources:
         cone = build_rips(pts, t, 2)
         n_e = cone.n_simplices(1)
         for source in (complexes._FaceTable(cone, 1),
-                       complexes._RipsTriangles(rips_skeleton(pts, t))):
+                       complexes._RipsTriangles(build_rips(pts, t, 1))):
             count = np.append(np.ones(n_e, dtype=np.int64), 0)
             with small_blocks(7):
                 windows = source.cofacets(count, np.full(n_e, complexes._NEVER))
@@ -160,7 +171,7 @@ class TestSkeletonPersistence:
         cx = build_rips(points, t, 2)
         if cx.dimension == 0:
             return
-        skeleton = rips_skeleton(points, t)
+        skeleton = build_rips(points, t, 1)
         with small_blocks(chunk):
             new = persistent_cohomology(skeleton, OddPrime(p), 1)
             old = persistent_cohomology(cx, OddPrime(p), 1)
@@ -183,7 +194,7 @@ class TestSkeletonPersistence:
             calls[-1] += (E.copy(),)
 
         with mock.patch.object(persistence, "_extend", recorded):
-            persistent_cohomology(rips_skeleton(points, t), OddPrime(p), 1)
+            persistent_cohomology(build_rips(points, t, 1), OddPrime(p), 1)
             cx = build_rips(points, t, 3)
             persistent_cohomology(cx, OddPrime(p), min(2, cx.dimension))
         for E, rows, sigma, signs, q, want in calls:
@@ -199,7 +210,7 @@ class TestSkeletonPersistence:
         t = 3 ** 0.5
         cx = build_rips(points, t, 2)
         with small_blocks(3):
-            for source in (rips_skeleton(points, t), cx):
+            for source in (build_rips(points, t, 1), cx):
                 assert_same_diagrams(persistent_cohomology(source, OddPrime(3), 1),
                                      reference_persistent_cohomology(cx, OddPrime(3), 1))
 
@@ -209,7 +220,7 @@ class TestSkeletonPersistence:
         t = enclosing_radius(pts)
         for p in (47, BIG_PRIME, HUGE_PRIME):
             assert_same_diagrams(
-                persistent_cohomology(rips_skeleton(pts, t), OddPrime(p), 1),
+                persistent_cohomology(build_rips(pts, t, 1), OddPrime(p), 1),
                 persistent_cohomology(build_rips(pts, t, 2), OddPrime(p), 1))
 
     @pytest.mark.parametrize("n", [10, 36])
@@ -234,7 +245,7 @@ class TestSkeletonPersistence:
 
         with mock.patch.object(complexes._RipsTriangles, "cofacets", recorded), \
                 mock.patch.object(persistence, "_replay", spied):
-            new = persistent_cohomology(rips_skeleton(pts, t), OddPrime(p), 1)
+            new = persistent_cohomology(build_rips(pts, t, 1), OddPrime(p), 1)
         (keys, count), = windows
         at = np.flatnonzero(np.isin(keys, np.concatenate(deaths)))
         assert len(at) >= 2
@@ -249,7 +260,7 @@ class TestSkeletonPersistence:
         # those within its scale
         pts, _ = sample_circle(30, 0.1, 2, seed=4)
         s = float(np.median(unchunked_distances(pts)))
-        sub = rips_skeleton(pts, "auto").restrict(s)
+        sub = build_rips(pts, "auto", 1).restrict(s)
         assert sub._skeleton and isinstance(sub.cofacet_source(1), complexes._RipsTriangles)
         assert_same_diagrams(persistent_cohomology(sub, OddPrime(47), 1),
                              persistent_cohomology(build_rips(pts, s, 2), OddPrime(47), 1))
@@ -264,7 +275,7 @@ class TestWorkingComplex:
     def test_complex_at_a_scale_is_the_sublevel_complex(self, cloud):
         points, t = cloud
         cone = build_rips(points, t, 2)
-        skeleton = rips_skeleton(points, t)
+        skeleton = build_rips(points, t, 1)
         assert cone.restrict(t) is cone
         for s in sorted(set(cone.filtration_values(1).tolist())):
             cx, sub = build_rips(points, s, 2), cone.restrict(s)
@@ -301,6 +312,39 @@ def assert_same_fit(auto, full) -> None:
 def test_auto_fit_equals_the_fit_on_the_full_complex(points):
     full = run_pipeline(complex=build_rips(points, "auto", 2), prime=47)
     assert_same_fit(run_pipeline(points=points, prime=47), full)
+
+
+class TestMaxDimOneComplex:
+    """A Rips complex built with max_dim 1 is a 1-skeleton: a fit on it
+    streams its triangles and is bitwise the fit on the complex that
+    stores them, and a read of its degree 2 is refused."""
+
+    @staticmethod
+    def fits(points, t) -> list:
+        fits = []
+        for max_dim in (1, 2):
+            try:
+                fits.append(run_pipeline(complex=build_rips(points, t, max_dim), prime=47))
+            except CircliftError as err:
+                fits.append((type(err), str(err)))
+        return fits
+
+    @pytest.mark.parametrize("t", [0.6, 0.9, 1.3])
+    def test_noisy_circle(self, t):
+        # as a graph, the complex at 0.6 had 253 essential degree-1 classes
+        points = sample_circle(60, 0.05, 2, seed=1)[0]
+        assert_same_fit(*self.fits(points, t))
+        with pytest.raises(DimensionOutOfRange, match="build it with max_dim 2"):
+            build_rips(points, t, 1).simplices(2)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.one_of(clouds(), noisy_circles()))
+    def test_clouds(self, cloud):
+        skeleton_fit, full_fit = self.fits(*cloud)
+        if isinstance(full_fit, tuple):
+            assert skeleton_fit == full_fit
+        else:
+            assert_same_fit(skeleton_fit, full_fit)
 
 
 def test_one_distance_pass_per_fit(monkeypatch):
@@ -351,7 +395,7 @@ def test_no_complex_of_a_fit_holds_a_square_array(threshold, max_dim):
 
 def test_refuses_a_skeleton_above_degree_one():
     pts, _ = sample_circle(12, 0.0, 2, seed=0)
-    skeleton = rips_skeleton(pts, 2.0)
+    skeleton = build_rips(pts, 2.0, 1)
     with pytest.raises(ValueError, match="exceeds complex dimension"):
         persistent_cohomology(skeleton, OddPrime(47), 2)
 

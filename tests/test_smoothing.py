@@ -150,6 +150,10 @@ class TestHarmonicSmooth:
         with pytest.raises(NotACocycle):
             harmonic_smooth(alpha)
 
+    def test_rejects_a_cochain_over_a_field(self, hexagon):
+        with pytest.raises(ValueError, match="^expected integer coefficients$"):
+            harmonic_smooth(hexagon_generator(hexagon).reduce_mod(5))
+
     def test_rejects_other_degrees(self, filled_triangle):
         for dim in (0, 2):
             with pytest.raises(ValueError, match="^smoothing applies to 1-cochains$"):
@@ -206,6 +210,14 @@ class TestCircularMap:
         smoothed = harmonic_smooth(hexagon_generator(hexagon))
         coords = circular_map(smoothed, base_vertex=3)
         assert coords.values[3] == 0.0
+
+    def test_base_vertex_not_in_the_complex_is_named(self, hexagon):
+        smoothed = harmonic_smooth(hexagon_generator(hexagon))
+        for base in (999, -1, 6):
+            with pytest.raises(ValueError, match=f"^base vertex {base} is not a vertex of the "
+                                                 "complex$") as refused:
+                circular_map(smoothed, base_vertex=base)
+            assert refused.value.operation == "smoothing_coords.circular_map"
 
     def test_edge_consistency_everywhere(self, hexagon):
         smoothed = harmonic_smooth(hexagon_generator(hexagon).scale(5))

@@ -64,6 +64,12 @@ class TestSolve:
     def test_inconsistent(self):
         assert solve_integer([[1], [1]], [1, 2]) is None
 
+    def test_empty_system(self):
+        # no equations, or equations in no unknowns
+        assert solve_integer([], []) == []
+        assert solve_integer([[], []], [0, 0]) == []
+        assert solve_integer([[], []], [0, 1]) is None
+
     def test_underdetermined(self):
         x = solve_integer([[1, 2, 3]], [6])
         assert x is not None

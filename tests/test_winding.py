@@ -58,6 +58,11 @@ class TestClassVanishes:
         with pytest.raises(NotACocycle):
             class_vanishes_mod(alpha, 3)
 
+    def test_degree_zero_class_vanishes_where_q_divides_it(self, hexagon):
+        # no coboundary lands in degree 0: a 0-cocycle's class is itself
+        alpha = Cochain(hexagon, 0, ZZ, {v: 6 for v in range(6)})
+        assert [class_vanishes_mod(alpha, q) for q in (2, 3, 5, 7)] == [True, True, False, False]
+
 
 class TestCandidatePrimes:
     def test_examples(self):

@@ -80,7 +80,6 @@ def cmd_run(args) -> int:
         reduce=not args.no_reduce, snf_cap=args.snf_cap)
 
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     result.diagram.write_json(out / "diagram.json")
     write_json(out / "lift_report.json", result.cocycle_lift.to_json_dict())
     if result.winding_report is not None:
@@ -89,7 +88,7 @@ def cmd_run(args) -> int:
     result.coords.write_csv(out / "coords.csv")
 
     if points is not None:
-        proj = pca_project(points, 2)
+        proj = pca_project(points)
         thetas = [result.coords.values[v] for v in sorted(result.coords.values)]
         svg_scatter(proj, thetas, out / "coords.svg",
                     title=f"circlift {__version__}")
@@ -101,7 +100,7 @@ def cmd_lift(args) -> int:
     cls = Chain if args.kind == "cycle" else Cochain
     vec = cls.from_json_dict(cx, _read_json(args.input), ring=GF(args.prime))
     report = lift_closed(vec, snf_cap=args.snf_cap)
-    write_json(Path(args.out) / "lift_report.json", report.to_json_dict())
+    write_json(args.out / "lift_report.json", report.to_json_dict())
     return 0
 
 
@@ -110,18 +109,16 @@ def cmd_reduce_winding(args) -> int:
     alpha = Cochain.from_json_dict(cx, _read_json(args.cocycle), ring=ZZ)
     beta = Chain.from_json_dict(cx, _read_json(args.cycle), ring=ZZ)
     report = reduce_winding(alpha, beta, snf_cap=args.snf_cap)
-    write_json(Path(args.out) / "winding_report.json", report.to_json_dict())
+    write_json(args.out / "winding_report.json", report.to_json_dict())
     return 0
 
 
 def cmd_experiment(args) -> int:
     rows = sparsity_sweep(args.n, args.pmin, args.pmax, args.samples, args.k,
                           args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_sparsity_csv(rows, out / "sparsity.csv", seed=args.seed)
+    write_sparsity_csv(rows, args.out / "sparsity.csv", seed=args.seed)
     svg_line_chart([r.prime for r in rows], [r.proportion for r in rows],
-                   out / "sparsity.svg", x_label="p", y_label="proportion",
+                   args.out / "sparsity.svg",
                    title=f"non-liftable lines, n={args.n} k={args.k} "
                          f"seed={args.seed} circlift {__version__}")
     return 0
@@ -132,10 +129,8 @@ def cmd_coords(args) -> int:
     alpha = Cochain.from_json_dict(cx, _read_json(args.cocycle), ring=ZZ)
     smoothed = harmonic_smooth(alpha)
     coords = circular_map(smoothed, base_vertex=args.base_vertex)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    smoothed.write_json(out / "smoothed.json")
-    coords.write_csv(out / "coords.csv")
+    smoothed.write_json(args.out / "smoothed.json")
+    coords.write_csv(args.out / "coords.csv")
     return 0
 
 
@@ -166,14 +161,14 @@ def _build_parser() -> argparse.ArgumentParser:
     lift.add_argument("--prime", type=int, required=True)
     lift.add_argument("--kind", choices=["cocycle", "cycle"], default="cocycle")
     lift.add_argument("--snf-cap", type=int, default=DEFAULT_SNF_CAP)
-    lift.add_argument("--out", default=".")
+    lift.add_argument("--out", type=Path, default=Path("."))
 
     rw = sub.add_parser("reduce-winding", help="reduce an integer cocycle")
     rw.add_argument("--complex", required=True)
     rw.add_argument("--cocycle", required=True, help="integer cochain JSON")
     rw.add_argument("--cycle", required=True, help="integer chain JSON")
     rw.add_argument("--snf-cap", type=int, default=DEFAULT_SNF_CAP)
-    rw.add_argument("--out", default=".")
+    rw.add_argument("--out", type=Path, default=Path("."))
 
     exp = sub.add_parser("experiment", help="run a statistical experiment")
     exp.add_argument("experiment", choices=["sparsity"])
@@ -183,13 +178,13 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--pmax", type=int, default=300)
     exp.add_argument("--samples", type=int, default=10_000)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--out", default=".")
+    exp.add_argument("--out", type=Path, default=Path("."))
 
     coords = sub.add_parser("coords", help="smooth a cocycle and emit coordinates")
     coords.add_argument("--complex", required=True)
     coords.add_argument("--cocycle", required=True, help="integer cochain JSON")
     coords.add_argument("--base-vertex", type=int, default=None)
-    coords.add_argument("--out", default=".")
+    coords.add_argument("--out", type=Path, default=Path("."))
     return parser
 
 
@@ -207,6 +202,7 @@ def main(argv=None) -> int:
     command = {"run": cmd_run, "lift": cmd_lift, "reduce-winding": cmd_reduce_winding,
                "experiment": cmd_experiment, "coords": cmd_coords}[args.command]
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
         return command(args)
     except (CircliftError, ValueError, OSError, KeyError) as err:
         operation = getattr(err, "operation", None) or type(err).__name__
@@ -216,14 +212,10 @@ def main(argv=None) -> int:
             "message": str(err),
         }
         print(json.dumps(diagnostic, sort_keys=True), file=sys.stderr)
-        out = getattr(args, "out", None)
-        if out is not None:
-            try:
-                out = Path(out)
-                out.mkdir(parents=True, exist_ok=True)
-                write_json(out / "error.json", diagnostic)
-            except OSError:
-                pass
+        try:        # fails when --out could not be made
+            write_json(args.out / "error.json", diagnostic)
+        except OSError:
+            pass
         return _exit_code_for(err)
 
 

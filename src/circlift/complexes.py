@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -58,14 +59,23 @@ class Ring:
         return repr(x) if isinstance(x, float) else str(x)
 
     def coeff_from_str(self, s: str):
-        return self.normalize(float(s) if ("." in s or "e" in s or "inf" in s) else int(s))
+        # a JSON number is taken as it is, so a float is refused, not truncated
+        return self.normalize(int(s) if isinstance(s, str) else s)
+
+
+def _integer(x) -> int:
+    """An integer coefficient as a Python int; anything else is refused, not truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"coefficient {x} is not an integer") from None
 
 
 class Integers(Ring):
     name = "Z"
 
     def normalize(self, x):
-        return int(x)
+        return _integer(x)
 
     def __repr__(self):
         return "ZZ"
@@ -77,6 +87,9 @@ class Reals(Ring):
 
     def normalize(self, x):
         return float(x)
+
+    def coeff_from_str(self, s: str):
+        return float(s)
 
     def array_dtype(self, bound: int):
         return float
@@ -91,7 +104,7 @@ class PrimeField(Ring):
         self.name = f"F_{self.p}"
 
     def normalize(self, x):
-        return int(x) % self.p
+        return _integer(x) % self.p
 
     def normalize_array(self, values: np.ndarray) -> np.ndarray:
         return values % self.p
@@ -479,10 +492,9 @@ _DISTANCE_BLOCK = 1 << 15
 _CLIQUE_CHUNK = 1 << 18
 
 
-def _finite_points(points) -> tuple[np.ndarray, int]:
-    """A point cloud as an n x d float array, refusing NaN and infinite
-    coordinates, scaled by 2^-k, and k: 0 unless the largest |coordinate|
-    lies outside [2^-200, 2^200], else the exponent that scales it below 1."""
+def _finite_points(points) -> np.ndarray:
+    """A point cloud as an n x d float array, a 1-D array read as one
+    column, refusing any other shape and NaN and infinite coordinates."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
@@ -493,15 +505,13 @@ def _finite_points(points) -> tuple[np.ndarray, int]:
         row, col = divmod(int(np.flatnonzero(bad)[0]), pts.shape[1])
         raise ValueError(f"points must be finite, got {pts[row, col]} "
                          f"(NaN or inf) in row {row}")
-    top = float(np.abs(pts).max(initial=0.0))
-    k = 0 if 2.0 ** -200 <= top <= 2.0 ** 200 else math.frexp(top)[1]
-    return (np.ldexp(pts, -k) if k else pts), k
+    return pts
 
 
-def _distance_blocks(pts: np.ndarray, k: int):
-    """The upper triangle of the Euclidean distance matrix of the points
-    ``pts`` scaled by 2^k, one block row at a time: strips (lo, strip) of
-    the rows lo..lo+side against the columns lo..n-1.
+def _distance_blocks(pts: np.ndarray):
+    """The upper triangle of the Euclidean distance matrix of the points,
+    one block row at a time: strips (lo, strip) of the rows lo..lo+side
+    against the columns lo..n-1.
 
     The exact pairwise-difference formula (a Gram-matrix shortcut would
     round equal distances apart). Each unordered pair is computed once, in
@@ -513,10 +523,13 @@ def _distance_blocks(pts: np.ndarray, k: int):
     sequential, and by ``sum(axis=-1)`` over each block of differences from
     8 on, where it is pairwise. Every distance is bitwise that of the full
     n x n x d difference tensor. Points with no coordinates are all at
-    distance 0. `_finite_points` scales a cloud whose largest |coordinate|
-    lies outside [2^-200, 2^200] to below 1, and the strips are scaled
-    back, so squares neither overflow nor underflow.
+    distance 0. A cloud whose largest |coordinate| lies outside
+    [2^-200, 2^200] is scaled by 2^-k to below 1, and its strips by 2^k,
+    so squares neither overflow nor underflow.
     """
+    top = float(np.abs(pts).max(initial=0.0))
+    k = 0 if 2.0 ** -200 <= top <= 2.0 ** 200 else math.frexp(top)[1]
+    pts = np.ldexp(pts, -k) if k else pts
     n, d = pts.shape
     side = max(1, math.isqrt(_DISTANCE_BLOCK // (d if d >= 8 else 1)))
     coords = np.ascontiguousarray(pts.T) if d < 8 else None
@@ -569,10 +582,10 @@ def build_rips(points, threshold: float | str, max_dim: int) -> FilteredComplex:
     those edges. The complex at a scale s <= t is bitwise the sublevel
     complex at s of the one at t.
     """
-    pts, k = _finite_points(points)
+    pts = _finite_points(points)
     n = len(pts)
     _check_rips(threshold, max_dim, n)
-    return _rips_from_edges(n, *_rips_edges(_distance_blocks(pts, k), n, threshold), max_dim)
+    return _rips_from_edges(n, *_rips_edges(_distance_blocks(pts), n, threshold), max_dim)
 
 
 def _rips_edges(strips, n: int, threshold) -> tuple[np.ndarray, np.ndarray]:

@@ -13,21 +13,17 @@ import inspect
 
 import numpy as np
 
+from .complexes import _finite_points
 from .lifting import DEFAULT_SNF_CAP
 from .pipeline import run_pipeline
 
 
 def check_points_array(X) -> np.ndarray:
-    """Validate a (n_samples, n_features) finite float array."""
-    arr = np.asarray(X, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise ValueError(f"expected 2-D point array, got shape {arr.shape}")
+    """Validate a (n_samples, n_features) finite float array of at least 3
+    points, by the point rules of `build_rips`."""
+    arr = _finite_points(X)
     if arr.shape[0] < 3:
         raise ValueError("need at least 3 points")
-    if not np.isfinite(arr).all():
-        raise ValueError("points contain NaN or infinity")
     return arr
 
 

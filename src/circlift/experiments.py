@@ -74,9 +74,14 @@ def sparsity_sweep(n: int, prime_min: int, prime_max: int,
         raise ValueError("need n >= 1 and k >= 2")
     if prime_min < 3:
         raise ValueError("sweep primes start at 3 (odd primes only)")
+    if samples_per_prime < 1:
+        raise ValueError(f"need at least 1 sample per prime, got {samples_per_prime}")
+    primes = primes_in_range(prime_min, prime_max)
+    if not primes:
+        raise ValueError(f"no prime between {prime_min} and {prime_max}")
     return [SparsityRow(p, samples_per_prime,
                         _count_non_liftable(p, n, k, samples_per_prime, seed))
-            for p in primes_in_range(prime_min, prime_max)]
+            for p in primes]
 
 
 def trend_slope(rows: list[SparsityRow]) -> float:

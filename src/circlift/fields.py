@@ -71,9 +71,6 @@ class OddPrime:
         if self.p < 3:
             raise ValueError("modulus must be an odd prime (p >= 3)")
 
-    def __int__(self) -> int:
-        return self.p
-
 
 @dataclass(frozen=True)
 class FpElement:

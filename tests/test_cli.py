@@ -236,6 +236,15 @@ class TestExperiment:
         svg = (tmp_path / "sparsity.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("options, message", [
+        (["--samples", "0"], "need at least 1 sample per prime, got 0"),
+        (["--pmin", "50", "--pmax", "11"], "no prime between 50 and 11")])
+    def test_options_that_mean_nothing_are_refused(self, tmp_path, options, message):
+        assert main(["experiment", "sparsity", *options, "--out", str(tmp_path)]) == 1
+        assert json.loads((tmp_path / "error.json").read_text()) == {
+            "error": "ValueError", "message": message, "operation": "ValueError"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
 
 class TestCoords:
     def test_hexagon_generator_coords(self, tmp_path, hexagon):
@@ -266,21 +275,60 @@ class TestCoords:
             "operation": "smoothing_coords.circular_map"}
 
 
+class TestOut:
+    @pytest.fixture
+    def commands(self, tmp_path, circle_csv, hexagon):
+        cx, alpha, beta = (tmp_path / name for name in ("cx.json", "alpha.json", "beta.json"))
+        write_complex_json(cx, hexagon)
+        write_chain_json(alpha, hexagon_generator(hexagon))
+        write_chain_json(beta, hexagon_fundamental_cycle(hexagon))
+        return {
+            "run": (["run", "--input", str(circle_csv[0]), "--threshold", "0.9"],
+                    "coords.csv"),
+            "lift": (["lift", "--complex", str(cx), "--input", str(alpha), "--prime", "7"],
+                     "lift_report.json"),
+            "reduce-winding": (["reduce-winding", "--complex", str(cx),
+                                "--cocycle", str(alpha), "--cycle", str(beta)],
+                               "winding_report.json"),
+            "experiment": (["experiment", "sparsity", "--pmax", "11", "--samples", "10"],
+                           "sparsity.csv"),
+            "coords": (["coords", "--complex", str(cx), "--cocycle", str(alpha)],
+                       "coords.csv"),
+        }
+
+    @pytest.mark.parametrize("command", ["run", "lift", "reduce-winding", "experiment",
+                                         "coords"])
+    def test_every_command_makes_its_output_directory(self, tmp_path, commands, command):
+        argv, written = commands[command]
+        out = tmp_path / "fresh" / "dir"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert (out / written).exists()
+
+    def test_out_that_is_a_file(self, tmp_path, commands, capsys):
+        # error.json cannot be written, and the command still fails
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        argv, _ = commands["experiment"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileExistsError"
+        assert out.read_text() == "kept\n"
+
+
 class TestPcaProject:
     def test_planar_input_is_isometric_up_to_rotation(self):
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((20, 2))
-        proj = pca_project(pts, 2)
+        proj = pca_project(pts)
         d_in = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         d_out = np.linalg.norm(proj[:, None] - proj[None, :], axis=-1)
         assert np.allclose(d_in, d_out, atol=1e-9)
 
     def test_embedded_circle_recovered(self):
         pts, _ = sample_circle(50, 0.0, 300, seed=9)
-        proj = pca_project(pts, 2)
+        proj = pca_project(pts)
         radii = np.linalg.norm(proj - proj.mean(axis=0), axis=1)
         assert np.allclose(radii, 1.0, atol=1e-9)
 
     def test_degenerate_data(self):
         with pytest.raises(DegenerateData):
-            pca_project(np.ones((5, 3)), 2)
+            pca_project(np.ones((5, 3)))

@@ -113,6 +113,9 @@ class TestOperators:
             apply_coboundary(Cochain(filled_triangle, 3, ZZ, {}))
         with pytest.raises(DimensionOutOfRange, match="^degree -1 out of range$"):
             apply_boundary(Chain(filled_triangle, 0, ZZ, {0: 1}))
+        for degree in (-1, 4):
+            with pytest.raises(DimensionOutOfRange, match=f"^degree {degree} not present$"):
+                Cochain(filled_triangle, degree, ZZ, {})
 
     def test_coboundary_is_boundary_transpose(self):
         rng = np.random.default_rng(3)
@@ -263,6 +266,44 @@ class TestRefusedEntries:
         err = json.loads((tmp_path / "error.json").read_text())
         assert (err["error"], err["message"]) == \
             ("ValueError", "simplex (0, 1, 2) is not of degree 1")
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(7)])
+    def test_coefficient_that_is_not_an_integer(self, cx, ring):
+        # refused, never truncated
+        for bad in (2.5, 2.0, np.float64(3.0), "2"):
+            with pytest.raises(ValueError, match=f"^coefficient {bad} is not an integer$"):
+                Cochain(cx, 1, ring, {0: bad})
+        for text in ("2.5", "2e3", "inf", "nan"):
+            with pytest.raises(ValueError, match=f"^invalid literal for int.*{text!r}$"):
+                Cochain.from_json_dict(cx, {"dim": 1, "ring": ring.name,
+                                            "entries": [[[2, 3], text]]})
+        # a JSON number in place of the string
+        with pytest.raises(ValueError, match="^coefficient 2.5 is not an integer$"):
+            Cochain.from_json_dict(cx, {"dim": 1, "ring": ring.name, "entries": [[[2, 3], 2.5]]})
+        c = Cochain.from_json_dict(cx, {"dim": 1, "ring": ring.name, "entries": [[[2, 3], 9]]})
+        assert c.entries == {cx.index((2, 3)): ring.normalize(9)}
+        assert Cochain(cx, 1, ring, {0: np.int64(9)}).entries == {0: ring.normalize(9)}
+
+    def test_real_coefficients_are_read_as_floats(self, cx):
+        for text, value in (("2.5", 2.5), ("3", 3.0), ("-inf", -math.inf)):
+            c = Cochain.from_json_dict(cx, {"dim": 1, "ring": "R", "entries": [[[2, 3], text]]})
+            assert c.entries == {cx.index((2, 3)): value}
+
+    def test_unknown_ring(self, cx):
+        with pytest.raises(ValueError, match="^unknown ring 'Q'$"):
+            Cochain.from_json_dict(cx, {"dim": 1, "ring": "Q", "entries": []})
+
+    @pytest.mark.parametrize("text", ["2.5", "inf"])
+    def test_cli_refuses_a_coefficient_that_is_not_an_integer(self, cx, tmp_path, text):
+        from circlift.cli import main
+        (tmp_path / "cx.json").write_text(json.dumps(cx.to_json_dict()))
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"dim": 1, "ring": "Z", "entries": [[[2, 3], text]]}))
+        assert main(["coords", "--complex", str(tmp_path / "cx.json"), "--cocycle",
+                     str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 1
+        err = json.loads((tmp_path / "error.json").read_text())
+        assert (err["error"], err["message"]) == \
+            ("ValueError", f"invalid literal for int() with base 10: {text!r}")
 
     def test_index_or_length_outside_the_degree(self, cx):
         n = cx.n_simplices(1)

@@ -12,8 +12,12 @@ class TestCheckPoints:
         assert arr.shape == (3, 2) and arr.dtype == float
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            check_points_array([[0, np.nan], [1, 0], [0, 1]])
+        # by build_rips's rule, which names the row, before the count
+        for points, bad, row in (([[0, np.nan], [1, 0], [0, 1]], "nan", 0),
+                                 ([[0, 0], [np.inf, 1]], "inf", 1)):
+            with pytest.raises(ValueError, match=rf"^points must be finite, got {bad} "
+                                                 rf"\(NaN or inf\) in row {row}$"):
+                check_points_array(points)
 
     def test_rejects_too_few(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,17 @@ class TestSparsitySweep:
             rows = sparsity_sweep(6, 13, 293, 10_000, 3, seed=seed)
             assert trend_slope(rows) <= 0, f"seed {seed}"
 
+    @pytest.mark.parametrize("n, pmin, pmax, samples, k, message", [
+        (0, 3, 50, 10, 3, "^need n >= 1 and k >= 2$"),
+        (6, 3, 50, 10, 1, "^need n >= 1 and k >= 2$"),
+        (6, 2, 50, 10, 3, r"^sweep primes start at 3 \(odd primes only\)$"),
+        (6, 3, 50, 0, 3, "^need at least 1 sample per prime, got 0$"),
+        (6, 50, 11, 10, 3, "^no prime between 50 and 11$"),
+        (6, 24, 28, 10, 3, "^no prime between 24 and 28$")])
+    def test_options_that_mean_nothing_are_refused(self, n, pmin, pmax, samples, k, message):
+        with pytest.raises(ValueError, match=message):
+            sparsity_sweep(n, pmin, pmax, samples, k, seed=0)
+
     def test_proportion_field(self):
         row = SparsityRow(7, 200, 30)
         assert row.proportion == pytest.approx(0.15)
@@ -74,6 +85,10 @@ class TestSampleCircle:
         a, _ = sample_circle(30, 0.05, 10, seed=8)
         b, _ = sample_circle(30, 0.05, 10, seed=8)
         assert np.array_equal(a, b)
+
+    def test_ambient_dimension_below_two(self):
+        with pytest.raises(ValueError, match="^ambient_dim must be >= 2$"):
+            sample_circle(10, 0.0, 1, seed=0)
 
 
 class TestSampleTrefoil:

@@ -129,6 +129,9 @@ def test_fp_element_arithmetic():
     assert (-fp(2, 7)).value == 5
     with pytest.raises(ValueError):
         FpElement(7, OddPrime(7))
+    for op in (lambda a, b: a * b, lambda a, b: a + b):
+        with pytest.raises(ValueError, match="^mixed moduli$"):
+            op(fp(3, 7), fp(3, 11))
 
 
 class TestNumberTheory:

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+import circlift.lifting as lifting
 from circlift import (Chain, Cochain, FilteredComplex, GF, OddPrime, ZZ, apply_boundary,
                       apply_coboundary, build_from_simplices,
                       cocycle_index_system, has_p_torsion, lift_closed,
                       naive_lift, pigeonhole_bound, scaling_search, snf_repair)
 from circlift.errors import (ComplexTooLargeForSnf, NotClosed,
-                             TorsionObstruction, Unliftable)
+                             TorsionObstruction, Unliftable, ValidationFailed)
 from circlift.fields import abs_mod, is_prime, primes_in_range
 from circlift.lifting import (CERT_IN_RANGE, CERT_PER_FACE_RANGE,
-                              CERT_SNF_REPAIRED, CERT_VERIFIED_ONLY)
+                              CERT_SNF_REPAIRED, CERT_VERIFIED_ONLY, IndexSystem)
 from conftest import moore_z3_complex, random_complex, random_fp_cocycle, rp2_complex
 from fplinalg import in_image_mod, nullspace_mod, to_numpy_mod
 
@@ -57,6 +58,10 @@ class TestIndexSystem:
                                    {(1, 2): 1, (0, 2): 0, (0, 1): 1})
         with pytest.raises(NotClosed):
             cocycle_index_system(c)
+
+    def test_empty_relation_is_refused(self):
+        with pytest.raises(ValueError, match="^empty relation$"):
+            IndexSystem(1, 7, np.array([0]), np.array([1]), np.array([0, 0, 1]))
 
     def test_uncovered_positions_get_half_range(self, hexagon):
         # a cochain on a graph has no coface relations at all
@@ -165,6 +170,14 @@ class TestLiftClosed:
         for vec in (Cochain(filled_triangle, 1, ZZ, {}), Chain(filled_triangle, 0, ZZ, {0: 1})):
             with pytest.raises(ValueError, match="^expected F_p coefficients, got Z$"):
                 lift_closed(vec)
+
+    def test_preimage_that_does_not_reduce_to_the_input(self, triangle_cocycle_f7,
+                                                         monkeypatch):
+        # twice a closed lift is closed, but reduces to twice the input
+        honest = lifting.naive_lift
+        monkeypatch.setattr(lifting, "naive_lift", lambda v: honest(v).scale(2))
+        with pytest.raises(ValidationFailed, match="^preimage does not reduce to the input$"):
+            lift_closed(triangle_cocycle_f7)
 
     def test_not_closed(self, filled_triangle):
         c = Cochain.from_simplices(filled_triangle, 1, GF(7), {(0, 1): 1})

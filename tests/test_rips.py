@@ -408,7 +408,7 @@ class TestNonFiniteInput:
         assert err["error"] == "ValueError" and "NaN at (0, 2)" in err["message"]
 
 
-def no_distances(pts, k):
+def no_distances(pts):
     raise AssertionError("distances computed before the options were checked")
 
 

@@ -352,9 +352,9 @@ def test_one_distance_pass_per_fit(monkeypatch):
     calls = []
     original = complexes._distance_blocks
 
-    def counted(pts, k):
+    def counted(pts):
         calls.append(len(pts))
-        return original(pts, k)
+        return original(pts)
 
     monkeypatch.setattr(complexes, "_distance_blocks", counted)
     points = sample_circle(30, 0.05, 2, seed=1)[0]

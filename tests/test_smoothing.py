@@ -3,10 +3,11 @@ from collections import deque
 import numpy as np
 import pytest
 
+import circlift.smoothing as smoothing
 from circlift import (Chain, Cochain, RR, ZZ, apply_coboundary,
                       build_from_simplices, circular_correlation, circular_map,
                       harmonic_smooth, kronecker_pairing)
-from circlift.errors import InconsistentCocycle, NotACocycle, VertexSetMismatch
+from circlift.errors import InconsistentCocycle, NotACocycle, SolverDiverged, VertexSetMismatch
 from circlift.smoothing import CircularCoords, SmoothedCocycle
 from conftest import (hexagon_fundamental_cycle, hexagon_generator,
                       random_complex, random_connected_complex)
@@ -158,6 +159,13 @@ class TestHarmonicSmooth:
         for dim in (0, 2):
             with pytest.raises(ValueError, match="^smoothing applies to 1-cochains$"):
                 harmonic_smooth(Cochain(filled_triangle, dim, ZZ, {}))
+
+    def test_solver_that_does_not_converge_is_refused(self, hexagon, monkeypatch):
+        # a solver that stops at its starting point leaves the full residual
+        monkeypatch.setattr(smoothing, "_jacobi_cg",
+                            lambda matvec, diag, rhs: np.zeros_like(rhs))
+        with pytest.raises(SolverDiverged, match="^normal-equation residual .* above tolerance$"):
+            harmonic_smooth(hexagon_generator(hexagon))
 
     def test_iterative_solver_matches_direct(self, hexagon):
         # edge-list conjugate gradients against the dense direct solve, on

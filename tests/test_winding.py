@@ -14,7 +14,7 @@ from circlift import (Chain, Cochain, OddPrime, ZZ,
                       reduce_winding, run_pipeline, select_class, snf_repair)
 from circlift.cli import main
 from circlift.errors import (ComplexTooLargeForSnf, NotACocycle, NotDivisible,
-                             ZeroPairing)
+                             ValidationFailed, ZeroPairing)
 from circlift.experiments import sample_circle
 from circlift.snf import solve_integer
 from circlift.winding import ROUTE_MOD_P, ROUTE_SNF
@@ -129,6 +129,18 @@ class TestDivideStep:
         with pytest.raises(ValueError, match="^degree must be >= 1$"):
             divide_step(Cochain(hexagon, 0, ZZ, dict.fromkeys(range(6), 2)), 2)
 
+    def test_broken_division_identity(self, hexagon, monkeypatch):
+        # the quotient shifted by a coboundary no longer decomposes alpha
+        honest = winding._split
+
+        def shifted(*args):
+            f, gamma, route = honest(*args)
+            return f, gamma + apply_coboundary(Cochain(hexagon, 0, ZZ, {0: 1})), route
+
+        monkeypatch.setattr(winding, "_split", shifted)
+        with pytest.raises(ValidationFailed, match="^division identity broken$"):
+            divide_step(hexagon_generator(hexagon).scale(2), 2)
+
     def test_unknown_route_is_refused(self, hexagon):
         with pytest.raises(ValueError, match="unknown division route 'bogus'"):
             divide_step(hexagon_generator(hexagon).scale(2), 2, route="bogus")
@@ -227,6 +239,16 @@ class TestReduceWinding:
         alpha = apply_coboundary(random_vertex_cochain(rng, hexagon))
         with pytest.raises(ZeroPairing):
             reduce_winding(alpha, beta)
+
+    def test_division_beyond_the_pairing_bound(self, hexagon, monkeypatch):
+        # a split that never fails would divide by 2 more often than 2 divides
+        # the pairing
+        zero = Cochain(hexagon, 0, ZZ, {})
+        monkeypatch.setattr(winding, "_split", lambda alpha, *args: (zero, alpha, ROUTE_MOD_P))
+        with pytest.raises(ValidationFailed,
+                           match="^division by 2 exceeded the pairing bound 1$"):
+            reduce_winding(hexagon_generator(hexagon).scale(2),
+                           hexagon_fundamental_cycle(hexagon))
 
     def test_cycle_over_a_field_is_refused(self, hexagon):
         # over F_7 the loop's -1 reads 6, so it would pair as 2 + 6 + 1 = 9;
